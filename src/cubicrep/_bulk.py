@@ -1,10 +1,10 @@
 """Vectorized sweeps over whole coefficient spaces and matrix groups.
 
 Field elements are encoded as their position in the field's canonical
-enumeration and all arithmetic goes through small lookup tables, so the
-same code drives prime and extension fields.  Used by the census machinery
-and by the exhaustive equivalence scan; nothing here is part of the public
-surface.
+enumeration and all arithmetic goes through the lookup tables of
+_tables.ScalarField and _tables.PlaneTables, so the same code drives prime
+and extension fields.  Used by the census machinery and by the exhaustive
+equivalence scan; nothing here is part of the public surface.
 """
 
 from __future__ import annotations
@@ -13,143 +13,60 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _forms
+from ._tables import ScalarField, plane_tables, scalar_field
 from .gf import FieldSpec
-from . import plane
-
-
-@lru_cache(maxsize=None)
-def table_field(spec: FieldSpec):
-    return _TableField(spec)
-
-
-class _TableField:
-    """Lookup-table arithmetic for one field, elements indexed 0..q-1."""
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.q = spec.q
-        self.elems = list(spec.elements())
-        index = {e: i for i, e in enumerate(self.elems)}
-        self.index = index
-        q = self.q
-        self.ADD = np.zeros((q, q), dtype=np.uint8)
-        self.SUB = np.zeros((q, q), dtype=np.uint8)
-        self.MUL = np.zeros((q, q), dtype=np.uint8)
-        for i, a in enumerate(self.elems):
-            for j, b in enumerate(self.elems):
-                self.ADD[i, j] = index[a + b]
-                self.SUB[i, j] = index[a - b]
-                self.MUL[i, j] = index[a * b]
-        self.NEG = np.array([index[-a] for a in self.elems], dtype=np.uint8)
-        self.INV = np.zeros(q, dtype=np.uint8)
-        for i, a in enumerate(self.elems):
-            if a:
-                self.INV[i] = index[a.inverse()]
-        # small integer multiples, for formal derivatives
-        self.INTMUL = np.zeros((4, q), dtype=np.uint8)
-        for k in range(4):
-            for i, a in enumerate(self.elems):
-                self.INTMUL[k, i] = index[a * k]
-
-    def encode(self, element) -> int:
-        return self.index[element]
-
-    def decode(self, idx: int):
-        return self.elems[int(idx)]
-
-    # -- batched 3x3 linear algebra ------------------------------------------
-
-    def matmul3(self, a, b):
-        """(..., 3, 3) @ (..., 3, 3) under table arithmetic."""
-        acc = self.MUL[a[..., :, 0:1], b[..., 0:1, :]]
-        for k in range(1, 3):
-            term = self.MUL[a[..., :, k:k + 1], b[..., k:k + 1, :]]
-            acc = self.ADD[acc, term]
-        return acc
-
-    def det3(self, m):
-        MUL, ADD, SUB = self.MUL, self.ADD, self.SUB
-        a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-        d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
-        g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
-        t1 = MUL[a, SUB[MUL[e, i], MUL[f, h]]]
-        t2 = MUL[b, SUB[MUL[d, i], MUL[f, g]]]
-        t3 = MUL[c, SUB[MUL[d, h], MUL[e, g]]]
-        return ADD[SUB[t1, t2], t3]
-
-    def inv3(self, m):
-        """Inverses of a batch of invertible 3x3 matrices."""
-        MUL, SUB = self.MUL, self.SUB
-        a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-        d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
-        g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
-        adj = np.stack([
-            np.stack([SUB[MUL[e, i], MUL[f, h]], SUB[MUL[c, h], MUL[b, i]],
-                      SUB[MUL[b, f], MUL[c, e]]], axis=-1),
-            np.stack([SUB[MUL[f, g], MUL[d, i]], SUB[MUL[a, i], MUL[c, g]],
-                      SUB[MUL[c, d], MUL[a, f]]], axis=-1),
-            np.stack([SUB[MUL[d, h], MUL[e, g]], SUB[MUL[b, g], MUL[a, h]],
-                      SUB[MUL[a, e], MUL[b, d]]], axis=-1),
-        ], axis=-2)
-        det_inv = self.INV[self.det3(m)]
-        return MUL[adj, det_inv[..., None, None]]
 
 
 # ---------------------------------------------------------------------------
-# geometry tables
+# batched 3x3 linear algebra
+
+
+def matmul3(sf: ScalarField, a, b):
+    """(..., 3, 3) @ (..., 3, 3) under table arithmetic."""
+    acc = sf.MUL[a[..., :, 0:1], b[..., 0:1, :]]
+    for k in range(1, 3):
+        term = sf.MUL[a[..., :, k:k + 1], b[..., k:k + 1, :]]
+        acc = sf.ADD[acc, term]
+    return acc
+
+
+def det3(sf: ScalarField, m):
+    MUL, ADD, SUB = sf.MUL, sf.ADD, sf.SUB
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    t1 = MUL[a, SUB[MUL[e, i], MUL[f, h]]]
+    t2 = MUL[b, SUB[MUL[d, i], MUL[f, g]]]
+    t3 = MUL[c, SUB[MUL[d, h], MUL[e, g]]]
+    return ADD[SUB[t1, t2], t3]
+
+
+def inv3(sf: ScalarField, m):
+    """Inverses of a batch of invertible 3x3 matrices."""
+    MUL, SUB = sf.MUL, sf.SUB
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    adj = np.stack([
+        np.stack([SUB[MUL[e, i], MUL[f, h]], SUB[MUL[c, h], MUL[b, i]],
+                  SUB[MUL[b, f], MUL[c, e]]], axis=-1),
+        np.stack([SUB[MUL[f, g], MUL[d, i]], SUB[MUL[a, i], MUL[c, g]],
+                  SUB[MUL[c, d], MUL[a, f]]], axis=-1),
+        np.stack([SUB[MUL[d, h], MUL[e, g]], SUB[MUL[b, g], MUL[a, h]],
+                  SUB[MUL[a, e], MUL[b, d]]], axis=-1),
+    ], axis=-2)
+    det_inv = sf.INV[det3(sf, m)]
+    return MUL[adj, det_inv[..., None, None]]
 
 
 @lru_cache(maxsize=None)
-def point_table(spec: FieldSpec):
-    """Canonical points of P^2 as index triples, plus monomial value tables."""
-    tf = table_field(spec)
-    pts = list(plane.projective_points(spec))
-    coords = np.array([[tf.encode(c) for c in P.coords] for P in pts],
-                      dtype=np.uint8)
-    cubic_mono = np.zeros((len(pts), 10), dtype=np.uint8)
-    quad_mono = np.zeros((len(pts), 6), dtype=np.uint8)
-    for n, P in enumerate(pts):
-        x, y, z = P.coords
-        for k, (ex, ey, ez) in enumerate(plane.CUBIC_EXPONENTS):
-            cubic_mono[n, k] = tf.encode(x ** ex * y ** ey * z ** ez)
-        for k, (ex, ey, ez) in enumerate(plane.QUAD_EXPONENTS):
-            quad_mono[n, k] = tf.encode(x ** ex * y ** ey * z ** ez)
-    return pts, coords, cubic_mono, quad_mono
-
-
-@lru_cache(maxsize=None)
-def derivative_plan(spec: FieldSpec):
-    """For each variable, the (cubic_pos, quad_pos, multiplier) contributions."""
-    plans = []
-    for var in range(3):
-        plan = []
-        for cpos, (idx, exps) in enumerate(zip(plane.CUBIC_INDICES,
-                                               plane.CUBIC_EXPONENTS)):
-            e = exps[var]
-            if e:
-                reduced = idx.replace(str(var), "", 1)
-                plan.append((cpos, plane.QUAD_INDICES.index(reduced), e))
-        plans.append(tuple(plan))
-    return tuple(plans)
-
-
-@lru_cache(maxsize=None)
-def line_restriction_table(spec: FieldSpec):
-    """(n_lines, 4, 10) element indices: binary-cubic coefficients of each
-    basis monomial restricted to each rational line."""
-    tf = table_field(spec)
-    lines = list(plane.projective_lines(spec))
-    out = np.zeros((len(lines), 4, 10), dtype=np.uint8)
-    for li, line in enumerate(lines):
-        v, w = plane.line_basis(line, spec)
-        for c in range(10):
-            coeffs = [0] * 10
-            coeffs[c] = 1
-            basis_form = plane.TernaryCubic(spec, coeffs)
-            restr = plane.restrict_to_line(basis_form, v, w)
-            for d in range(4):
-                out[li, d, c] = tf.encode(restr[d])
-    return out
+def _plane_arrays(spec: FieldSpec):
+    """PlaneTables' cubic and quadratic monomial values at every point and
+    its line restriction maps, as uint8 arrays."""
+    pt = plane_tables(spec)
+    return (np.array(pt.mono, dtype=np.uint8), np.array(pt.qmono, dtype=np.uint8),
+            np.array(pt.line_restr, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -173,22 +90,19 @@ def forms_up_to_scalar(spec: FieldSpec) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def _fold_values(tf, A, table, positions=None):
+def _fold_values(sf, A, table):
     """sum_k A[:, k] * table[:, k] over points: returns (n_forms, n_points)."""
-    npts = table.shape[0]
-    acc = np.zeros((A.shape[0], npts), dtype=np.uint8)
-    cols = range(A.shape[1]) if positions is None else positions
-    for k in cols:
-        term = tf.MUL[A[:, k][:, None], table[None, :, k]]
-        acc = tf.ADD[acc, term]
+    acc = np.zeros((A.shape[0], table.shape[0]), dtype=np.uint8)
+    for k in range(A.shape[1]):
+        term = sf.MUL[A[:, k][:, None], table[None, :, k]]
+        acc = sf.ADD[acc, term]
     return acc
 
 
 def curve_values(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
     """(n_forms, n_points) values of each form at each point of P^2."""
-    tf = table_field(spec)
-    _, _, cubic_mono, _ = point_table(spec)
-    return _fold_values(tf, A, cubic_mono)
+    cubic_mono, _, _ = _plane_arrays(spec)
+    return _fold_values(scalar_field(spec), A, cubic_mono)
 
 
 def point_counts(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
@@ -202,30 +116,29 @@ def smooth_mask(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
     point, no rational line divides it, and it has at least one rational
     point; see plane.is_smooth for why this is a complete test.
     """
-    tf = table_field(spec)
-    _, _, cubic_mono, quad_mono = point_table(spec)
-    vals = _fold_values(tf, A, cubic_mono)
+    sf = scalar_field(spec)
+    cubic_mono, quad_mono, restr = _plane_arrays(spec)
+    vals = _fold_values(sf, A, cubic_mono)
     on_curve = vals == 0
     has_point = on_curve.any(axis=1)
 
     sing = on_curve.copy()
-    for plan in derivative_plan(spec):
+    for plan in _forms.DERIVATIVE_PLAN:
         acc = np.zeros_like(vals)
         for cpos, qpos, mult in plan:
-            coeff = tf.INTMUL[mult, A[:, cpos]]
-            term = tf.MUL[coeff[:, None], quad_mono[None, :, qpos]]
-            acc = tf.ADD[acc, term]
+            coeff = sf.INTMUL[mult, A[:, cpos]]
+            term = sf.MUL[coeff[:, None], quad_mono[None, :, qpos]]
+            acc = sf.ADD[acc, term]
         sing &= acc == 0
     has_singular = sing.any(axis=1)
 
-    restr = line_restriction_table(spec)
     has_line = np.zeros(A.shape[0], dtype=bool)
     for li in range(restr.shape[0]):
         contained = np.ones(A.shape[0], dtype=bool)
         for d in range(4):
             acc = np.zeros(A.shape[0], dtype=np.uint8)
             for c in range(10):
-                acc = tf.ADD[acc, tf.MUL[A[:, c], restr[li, d, c]]]
+                acc = sf.ADD[acc, sf.MUL[A[:, c], restr[li, d, c]]]
             contained &= acc == 0
             if not contained.any():
                 break
@@ -251,22 +164,19 @@ def _all_matrices_blocks(q: int, chunk_digits: int = 7):
 @lru_cache(maxsize=None)
 def gl3_array(spec: FieldSpec) -> np.ndarray:
     """All of GL_3 as (G, 3, 3) index matrices, lexicographic order."""
-    tf = table_field(spec)
-    blocks = []
-    for block in _all_matrices_blocks(spec.q):
-        keep = tf.det3(block) != 0
-        blocks.append(block[keep])
+    sf = scalar_field(spec)
+    blocks = [block[det3(sf, block) != 0] for block in _all_matrices_blocks(spec.q)]
     return np.concatenate(blocks, axis=0)
 
 
 @lru_cache(maxsize=None)
 def pgl3_array(spec: FieldSpec) -> np.ndarray:
     """One representative per scalar class of GL_3 (first nonzero entry 1)."""
-    tf = table_field(spec)
+    sf = scalar_field(spec)
     g = gl3_array(spec).reshape(-1, 9)
     lead_pos = (g != 0).argmax(axis=1)
     lead = g[np.arange(len(g)), lead_pos]
-    scaled = tf.MUL[g, tf.INV[lead][:, None]]
+    scaled = sf.MUL[g, sf.INV[lead][:, None]]
     uniq = np.unique(scaled, axis=0)
     return uniq.reshape(-1, 3, 3)
 
@@ -274,40 +184,40 @@ def pgl3_array(spec: FieldSpec) -> np.ndarray:
 @lru_cache(maxsize=None)
 def pgl3_cubic_action(spec: FieldSpec) -> np.ndarray:
     """(G, 10, 10) index tensors: coefficients of act(T, basis monomial)."""
-    tf = table_field(spec)
+    sf = scalar_field(spec)
     group = pgl3_array(spec)
     G = group.shape[0]
     cube = np.zeros((G, 10, 10), dtype=np.uint8)
-    for in_pos, idx in enumerate(plane.CUBIC_INDICES):
+    for in_pos, idx in enumerate(_forms.CUBIC_INDICES):
         i, j, k = (int(ch) for ch in idx)
         quad = np.zeros((G, 6), dtype=np.uint8)
         for a in range(3):
             for b in range(3):
-                qpos = plane.quad_pos(a, b)
-                term = tf.MUL[group[:, i, a], group[:, j, b]]
-                quad[:, qpos] = tf.ADD[quad[:, qpos], term]
-        for qpos, qidx in enumerate(plane.QUAD_INDICES):
+                qpos = _forms.quad_pos(a, b)
+                term = sf.MUL[group[:, i, a], group[:, j, b]]
+                quad[:, qpos] = sf.ADD[quad[:, qpos], term]
+        for qpos, qidx in enumerate(_forms.QUAD_INDICES):
             a, b = int(qidx[0]), int(qidx[1])
             for c in range(3):
-                cpos = plane.cubic_pos(a, b, c)
-                term = tf.MUL[quad[:, qpos], group[:, k, c]]
-                cube[:, cpos, in_pos] = tf.ADD[cube[:, cpos, in_pos], term]
+                cpos = _forms.cubic_pos(a, b, c)
+                term = sf.MUL[quad[:, qpos], group[:, k, c]]
+                cube[:, cpos, in_pos] = sf.ADD[cube[:, cpos, in_pos], term]
     return cube
 
 
 def orbit_of(spec: FieldSpec, form_row: np.ndarray) -> np.ndarray:
     """Encodings of the full projective-group orbit of one coefficient row."""
-    tf = table_field(spec)
+    sf = scalar_field(spec)
     cube = pgl3_cubic_action(spec)
     G = cube.shape[0]
     images = np.zeros((G, 10), dtype=np.uint8)
     for in_pos in range(10):
         c = int(form_row[in_pos])
         if c:
-            images = tf.ADD[images, tf.MUL[cube[:, :, in_pos], np.uint8(c)]]
+            images = sf.ADD[images, sf.MUL[cube[:, :, in_pos], np.uint8(c)]]
     lead_pos = (images != 0).argmax(axis=1)
     lead = images[np.arange(G), lead_pos]
-    images = tf.MUL[images, tf.INV[lead][:, None]]
+    images = sf.MUL[images, sf.INV[lead][:, None]]
     return np.unique(encode_forms(spec.q, images))
 
 
@@ -329,79 +239,53 @@ def decode_form(q: int, enc: int) -> list[int]:
 # exhaustive equivalence scan
 
 
-def scan_equivalence(m1, m2, pt_coords=None, chunk_digits: int = 7):
-    """First (A, B) with A @ m1 @ B == m2, identity-first then lex order.
+def _gl3_blocks(sf: ScalarField):
+    """GL_3 in blocks: the identity first, then the rest in lexicographic order."""
+    ident = np.eye(3, dtype=np.uint8)
+    yield ident[None]
+    for block in _all_matrices_blocks(sf.q):
+        keep = (det3(sf, block) != 0) & (block != ident).any(axis=(1, 2))
+        if keep.any():
+            yield block[keep]
 
-    pt_coords must be a coordinate triple where det m1 is nonzero; B is then
-    determined by each A (it is unique for valid representations), so only
-    the 27-coefficient identity needs checking.  Returns element-matrix rows
-    or None.
+
+def _sandwich(sf: ScalarField, a, mc, b):
+    """a @ M @ b for the linear-form matrix mc[row, col, var]; a and b are
+    (..., 3, 3) batches that broadcast against each other."""
+    # t[..., i, k, v] = sum_j a[..., i, j] * mc[j, k, v]
+    t = sf.MUL[a[..., :, 0, None, None], mc[0]]
+    for j in range(1, 3):
+        t = sf.ADD[t, sf.MUL[a[..., :, j, None, None], mc[j]]]
+    # u[..., i, l, v] = sum_k t[..., i, k, v] * b[..., k, l]
+    u = sf.MUL[t[..., :, 0, None, :], b[..., None, 0, :, None]]
+    for k in range(1, 3):
+        u = sf.ADD[u, sf.MUL[t[..., :, k, None, :], b[..., None, k, :, None]]]
+    return u
+
+
+def scan_equivalence(sf: ScalarField, m1_idx, m2_idx, at_point=None):
+    """First (A, B) with A @ m1 @ B == m2, A identity-first then lex order.
+
+    m1_idx and m2_idx hold each entry's coefficient indices as [row][col][var].
+    at_point is the pair (m1(P), m2(P)) of index matrices at a point P where
+    det m1 is nonzero; B is then determined by each A (it is unique for valid
+    representations), so only the 27-coefficient identity needs checking.
+    Without such a point every B in GL_3 is tried against each A.  Returns
+    the pair as index matrices, or None.
     """
-    spec = m1.spec
-    tf = table_field(spec)
-    q = spec.q
-    if pt_coords is None:
-        raise ValueError("need a point where det m1 is nonzero")
-    m1c = np.zeros((3, 3, 3), dtype=np.uint8)  # [row, col, var]
-    m2c = np.zeros((3, 3, 3), dtype=np.uint8)
-    for i in range(3):
-        for j in range(3):
-            for v, c in enumerate(m1.entry(i, j)):
-                m1c[i, j, v] = tf.encode(c)
-            for v, c in enumerate(m2.entry(i, j)):
-                m2c[i, j, v] = tf.encode(c)
-    m1pt = np.array([[tf.encode(x) for x in row]
-                     for row in m1.evaluate(pt_coords)], dtype=np.uint8)
-    m2pt = np.array([[tf.encode(x) for x in row]
-                     for row in m2.evaluate(pt_coords)], dtype=np.uint8)
-    ident = np.zeros((1, 3, 3), dtype=np.uint8)
-    ident[0, 0, 0] = ident[0, 1, 1] = ident[0, 2, 2] = 1
-    ident_enc = encode_matrix(q, ident[0])
-
-    hit = _scan_block(tf, ident, m1c, m2c, m1pt, m2pt)
-    if hit is not None:
-        return _decode_witness(tf, hit)
-    for block in _all_matrices_blocks(q, chunk_digits):
-        keep = tf.det3(block) != 0
-        block = block[keep]
-        if not block.size:
-            continue
-        enc = block.reshape(-1, 9).astype(np.int64) @ (q ** np.arange(8, -1, -1))
-        block = block[enc != ident_enc]
-        if not block.size:
-            continue
-        hit = _scan_block(tf, block, m1c, m2c, m1pt, m2pt)
-        if hit is not None:
-            return _decode_witness(tf, hit)
+    m1c = np.array(m1_idx, dtype=np.uint8)
+    m2c = np.array(m2_idx, dtype=np.uint8)
+    if at_point is not None:
+        m1pt, m2pt = (np.array(m, dtype=np.uint8)[None] for m in at_point)
+    for a in _gl3_blocks(sf):
+        if at_point is None:
+            a, b = a[:, None], gl3_array(sf.spec)[None]
+        else:
+            b = matmul3(sf, inv3(sf, matmul3(sf, a, m1pt)), m2pt)
+        ok = (_sandwich(sf, a, m1c, b) == m2c).all(axis=(-3, -2, -1))
+        hit = np.argwhere(ok)
+        if hit.size:
+            g = tuple(hit[0])
+            return (np.broadcast_to(a, ok.shape + (3, 3))[g],
+                    np.broadcast_to(b, ok.shape + (3, 3))[g])
     return None
-
-
-def encode_matrix(q: int, m: np.ndarray) -> int:
-    return int(m.reshape(9).astype(np.int64) @ (q ** np.arange(8, -1, -1)))
-
-
-def _scan_block(tf, a_block, m1c, m2c, m1pt, m2pt):
-    n = tf.matmul3(a_block, m1pt[None, :, :])
-    b = tf.matmul3(tf.inv3(n), m2pt[None, :, :])
-    # t[g, i, k, v] = sum_j a[g, i, j] * m1c[j, k, v]
-    t = np.zeros(a_block.shape[:1] + (3, 3, 3), dtype=np.uint8)
-    for j in range(3):
-        term = tf.MUL[a_block[:, :, j][:, :, None, None], m1c[None, j][:, None]]
-        t = tf.ADD[t, term]
-    u = np.zeros_like(t)
-    for k in range(3):
-        term = tf.MUL[t[:, :, k, :][:, :, None, :], b[:, k, :][:, None, :, None]]
-        u = tf.ADD[u, term]
-    ok = (u == m2c[None]).all(axis=(1, 2, 3))
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        g = int(idx[0])
-        return a_block[g], b[g]
-    return None
-
-
-def _decode_witness(tf, hit):
-    a_idx, b_idx = hit
-    a_rows = [[tf.decode(a_idx[i, j]) for j in range(3)] for i in range(3)]
-    b_rows = [[tf.decode(b_idx[i, j]) for j in range(3)] for i in range(3)]
-    return a_rows, b_rows

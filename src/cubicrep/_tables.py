@@ -7,12 +7,16 @@ builds its point objects from these tables), so index-level results
 translate one-to-one.
 
 Only fields with q <= MAX_TABLE_Q get tables; callers fall back to object
-arithmetic beyond that.
+arithmetic beyond that.  This module owns the encoding and the per-field
+tables; the batched numpy kernels in _bulk read the same tables through the
+uint8 array views on ScalarField.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from . import _forms
 from .gf import FieldSpec, embed
@@ -36,6 +40,10 @@ class ScalarField:
         self.neg = [index[-a] for a in elems]
         self.inv = [index[a.inverse()] if a else 0 for a in elems]
         self.int_mul = [[index[a * k] for a in elems] for k in range(4)]
+        # the same tables as uint8 arrays, for the batched kernels in _bulk
+        self.ADD, self.SUB, self.MUL, self.NEG, self.INV, self.INTMUL = (
+            np.array(t, dtype=np.uint8)
+            for t in (self.add, self.sub, self.mul, self.neg, self.inv, self.int_mul))
 
     def encode(self, element) -> int:
         return self.index[element]

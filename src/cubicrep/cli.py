@@ -311,7 +311,7 @@ def cmd_count(args) -> int:
 
 def cmd_classify(args) -> int:
     try:
-        cen = oracle.census(args.q, slow=args.slow, jobs=args.jobs)
+        cen = oracle.census(args.q, slow=args.slow)
     except oracle.TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -516,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--csv", action="store_true", help="CSV output where supported")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker budget for bulk sweeps (advisory)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", parents=[common], help="describe a finite field")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from . import _tables
+from . import _bulk, _tables
 from ._forms import DET_PERMS
 from .gf import FieldElement, FieldMismatch, FieldSpec, embed, mk_field
 from .plane import (
@@ -519,11 +519,7 @@ def _witness_from_b(m1: LinearMatrixRep, m2: LinearMatrixRep, b_rows):
     except ValueError:
         return None
     D1 = det_cubic(m1)
-    base_pt = None
-    for P in projective_points(spec):
-        if D1.evaluate(P.coords if isinstance(P, ProjPoint) else P):
-            base_pt = P
-            break
+    base_pt = next((P for P in projective_points(spec) if D1.evaluate(P)), None)
     if base_pt is None:
         return None
     m1b = _matmul(m1.evaluate(base_pt.coords), b.rows, spec)
@@ -630,104 +626,31 @@ def _certificate_from_kernels_obj(m1, m2, k1s, k2s, ext):
     return _witness_from_b(m1, m2, b_rows), True
 
 
-def gl3_iter(spec: FieldSpec):
-    """All of GL_3(F_q), identity first, then lexicographic in entry indices."""
-    ident = LinearTransform.identity(spec)
-    yield ident
-    elems = list(spec.elements())
-    idx = [0] * 9
-    total = spec.q ** 9
-    for _ in range(total):
-        rows = ((elems[idx[0]], elems[idx[1]], elems[idx[2]]),
-                (elems[idx[3]], elems[idx[4]], elems[idx[5]]),
-                (elems[idx[6]], elems[idx[7]], elems[idx[8]]))
-        if _det3(rows):
-            t = LinearTransform(spec, rows)
-            if t != ident:
-                yield t
-        for pos in range(8, -1, -1):
-            idx[pos] += 1
-            if idx[pos] < spec.q:
-                break
-            idx[pos] = 0
-
-
-def _solve_b_for_a(a: LinearTransform, m1: LinearMatrixRep, m2: LinearMatrixRep):
-    """Solve a * m1 * B = m2 for a constant B; None if inconsistent."""
-    spec = m1.spec
-    n = [_matmul(a.rows, mv, spec) for mv in m1.coefficient_matrices()]
-    targets = m2.coefficient_matrices()
-    # the system separates by columns of B and shares the 9x3 coefficient matrix
-    rows = [[n[v][i][k] for k in range(3)] for v in range(3) for i in range(3)]
-    b_cols = []
-    for j in range(3):
-        rhs = [targets[v][i][j] for v in range(3) for i in range(3)]
-        col = _solve_exact(rows, rhs, spec)
-        if col is None:
-            return None
-        b_cols.append(col)
-    b_rows = [[b_cols[j][i] for j in range(3)] for i in range(3)]
-    if not _det3(b_rows):
-        return None
-    return LinearTransform(spec, b_rows)
-
-
-def _solve_exact(rows, rhs, spec):
-    """Unique solution of an overdetermined consistent system, else None."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) < ncols:
-        return None  # underdetermined; treated as no unique solution
-    for i in range(r, len(m)):
-        if m[i][-1]:
-            return None
-    sol = [spec.zero()] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][-1]
-    return sol
-
-
 def _exhaustive_scan(m1, m2, cap):
     spec = m1.spec
     order = gl3_order(spec.q)
     if order > cap:
         raise BudgetExceeded(f"|GL_3(F_{spec.q})| = {order} exceeds the budget {cap}")
-    D1 = det_cubic(m1)
-    pt = None
-    if D1 is not None:
-        pt = next((P.coords for P in projective_points(spec)
-                   if D1.evaluate(P)), None)
-    if pt is not None:
-        from . import _bulk
-        found = _bulk.scan_equivalence(m1, m2, pt)
-        if found is None:
-            return None
-        a_rows, b_rows = found
-        return EquivalenceWitness(LinearTransform(spec, a_rows),
-                                  LinearTransform(spec, b_rows))
-    # degenerate case: det vanishes at every rational point
-    for a in gl3_iter(spec):
-        b = _solve_b_for_a(a, m1, m2)
-        if b is not None:
-            w = EquivalenceWitness(a, b)
-            if w.verify(m1, m2):
-                return w
-    return None
+    if spec.q > _tables.MAX_TABLE_Q:
+        raise BudgetExceeded(f"the GL_3 scan runs on lookup tables, which stop at "
+                             f"q = {_tables.MAX_TABLE_Q}; got q = {spec.q}")
+    pt = _tables.plane_tables(spec)
+    sf = pt.sf
+    m1_idx = _entry_indices(m1, sf)
+    m2_idx = _entry_indices(m2, sf)
+    values = pt.form_values(_tables.det_cubic_idx(m1_idx, sf))
+    at = next((pt.points[i] for i, v in enumerate(values) if v), None)
+    # With no rational point where det m1 is nonzero, the scan also sweeps B.
+    # That happens only over F_2: the ideal of P^2(F_q) is generated in
+    # degree q + 1, so a nonzero cubic vanishes on all of P^2(F_q) only when
+    # q + 1 <= 3.
+    at_point = None if at is None else (_matrix_at_point(m1_idx, at, sf),
+                                        _matrix_at_point(m2_idx, at, sf))
+    found = _bulk.scan_equivalence(sf, m1_idx, m2_idx, at_point)
+    if found is None:
+        return None
+    a, b = ([[sf.decode(x) for x in row] for row in m] for m in found)
+    return EquivalenceWitness(LinearTransform(spec, a), LinearTransform(spec, b))
 
 
 def equivalent(m1: LinearMatrixRep, m2: LinearMatrixRep,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _bulk, counting
+from . import _bulk, _tables, counting
 from .gf import FieldSpec, mk_field
 from .plane import TernaryCubic
 
@@ -74,18 +74,17 @@ def _field_for(q: int) -> FieldSpec:
     return mk_field(p, m)
 
 
-def census(q: int, slow: bool = False, jobs: int | None = None) -> OrbitCensus:
+def census(q: int, slow: bool = False) -> OrbitCensus:
     """Orbit classification of all smooth cubic forms over F_q.
 
-    q in {2, 3} always works; q = 4 needs slow=True.  jobs only tunes
-    internal chunking and may be ignored.
+    q in {2, 3} always works; q = 4 needs slow=True.
     """
     if q not in (2, 3, 4):
         raise TooLarge(f"census is desk-scale only; q = {q} is out of range")
     if q == 4 and not slow:
         raise TooLarge("q = 4 is an opt-in slow run; pass slow=True")
     spec = _field_for(q)
-    tf = _bulk.table_field(spec)
+    sf = _tables.scalar_field(spec)
     forms = _bulk.forms_up_to_scalar(spec)
     smooth = _bulk.smooth_mask(spec, forms)
     counts = _bulk.point_counts(spec, forms)
@@ -101,17 +100,18 @@ def census(q: int, slow: bool = False, jobs: int | None = None) -> OrbitCensus:
         orbit = _bulk.orbit_of(spec, forms[fi])
         visited[orbit] = True
         rep_digits = _bulk.decode_form(q, int(orbit.min()))
-        rep = TernaryCubic(spec, [tf.decode(d) for d in rep_digits])
+        rep = TernaryCubic(spec, [sf.decode(d) for d in rep_digits])
         n_points = int(counts[fi])
         orbits.append(OrbitEntry(rep, len(orbit), n_points))
         histogram[n_points] += 1
 
     total_seen = int(visited.sum())
     total_smooth = int(smooth.sum())
-    assert total_seen == total_smooth, "orbits do not partition the smooth forms"
+    if total_seen != total_smooth:
+        raise AssertionError("orbits do not partition the smooth forms")
     group_order = _bulk.pgl3_array(spec).shape[0]
-    for o in orbits:
-        assert group_order % o.orbit_size == 0, "orbit size must divide |PGL_3|"
+    if any(group_order % o.orbit_size for o in orbits):
+        raise AssertionError("orbit size must divide |PGL_3|")
     return OrbitCensus(q=q, orbits=tuple(orbits), histogram=dict(histogram))
 
 

@@ -20,15 +20,14 @@ from . import _tables
 from ._forms import (
     CUBIC_EXPONENTS,
     CUBIC_INDICES,
+    CUBIC_POS,
     QUAD_EXPONENTS,
     QUAD_INDICES,
+    QUAD_POS,
     cubic_pos,
     quad_pos,
 )
 from .gf import FieldElement, FieldMismatch, FieldSpec, embed, mk_field
-
-_CUBIC_POS = {idx: i for i, idx in enumerate(CUBIC_INDICES)}
-_QUAD_POS = {idx: i for i, idx in enumerate(QUAD_INDICES)}
 
 
 class PlaneError(Exception):
@@ -143,7 +142,7 @@ class TernaryCubic:
         return cls(spec, [coeffs.get(idx, 0) for idx in CUBIC_INDICES])
 
     def coeff(self, idx: str) -> FieldElement:
-        return self.coeffs[_CUBIC_POS[idx]]
+        return self.coeffs[CUBIC_POS[idx]]
 
     def nonzero_dict(self) -> dict:
         return {idx: c for idx, c in zip(CUBIC_INDICES, self.coeffs) if c}
@@ -422,7 +421,7 @@ def partials(F: TernaryCubic) -> tuple[TernaryQuadratic, TernaryQuadratic, Terna
             if not e or not cf:
                 continue
             reduced = idx.replace(str(var), "", 1)
-            q[_QUAD_POS[reduced]] = q[_QUAD_POS[reduced]] + cf * e
+            q[QUAD_POS[reduced]] = q[QUAD_POS[reduced]] + cf * e
         out.append(TernaryQuadratic(spec, q))
     return tuple(out)
 
@@ -652,12 +651,14 @@ def normalize(F: TernaryCubic, P0: ProjPoint) -> tuple[LinearTransform, TernaryC
         if _det3(rows):
             col2 = cand
             break
-    assert col2 is not None, "tangent kernel completion failed"
+    if col2 is None:
+        raise AssertionError("tangent kernel completion failed")
     T = LinearTransform(spec, tuple(zip(col1, col2, col3)))
     Fn = act(T, F)
     scale = Fn.coeff("002")
     Fn = Fn.scaled(scale.inverse())
-    assert not Fn.coeff("000") and not Fn.coeff("001") and Fn.coeff("002") == 1
+    if not is_normalized(Fn):
+        raise AssertionError("normalization did not reach the normal form")
     return T, Fn
 
 

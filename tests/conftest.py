@@ -23,17 +23,17 @@ def census_forms():
     """All smooth coefficient rows for q = 2 and q = 3, as TernaryCubic lists."""
     import numpy as np
 
-    from cubicrep import _bulk, mk_field
+    from cubicrep import _bulk, _tables, mk_field
     from cubicrep.plane import TernaryCubic
 
     out = {}
     for q in (2, 3):
         spec = mk_field(q, 1)
-        tf = _bulk.table_field(spec)
+        sf = _tables.scalar_field(spec)
         forms = _bulk.forms_up_to_scalar(spec)
         smooth = _bulk.smooth_mask(spec, forms)
         out[q] = [
-            TernaryCubic(spec, [tf.decode(d) for d in forms[i]])
+            TernaryCubic(spec, [sf.decode(d) for d in forms[i]])
             for i in np.flatnonzero(smooth)
         ]
     return out

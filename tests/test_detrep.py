@@ -366,6 +366,29 @@ def test_budget_exceeded_on_degenerate_input():
     assert w is not None and w.verify(diag, moved)
 
 
+def test_exhaustive_scan_refuses_fields_past_the_table_cap(monkeypatch):
+    from cubicrep import _tables
+    from cubicrep.detrep import BudgetExceeded, _exhaustive_scan
+
+    f257 = mk_field(257, 1)
+    diag = LinearMatrixRep(
+        f257,
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
+    )
+    A = LinearTransform(f257, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    moved = transform_rep(A, diag, LinearTransform.identity(f257))
+
+    def no_tables(*args):
+        raise AssertionError("a lookup table was built")
+
+    monkeypatch.setattr(_tables, "ScalarField", no_tables)
+    monkeypatch.setattr(_tables, "PlaneTables", no_tables)
+    with pytest.raises(BudgetExceeded, match="q = 256"):
+        _exhaustive_scan(diag, moved, 10**30)
+
+
 def test_witness_inverses_on_golden_classification():
     for row in golden.UNIQUE_REP_ROWS:
         F = golden.row_curve(row)
@@ -374,3 +397,48 @@ def test_witness_inverses_on_golden_classification():
         w = equivalent(sym, rep)
         assert w is not None
         assert w.inverse().verify(rep, sym)
+
+
+def _vanishes_on_all_rational_points(rep):
+    from cubicrep.plane import projective_points
+
+    D = det_cubic(rep)
+    return all(not D.evaluate(P) for P in projective_points(rep.spec))
+
+
+def test_degenerate_scan_recovers_exact_witness():
+    from cubicrep.detrep import _kernel_certificate
+
+    # det = X^2 Y + X Y^2 vanishes on all of P^2(F_2), so the scan has no
+    # point where det m1 is nonzero and must sweep B as well as A
+    diag = LinearMatrixRep(
+        F2,
+        [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+        [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0] * 3] * 3,
+    )
+    assert _vanishes_on_all_rational_points(diag)
+    A = LinearTransform(F2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    B = LinearTransform(F2, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    moved = transform_rep(A, diag, B)
+    assert _kernel_certificate(diag, moved) == (None, False)
+    w = equivalent(diag, moved)
+    assert w is not None and w.a == A and w.b == B
+
+
+def test_degenerate_scan_refuses_and_accepts():
+    from cubicrep.detrep import _kernel_certificate, _rank_profile
+
+    # both have det Y^2 Z + Y Z^2 and the same rank profile over F_2
+    m = LinearMatrixRep(F2, ((0, 0, 1),) * 3, ((0, 0, 0), (1, 0, 0), (1, 0, 1)),
+                        ((0, 1, 1), (0, 0, 1), (0, 0, 0)))
+    n = LinearMatrixRep(F2, ((1, 0, 0),) * 3, ((0, 0, 1), (1, 0, 1), (1, 0, 1)),
+                        ((1, 1, 0), (1, 1, 0), (1, 0, 1)))
+    assert det_cubic(m) == det_cubic(n)
+    assert _vanishes_on_all_rational_points(m)
+    assert _rank_profile(m) == _rank_profile(n)
+    assert _kernel_certificate(m, n) == (None, False)
+    assert equivalent(m, n) is None
+    w = equivalent(m, m)
+    assert w is not None
+    assert w.a == LinearTransform.identity(F2) == w.b

@@ -1,6 +1,6 @@
 import pytest
 
-from cubicrep import _bulk, gallery
+from cubicrep import _bulk, _tables, gallery
 from cubicrep.counting import cubics_with_points
 from cubicrep.gf import mk_field
 from cubicrep.oracle import TooLarge, census, crosscheck
@@ -12,6 +12,17 @@ def test_census_requires_opt_in():
         census(5)
     with pytest.raises(TooLarge):
         census(4)  # needs slow=True
+
+
+def test_census_rejects_orbits_that_miss_forms(monkeypatch):
+    real_orbit_of = _bulk.orbit_of
+
+    def lossy_orbit_of(spec, row):
+        return real_orbit_of(spec, row)[1:]  # drop one encoding
+
+    monkeypatch.setattr(_bulk, "orbit_of", lossy_orbit_of)
+    with pytest.raises(AssertionError, match="partition"):
+        census(2)
 
 
 def test_census2_histogram(census2):
@@ -42,9 +53,9 @@ def test_orbit_sizes_divide_group_order(census2, census3):
 def test_orbit_stabilizer_q2(census2):
     spec = mk_field(2, 1)
     group = _bulk.pgl3_array(spec)
-    tf = _bulk.table_field(spec)
+    sf = _tables.scalar_field(spec)
     transforms = [
-        LinearTransform(spec, [[tf.decode(group[g, i, j]) for j in range(3)]
+        LinearTransform(spec, [[sf.decode(group[g, i, j]) for j in range(3)]
                                for i in range(3)])
         for g in range(group.shape[0])
     ]
@@ -73,15 +84,15 @@ def test_crosscheck_examples(census2, census3):
 def test_gallery_rows_land_in_distinct_census_orbits(census2, census3):
     for q, cen in ((2, census2), (3, census3)):
         spec = mk_field(q, 1)
-        tf = _bulk.table_field(spec)
+        sf = _tables.scalar_field(spec)
         reps = {_bulk.encode_forms(q, __import__("numpy").array(
-            [[tf.encode(c) for c in o.representative.coeffs]], dtype="uint8"))[0]: i
+            [[sf.encode(c) for c in o.representative.coeffs]], dtype="uint8"))[0]: i
             for i, o in enumerate(cen.orbits)}
         curves = [gallery.no_rep_curves()[q], gallery.unique_rep_curves()[q],
                   *gallery.two_rep_curves()[q]]
         seen = []
         for F in curves:
-            row = __import__("numpy").array([[tf.encode(c) for c in F.coeffs]],
+            row = __import__("numpy").array([[sf.encode(c) for c in F.coeffs]],
                                             dtype="uint8")[0]
             orbit = _bulk.orbit_of(spec, row)
             canon = int(orbit.min())

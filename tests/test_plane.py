@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden
-from cubicrep import _bulk
+from cubicrep import _bulk, _tables
 from cubicrep.gf import mk_field
 from cubicrep.plane import (
     LinearTransform,
@@ -19,6 +20,7 @@ from cubicrep.plane import (
     is_normalized,
     is_smooth,
     is_smooth_by_search,
+    mul_quad_lin,
     normalize,
     partials,
     projective_points,
@@ -75,36 +77,74 @@ def test_is_smooth_examples():
 
 def test_is_smooth_agrees_with_extension_search_f2_exhaustive():
     spec = F2
-    tf = _bulk.table_field(spec)
+    sf = _tables.scalar_field(spec)
     forms = _bulk.forms_up_to_scalar(spec)
     fast = _bulk.smooth_mask(spec, forms)
     rng = random.Random(7)
     idx = rng.sample(range(len(forms)), 140)
     for i in idx:
-        F = TernaryCubic(spec, [tf.decode(d) for d in forms[i]])
+        F = TernaryCubic(spec, [sf.decode(d) for d in forms[i]])
         assert is_smooth(F) == bool(fast[i]) == is_smooth_by_search(F)
 
 
 @pytest.mark.slow
 def test_is_smooth_agrees_with_extension_search_exhaustive_f2_full():
     spec = F2
-    tf = _bulk.table_field(spec)
+    sf = _tables.scalar_field(spec)
     forms = _bulk.forms_up_to_scalar(spec)
     fast = _bulk.smooth_mask(spec, forms)
     for i in range(len(forms)):
-        F = TernaryCubic(spec, [tf.decode(d) for d in forms[i]])
+        F = TernaryCubic(spec, [sf.decode(d) for d in forms[i]])
         assert is_smooth(F) == bool(fast[i]) == is_smooth_by_search(F)
 
 
 def test_is_smooth_agrees_with_extension_search_f3_sample():
     spec = F3
-    tf = _bulk.table_field(spec)
+    sf = _tables.scalar_field(spec)
     forms = _bulk.forms_up_to_scalar(spec)
     fast = _bulk.smooth_mask(spec, forms)
     rng = random.Random(11)
     for i in rng.sample(range(len(forms)), 12):
-        F = TernaryCubic(spec, [tf.decode(d) for d in forms[i]])
+        F = TernaryCubic(spec, [sf.decode(d) for d in forms[i]])
         assert is_smooth(F) == bool(fast[i]) == is_smooth_by_search(F)
+
+
+_DIFFERENTIAL_FIELDS = (mk_field(2, 2), F5, mk_field(7, 1), mk_field(2, 3),
+                        mk_field(3, 2))
+
+
+@st.composite
+def _field_and_rows(draw):
+    """A field and nonzero cubic rows, some of them a rational line times a
+    quadric (random rows almost never have a rational linear factor)."""
+    spec = draw(st.sampled_from(_DIFFERENTIAL_FIELDS))
+    sf = _tables.scalar_field(spec)
+    digits = lambda n: st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            rows.append(draw(digits(10).filter(any)))
+            continue
+        line = [sf.decode(d) for d in draw(digits(3).filter(any))]
+        quad = [sf.decode(d) for d in draw(digits(6).filter(any))]
+        rows.append([sf.encode(c) for c in mul_quad_lin(quad, line, spec)])
+    return spec, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_and_rows())
+def test_bulk_sweeps_agree_with_per_curve_path(case):
+    # the batched kernels and the per-curve code read the same tables;
+    # check they agree beyond the F_2 / F_3 censuses
+    spec, rows = case
+    sf = _tables.scalar_field(spec)
+    A = np.array(rows, dtype=np.uint8)
+    smooth = _bulk.smooth_mask(spec, A)
+    counts = _bulk.point_counts(spec, A)
+    for i, row in enumerate(rows):
+        F = TernaryCubic(spec, [sf.decode(d) for d in row])
+        assert bool(smooth[i]) == is_smooth(F)
+        assert counts[i] == len(rational_points(F))
 
 
 @pytest.mark.slow
@@ -253,9 +293,9 @@ def test_hasse_weil_bound_on_censuses(census_forms):
     rng = random.Random(3)
     for q, forms in census_forms.items():
         spec = forms[0].spec
-        tf = _bulk.table_field(spec)
+        sf = _tables.scalar_field(spec)
         rows = __import__("numpy").array(
-            [[tf.encode(c) for c in F.coeffs] for F in forms], dtype="uint8")
+            [[sf.encode(c) for c in F.coeffs] for F in forms], dtype="uint8")
         counts = _bulk.point_counts(spec, rows)
         floor_bound = max(math.ceil((math.sqrt(q) - 1) ** 2), 1)
         assert (counts >= floor_bound).all()
