@@ -62,11 +62,11 @@ def inv3(sf: ScalarField, m):
 
 @lru_cache(maxsize=None)
 def _plane_arrays(spec: FieldSpec):
-    """PlaneTables' cubic and quadratic monomial values at every point and
-    its line restriction maps, as uint8 arrays."""
+    """PlaneTables' cubic and quadratic monomial values at every point, its
+    line restriction maps and the points on each line, as arrays."""
     pt = plane_tables(spec)
     return (np.array(pt.mono, dtype=np.uint8), np.array(pt.qmono, dtype=np.uint8),
-            np.array(pt.line_restr, dtype=np.uint8))
+            np.array(pt.line_restr, dtype=np.uint8), np.array(pt.line_points))
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +92,17 @@ def forms_up_to_scalar(spec: FieldSpec) -> np.ndarray:
 
 def _fold_values(sf, A, table):
     """sum_k A[:, k] * table[:, k] over points: returns (n_forms, n_points)."""
-    acc = np.zeros((A.shape[0], table.shape[0]), dtype=np.uint8)
+    add = sf.ADD.ravel().astype(np.intp)
+    acc = np.zeros((A.shape[0], table.shape[0]), dtype=np.intp)
     for k in range(A.shape[1]):
-        term = sf.MUL[A[:, k][:, None], table[None, :, k]]
-        acc = sf.ADD[acc, term]
-    return acc
+        # row A[f, k] of the products with column k, added through the flat table
+        acc = add[acc * sf.q + sf.MUL[:, table[:, k]][A[:, k]]]
+    return acc.astype(np.uint8)
 
 
 def curve_values(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
     """(n_forms, n_points) values of each form at each point of P^2."""
-    cubic_mono, _, _ = _plane_arrays(spec)
+    cubic_mono = _plane_arrays(spec)[0]
     return _fold_values(scalar_field(spec), A, cubic_mono)
 
 
@@ -117,32 +118,24 @@ def smooth_mask(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
     point; see plane.is_smooth for why this is a complete test.
     """
     sf = scalar_field(spec)
-    cubic_mono, quad_mono, restr = _plane_arrays(spec)
-    vals = _fold_values(sf, A, cubic_mono)
-    on_curve = vals == 0
+    cubic_mono, quad_mono, restr, line_points = _plane_arrays(spec)
+    on_curve = _fold_values(sf, A, cubic_mono) == 0
     has_point = on_curve.any(axis=1)
 
     sing = on_curve.copy()
     for plan in _forms.DERIVATIVE_PLAN:
-        acc = np.zeros_like(vals)
-        for cpos, qpos, mult in plan:
-            coeff = sf.INTMUL[mult, A[:, cpos]]
-            term = sf.MUL[coeff[:, None], quad_mono[None, :, qpos]]
-            acc = sf.ADD[acc, term]
-        sing &= acc == 0
+        cpos, qpos, mult = (list(col) for col in zip(*plan))
+        sing &= _fold_values(sf, sf.INTMUL[mult, A[:, cpos]], quad_mono[:, qpos]) == 0
     has_singular = sing.any(axis=1)
 
+    # a line divides a form only if the form vanishes at every point of it,
+    # so only those forms get their restriction to the line computed
     has_line = np.zeros(A.shape[0], dtype=bool)
-    for li in range(restr.shape[0]):
-        contained = np.ones(A.shape[0], dtype=bool)
-        for d in range(4):
-            acc = np.zeros(A.shape[0], dtype=np.uint8)
-            for c in range(10):
-                acc = sf.ADD[acc, sf.MUL[A[:, c], restr[li, d, c]]]
-            contained &= acc == 0
-            if not contained.any():
-                break
-        has_line |= contained
+    for li, pts in enumerate(line_points):
+        cand = np.flatnonzero(on_curve[:, pts].all(axis=1))
+        if cand.size:
+            restricted = _fold_values(sf, A[cand], restr[li])
+            has_line[cand[(restricted == 0).all(axis=1)]] = True
     return has_point & ~has_singular & ~has_line
 
 
@@ -171,14 +164,11 @@ def gl3_array(spec: FieldSpec) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def pgl3_array(spec: FieldSpec) -> np.ndarray:
-    """One representative per scalar class of GL_3 (first nonzero entry 1)."""
-    sf = scalar_field(spec)
+    """One representative per scalar class of GL_3, the one whose first
+    nonzero entry is 1, in lexicographic order."""
     g = gl3_array(spec).reshape(-1, 9)
-    lead_pos = (g != 0).argmax(axis=1)
-    lead = g[np.arange(len(g)), lead_pos]
-    scaled = sf.MUL[g, sf.INV[lead][:, None]]
-    uniq = np.unique(scaled, axis=0)
-    return uniq.reshape(-1, 3, 3)
+    lead = g[np.arange(len(g)), (g != 0).argmax(axis=1)]
+    return g[lead == 1].reshape(-1, 3, 3)
 
 
 @lru_cache(maxsize=None)
