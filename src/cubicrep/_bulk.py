@@ -62,11 +62,10 @@ def inv3(sf: ScalarField, m):
 
 @lru_cache(maxsize=None)
 def _plane_arrays(spec: FieldSpec):
-    """PlaneTables' cubic and quadratic monomial values at every point, its
-    line restriction maps and the points on each line, as arrays."""
+    """PlaneTables' cubic and quadratic monomial values at every point, as
+    arrays."""
     pt = plane_tables(spec)
-    return (np.array(pt.mono, dtype=np.uint8), np.array(pt.qmono, dtype=np.uint8),
-            np.array(pt.line_restr, dtype=np.uint8), np.array(pt.line_points))
+    return np.array(pt.mono, dtype=np.uint8), np.array(pt.qmono, dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -113,30 +112,21 @@ def point_counts(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
 def smooth_mask(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
     """Boolean mask of smooth forms among the rows of A.
 
-    A cubic over a finite field is smooth iff it has no rational singular
-    point, no rational line divides it, and it has at least one rational
-    point; see plane.is_smooth for why this is a complete test.
+    The batched form of plane.is_smooth: a cubic over F_q is smooth iff it
+    has neither 0 nor 2q+2 rational points and none of them is singular;
+    the docstring there gives the case analysis that makes this complete.
     """
     sf = scalar_field(spec)
-    cubic_mono, quad_mono, restr, line_points = _plane_arrays(spec)
+    cubic_mono, quad_mono = _plane_arrays(spec)
     on_curve = _fold_values(sf, A, cubic_mono) == 0
-    has_point = on_curve.any(axis=1)
+    n_points = on_curve.sum(axis=1)
 
     sing = on_curve.copy()
     for plan in _forms.DERIVATIVE_PLAN:
         cpos, qpos, mult = (list(col) for col in zip(*plan))
         sing &= _fold_values(sf, sf.INTMUL[mult, A[:, cpos]], quad_mono[:, qpos]) == 0
     has_singular = sing.any(axis=1)
-
-    # a line divides a form only if the form vanishes at every point of it,
-    # so only those forms get their restriction to the line computed
-    has_line = np.zeros(A.shape[0], dtype=bool)
-    for li, pts in enumerate(line_points):
-        cand = np.flatnonzero(on_curve[:, pts].all(axis=1))
-        if cand.size:
-            restricted = _fold_values(sf, A[cand], restr[li])
-            has_line[cand[(restricted == 0).all(axis=1)]] = True
-    return has_point & ~has_singular & ~has_line
+    return (n_points != 0) & (n_points != 2 * spec.q + 2) & ~has_singular
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +198,9 @@ def orbit_of(spec: FieldSpec, form_row: np.ndarray) -> np.ndarray:
     lead_pos = (images != 0).argmax(axis=1)
     lead = images[np.arange(G), lead_pos]
     images = sf.MUL[images, sf.INV[lead][:, None]]
-    return np.unique(encode_forms(spec.q, images))
+    # np.unique would import numpy.ma on its first call in a process
+    enc = np.sort(encode_forms(spec.q, images))
+    return enc[np.concatenate(([True], enc[1:] != enc[:-1]))]
 
 
 def encode_forms(q: int, rows: np.ndarray) -> np.ndarray:

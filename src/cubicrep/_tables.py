@@ -59,24 +59,8 @@ def scalar_field(spec: FieldSpec) -> ScalarField | None:
     return ScalarField(spec)
 
 
-def _binary_restriction(sf: ScalarField, v, w, exps):
-    """Coefficients of prod_i (v_i s + w_i t)^e_i as a degree-3 binary form."""
-    mul, add = sf.mul, sf.add
-    poly = [1]
-    for coord in range(3):
-        for _ in range(exps[coord]):
-            nxt = [0] * (len(poly) + 1)
-            vc, wc = v[coord], w[coord]
-            for d, pc in enumerate(poly):
-                if pc:
-                    nxt[d] = add[nxt[d]][mul[pc][vc]]
-                    nxt[d + 1] = add[nxt[d + 1]][mul[pc][wc]]
-            poly = nxt
-    return poly + [0] * (4 - len(poly))
-
-
 class PlaneTables:
-    """Per-field geometry tables: points of P^2, monomial values, lines."""
+    """Per-field geometry tables: points of P^2 and monomial values there."""
 
     def __init__(self, sf: ScalarField):
         self.sf = sf
@@ -110,48 +94,6 @@ class PlaneTables:
                         acc = mul[acc][base]
                 qp.append(acc)
             self.qmono.append(tuple(qp))
-        # lines reuse the point triples as dual coordinates
-        pt_index = {pt: i for i, pt in enumerate(pts)}
-        self.line_basis = []
-        self.line_points = []
-        self.line_restr = []
-        for (a, b, c) in pts:
-            v, w = self._basis_for_line(a, b, c)
-            self.line_basis.append((v, w))
-            on_line = []
-            for s in range(q):
-                coords = self._combine(v, w, s, 1)
-                on_line.append(pt_index[self._canonical(coords)])
-            on_line.append(pt_index[self._canonical(v)])
-            self.line_points.append(tuple(sorted(set(on_line))))
-            # restriction map: for each output degree, per cubic basis monomial
-            per_mono = [
-                _binary_restriction(sf, v, w, exps) for exps in _forms.CUBIC_EXPONENTS
-            ]
-            self.line_restr.append(tuple(tuple(per_mono[m][d] for m in range(10))
-                                         for d in range(4)))
-
-    def _basis_for_line(self, a, b, c):
-        sf = self.sf
-        if a:
-            ai = sf.inv[a]
-            return ((sf.neg[sf.mul[b][ai]], 1, 0), (sf.neg[sf.mul[c][ai]], 0, 1))
-        if b:
-            bi = sf.inv[b]
-            return ((1, 0, 0), (0, sf.neg[sf.mul[c][bi]], 1))
-        return ((1, 0, 0), (0, 1, 0))
-
-    def _combine(self, v, w, s, t):
-        sf = self.sf
-        return tuple(sf.add[sf.mul[s][v[i]]][sf.mul[t][w[i]]] for i in range(3))
-
-    def _canonical(self, coords):
-        sf = self.sf
-        for c in coords:
-            if c:
-                ci = sf.inv[c]
-                return tuple(sf.mul[x][ci] for x in coords)
-        raise ValueError("zero vector")
 
     # -- form evaluation ------------------------------------------------------
 
@@ -182,22 +124,6 @@ class PlaneTables:
                     acc = add[acc][mul[c][row[qpos]]]
             out.append(acc)
         return out
-
-    def line_contains_curve_points(self, li, on_curve):
-        return all(on_curve[pi] for pi in self.line_points[li])
-
-    def line_divides(self, li, coeff_idx):
-        sf = self.sf
-        add, mul = sf.add, sf.mul
-        for d in range(4):
-            rowmap = self.line_restr[li][d]
-            acc = 0
-            for c, r in zip(coeff_idx, rowmap):
-                if c and r:
-                    acc = add[acc][mul[c][r]]
-            if acc:
-                return False
-        return True
 
 
 @lru_cache(maxsize=None)

@@ -6,9 +6,11 @@ the monomials X_i X_j X_k (X_0 = X, X_1 = Y, X_2 = Z, indices sorted), so
 (first nonzero coordinate equal to 1), which makes point sets comparable
 by plain equality.
 
-The smoothness test works entirely from rational data (see is_smooth); the
-direct search for singular points over extension fields is kept alongside
-as is_smooth_by_search and the two are cross-checked in the test suite.
+The smoothness test works from the rational points alone: their number
+and whether one of them is singular (see is_smooth for why that suffices).
+The direct search for singular points over extension fields is kept
+alongside as is_smooth_by_search and the two are cross-checked in the test
+suite.
 """
 
 from __future__ import annotations
@@ -331,7 +333,7 @@ def _format_form(coeffs, exponents):
 
 
 # ---------------------------------------------------------------------------
-# enumeration of P^2 and its lines
+# enumeration of P^2, restriction to a line
 
 
 @lru_cache(maxsize=None)
@@ -352,12 +354,6 @@ def _point_objects(spec: FieldSpec) -> tuple[ProjPoint, ...]:
 def projective_points(spec: FieldSpec) -> Iterator[ProjPoint]:
     """All points of P^2(F_q) in a fixed order starting at [1:0:0]."""
     return iter(_point_objects(spec))
-
-
-def projective_lines(spec: FieldSpec) -> Iterator[tuple]:
-    """All lines aX + bY + cZ = 0 as canonical coefficient triples."""
-    for P in projective_points(spec):
-        yield P.coords
 
 
 def line_basis(line, spec):
@@ -522,17 +518,29 @@ def is_smooth(F: TernaryCubic) -> bool:
     """True iff F = dF/dX = dF/dY = dF/dZ = 0 has no solution over any
     extension field (equivalently over F_{q^k}, k <= 4).
 
-    Everything is decided from rational data:
+    Decided from the rational points alone: with N = #C(F_q), the curve C
+    is smooth iff N is neither 0 nor 2q+2 and no rational point of C is
+    singular.
 
-    * a singular point search over P^2(F_q);
-    * a linear factor search over the q^2+q+1 rational lines (a reducible
-      cubic always has geometric singular points, and a cubic reducible
-      over the base field always has a rational linear factor);
-    * a rational point existence check: the only singular cubics without a
-      rational singular point or rational linear factor are products of
-      three conjugate lines in triangle position, and those have no
-      rational points at all, while a smooth cubic always has one by the
-      Hasse-Weil bound.
+    A smooth cubic has genus 1, so by the Hasse-Weil bound
+    0 < q+1-2*sqrt(q) <= N <= q+1+2*sqrt(q) < 2q+2.  Conversely, let C be
+    singular with no rational singular point.  Frobenius permutes the
+    components of C and its singular points over the algebraic closure:
+
+    * C geometrically irreducible: its one singular point is fixed by
+      Frobenius, so it is rational.
+    * C three conjugate lines: if they are concurrent, the common point is
+      rational and singular; if they form a triangle, a rational point on
+      one line lies on all three, so N = 0.
+    * Otherwise some component is a line fixed by Frobenius, so C = L*Q
+      with L a rational line and Q a rational conic.  If Q is two lines,
+      their meeting point is rational and singular; if Q is a double line,
+      all its points are.  If Q is smooth, the singular points of C are
+      L cap Q, and a tangency point or two rational points would be
+      rational singular points.
+    * That leaves C = L*Q with Q a smooth conic and L cap Q a conjugate
+      pair.  L and Q each have q+1 rational points and share none, so
+      N = 2q+2.
 
     The direct extension-field search (is_smooth_by_search) agrees with
     this on every input; the test suite checks that exhaustively for small q.
@@ -541,34 +549,14 @@ def is_smooth(F: TernaryCubic) -> bool:
     pt = _tables.plane_tables(spec)
     if pt is not None:
         coeffs = _coeff_indices(F, pt.sf)
-        values = pt.form_values(coeffs)
-        on_curve = [not v for v in values]
-        if not any(on_curve):
-            return False
-        for i, on in enumerate(on_curve):
-            if on and not any(pt.partial_values_at(coeffs, i)):
-                return False
-        for li in range(len(pt.points)):
-            if pt.line_contains_curve_points(li, on_curve) \
-                    and pt.line_divides(li, coeffs):
-                return False
-        return True
-    fx, fy, fz = partials(F)
-    has_point = False
-    for P in projective_points(spec):
-        if F.evaluate(P):
-            continue
-        has_point = True
-        c = P.coords
-        if not fx.evaluate(c) and not fy.evaluate(c) and not fz.evaluate(c):
-            return False
-    if not has_point:
-        return False
-    for line in projective_lines(spec):
-        v, w = line_basis(line, spec)
-        if not any(restrict_to_line(F, v, w)):
-            return False
-    return True
+        on_curve = [i for i, v in enumerate(pt.form_values(coeffs)) if not v]
+        singular = any(not any(pt.partial_values_at(coeffs, i)) for i in on_curve)
+    else:
+        fx, fy, fz = partials(F)
+        on_curve = [P.coords for P in projective_points(spec) if not F.evaluate(P)]
+        singular = any(not fx.evaluate(c) and not fy.evaluate(c) and not fz.evaluate(c)
+                       for c in on_curve)
+    return not singular and len(on_curve) not in (0, 2 * spec.q + 2)
 
 
 def is_smooth_by_search(F: TernaryCubic, max_degree: int = 4) -> bool:

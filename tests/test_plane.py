@@ -16,6 +16,7 @@ from cubicrep.plane import (
     SingularPoint,
     TernaryCubic,
     act,
+    gradient,
     is_flex,
     is_normalized,
     is_smooth,
@@ -107,6 +108,54 @@ def test_is_smooth_agrees_with_extension_search_f3_sample():
     for i in rng.sample(range(len(forms)), 12):
         F = TernaryCubic(spec, [sf.decode(d) for d in forms[i]])
         assert is_smooth(F) == bool(fast[i]) == is_smooth_by_search(F)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2)])
+def test_smooth_mask_matches_closed_form_count(p, m):
+    # the classical count of smooth plane cubics up to scalars,
+    # q^4 (q^3 - 1)(q^2 - 1) = q |PGL_3(F_q)|, shares no code with the library
+    spec = mk_field(p, m)
+    q = spec.q
+    smooth = _bulk.smooth_mask(spec, _bulk.forms_up_to_scalar(spec))
+    assert smooth.sum() == q ** 4 * (q ** 3 - 1) * (q ** 2 - 1)
+
+
+def _line_times_conic(spec):
+    """(Z - bY - aX)(XZ - Y^2) with t^2 - bt - a irreducible over F_q: a
+    smooth conic times a rational line that meets it in a conjugate pair."""
+    elems = list(spec.elements())
+    with_root = {(t * t - b * t, b) for t in elems for b in elems}
+    a, b = next((a, b) for b in elems for a in elems if (a, b) not in with_root)
+    line = (-a, -b, spec.one())
+    conic = [spec.zero()] * 6
+    conic[2], conic[3] = spec.one(), -spec.one()  # XZ - Y^2
+    return TernaryCubic(spec, mul_quad_lin(conic, line, spec))
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (7, 1), (2, 3), (3, 2), (31, 1), (101, 1)])
+def test_line_times_conic_through_a_conjugate_pair_is_singular(p, m):
+    # the one singular shape with rational points but no rational singular
+    # point: only its point count 2q + 2 gives it away
+    spec = mk_field(p, m)
+    F = _line_times_conic(spec)
+    points = rational_points(F)
+    assert len(points) == 2 * spec.q + 2
+    assert all(any(gradient(F, P)) for P in points)
+    assert not is_smooth(F)
+    sf = _tables.scalar_field(spec)
+    row = np.array([[sf.encode(c) for c in F.coeffs]], dtype=np.uint8)
+    assert not _bulk.smooth_mask(spec, row)[0]
+    if spec.q <= 11:
+        assert not is_smooth_by_search(F)
+
+
+@pytest.mark.slow
+def test_is_smooth_past_the_table_cap():
+    # q = 257 has no tables, so is_smooth runs on field element objects
+    spec = mk_field(257, 1)
+    weierstrass = TernaryCubic.from_dict(spec, {"112": 1, "000": -1, "022": -1, "222": -1})
+    assert is_smooth(weierstrass)  # Y^2 Z = X^3 + X Z^2 + Z^3, discriminant -496
+    assert not is_smooth(_line_times_conic(spec))
 
 
 _DIFFERENTIAL_FIELDS = (mk_field(2, 2), F5, mk_field(7, 1), mk_field(2, 3),
