@@ -173,13 +173,13 @@ def pgl3_cubic_action(spec: FieldSpec) -> np.ndarray:
         quad = np.zeros((G, 6), dtype=np.uint8)
         for a in range(3):
             for b in range(3):
-                qpos = _forms.quad_pos(a, b)
+                qpos = _forms.QUAD_POS2[a][b]
                 term = sf.MUL[group[:, i, a], group[:, j, b]]
                 quad[:, qpos] = sf.ADD[quad[:, qpos], term]
         for qpos, qidx in enumerate(_forms.QUAD_INDICES):
             a, b = int(qidx[0]), int(qidx[1])
             for c in range(3):
-                cpos = _forms.cubic_pos(a, b, c)
+                cpos = _forms.CUBIC_POS3[a][b][c]
                 term = sf.MUL[quad[:, qpos], group[:, k, c]]
                 cube[:, cpos, in_pos] = sf.ADD[cube[:, cpos, in_pos], term]
     return cube

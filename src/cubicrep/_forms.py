@@ -18,15 +18,19 @@ CUBIC_POS = {idx: i for i, idx in enumerate(CUBIC_INDICES)}
 QUAD_POS = {idx: i for i, idx in enumerate(QUAD_INDICES)}
 
 
-def cubic_pos(i: int, j: int, k: int) -> int:
-    return CUBIC_POS["".join(str(v) for v in sorted((i, j, k)))]
+#: QUAD_POS2[i][j] and CUBIC_POS3[i][j][k]: position of the monomial
+#: X_i X_j (X_k) in any variable order
+QUAD_POS2 = tuple(
+    tuple(QUAD_POS["".join(sorted(f"{i}{j}"))] for j in range(3)) for i in range(3)
+)
+CUBIC_POS3 = tuple(
+    tuple(tuple(CUBIC_POS["".join(sorted(f"{i}{j}{k}"))] for k in range(3))
+          for j in range(3))
+    for i in range(3)
+)
 
 
-def quad_pos(i: int, j: int) -> int:
-    return QUAD_POS["".join(str(v) for v in sorted((i, j)))]
-
-
-#: derivative plan: per variable, the (cubic_pos, quad_pos, multiplier) terms
+#: derivative plan: per variable, the (cubic position, quad position, multiplier) terms
 DERIVATIVE_PLAN = tuple(
     tuple(
         (cpos, QUAD_POS[idx.replace(str(var), "", 1)], exps[var])

@@ -94,6 +94,9 @@ class PlaneTables:
                         acc = mul[acc][base]
                 qp.append(acc)
             self.qmono.append(tuple(qp))
+        # per field, so the bound caps the forms of one field; an entry is
+        # a tuple of about q point indices
+        self._zeros = lru_cache(maxsize=1 << 10)(self._scan_zeros)
 
     # -- form evaluation ------------------------------------------------------
 
@@ -109,6 +112,20 @@ class PlaneTables:
                     acc = add[acc][mul[c][m]]
             out.append(acc)
         return out
+
+    def zeros(self, coeff_idx) -> tuple[int, ...]:
+        """Indices of the points where the cubic vanishes, in enumeration order.
+
+        Nonzero multiples of a form vanish at the same points, so the scan is
+        cached on the coefficients scaled to lead with 1: F, det(rep) = lam*F
+        and det(A*rep*B) share one scan.  The zero form vanishes everywhere.
+        """
+        lead = next((c for c in coeff_idx if c), 1)
+        scale = self.sf.mul[self.sf.inv[lead]]
+        return self._zeros(tuple(scale[c] for c in coeff_idx))
+
+    def _scan_zeros(self, coeff_idx):
+        return tuple(i for i, v in enumerate(self.form_values(coeff_idx)) if not v)
 
     def partial_values_at(self, coeff_idx, pt_idx):
         """(dF/dX, dF/dY, dF/dZ) value indices at one point."""
@@ -208,6 +225,7 @@ def det_cubic_idx(m_idx, sf: ScalarField):
     m_idx[i][j] is the entry's coefficient triple (index-encoded).
     """
     add, sub, mul = sf.add, sf.sub, sf.mul
+    quad_pos, cubic_pos = _forms.QUAD_POS2, _forms.CUBIC_POS3
     acc = [0] * 10
     for perm, sign in _forms.DET_PERMS:
         u = m_idx[0][perm[0]]
@@ -220,7 +238,7 @@ def det_cubic_idx(m_idx, sf: ScalarField):
                 continue
             for j in range(3):
                 if v[j]:
-                    pos = _forms.quad_pos(i, j)
+                    pos = quad_pos[i][j]
                     quad[pos] = add[quad[pos]][mul[ui][v[j]]]
         for pos, idx in enumerate(_forms.QUAD_INDICES):
             qv = quad[pos]
@@ -229,7 +247,7 @@ def det_cubic_idx(m_idx, sf: ScalarField):
             i, j = int(idx[0]), int(idx[1])
             for k in range(3):
                 if w[k]:
-                    cp = _forms.cubic_pos(i, j, k)
+                    cp = cubic_pos[i][j][k]
                     term = mul[qv][w[k]]
                     acc[cp] = add[acc[cp]][term] if sign > 0 else sub[acc[cp]][term]
     return acc

@@ -7,13 +7,18 @@ base point, decides equivalence M' = A M B under pairs of invertible
 constant matrices, and builds the classical alternative shapes for
 Weierstrass and Hesse models.
 
-Equivalence is decided in two stages.  A certificate stage matches the
+Equivalence needs proportional determinants, so both representations
+vanish at the same points and M(P) has rank 3 everywhere else; the
+pointwise ranks, which M -> A M B preserves, are therefore compared only at
+the rational zeros of the determinant.  A certificate stage then matches the
 one-dimensional kernels of M(P) across enough curve points (over a small
 extension when the curve has few rational points); the matching conditions
 are linear in B and necessary, so an empty or failed solution space proves
 inequivalence, while a solution yields a verified witness.  Only when that
 stage is inconclusive does the exhaustive scan over GL_3(F_q) run, and the
-scan is subject to a group-size budget.
+scan is subject to a group-size budget.  Where the field has tables, the
+rank comparison and the certificate read the zeros from PlaneTables.zeros,
+one cached scan per curve up to scalars.
 """
 
 from __future__ import annotations
@@ -435,14 +440,20 @@ def _matrix_at_point(m_idx, coords, sf):
 
 @lru_cache(maxsize=1 << 12)
 def _rank_profile(rep: LinearMatrixRep):
-    """rank M(P) at every point of P^2(F_q), in enumeration order."""
+    """rank M(P) at the rational zeros of det(rep), in enumeration order.
+
+    det(rep) must not vanish identically.  Off its zeros M(P) has rank 3, so
+    for two representations with proportional determinants, which share
+    their zeros, the profiles agree iff the ranks agree on all of P^2(F_q).
+    """
+    D = det_cubic(rep)
     pt = _tables.plane_tables(rep.spec)
     if pt is not None:
-        m_idx = _entry_indices(rep, pt.sf)
-        return tuple(_tables.rank3_idx(_matrix_at_point(m_idx, coords, pt.sf), pt.sf)
-                     for coords in pt.points)
-    return tuple(_rank3(rep.evaluate(P.coords), rep.spec)
-                 for P in projective_points(rep.spec))
+        sf = pt.sf
+        m_idx = _entry_indices(rep, sf)
+        return tuple(_tables.rank3_idx(_matrix_at_point(m_idx, pt.points[i], sf), sf)
+                     for i in pt.zeros([sf.encode(c) for c in D.coeffs]))
+    return tuple(_rank3(rep.evaluate(P.coords), rep.spec) for P in rational_points(D))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -468,20 +479,15 @@ def _kernel_data(rep: LinearMatrixRep, ext: FieldSpec):
         m_idx = [[tuple(enc(embed(c, ext)) for c in rep.entry(i, j))
                   for j in range(3)] for i in range(3)]
         d_idx = [enc(embed(c, ext)) for c in D.coeffs]
-    values = pt.form_values(d_idx)
     pts = []
     kers = []
-    for i, v in enumerate(values):
-        if v:
-            continue
+    for i in pt.zeros(d_idx)[:8]:
         mat = _matrix_at_point(m_idx, pt.points[i], sf)
         basis = _tables.right_kernel_idx(mat, sf)
         if len(basis) != 1:
             return None
         pts.append(pt.points[i])
         kers.append(basis[0])
-        if len(pts) >= 8:
-            break
     return tuple(pts), tuple(kers)
 
 

@@ -23,11 +23,11 @@ from ._forms import (
     CUBIC_EXPONENTS,
     CUBIC_INDICES,
     CUBIC_POS,
+    CUBIC_POS3,
     QUAD_EXPONENTS,
     QUAD_INDICES,
     QUAD_POS,
-    cubic_pos,
-    quad_pos,
+    QUAD_POS2,
 )
 from .gf import FieldElement, FieldMismatch, FieldSpec, embed, mk_field
 
@@ -294,7 +294,7 @@ def mul_lin_lin(u, v, spec):
             continue
         for j in range(3):
             if v[j]:
-                pos = quad_pos(i, j)
+                pos = QUAD_POS2[i][j]
                 out[pos] = out[pos] + u[i] * v[j]
     return tuple(out)
 
@@ -308,7 +308,7 @@ def mul_quad_lin(q, u, spec):
         i, j = int(idx[0]), int(idx[1])
         for k in range(3):
             if u[k]:
-                cp = cubic_pos(i, j, k)
+                cp = CUBIC_POS3[i][j][k]
                 out[cp] = out[cp] + q[pos] * u[k]
     return tuple(out)
 
@@ -436,9 +436,8 @@ def rational_points(F: TernaryCubic) -> list[ProjPoint]:
     pt = _tables.plane_tables(F.spec)
     if pt is None:
         return [P for P in projective_points(F.spec) if not F.evaluate(P)]
-    values = pt.form_values(_coeff_indices(F, pt.sf))
     objs = _point_objects(F.spec)
-    return [objs[i] for i, v in enumerate(values) if not v]
+    return [objs[i] for i in pt.zeros(_coeff_indices(F, pt.sf))]
 
 
 def tangent_line(F: TernaryCubic, P: ProjPoint):
@@ -549,7 +548,7 @@ def is_smooth(F: TernaryCubic) -> bool:
     pt = _tables.plane_tables(spec)
     if pt is not None:
         coeffs = _coeff_indices(F, pt.sf)
-        on_curve = [i for i, v in enumerate(pt.form_values(coeffs)) if not v]
+        on_curve = pt.zeros(coeffs)
         singular = any(not any(pt.partial_values_at(coeffs, i)) for i in on_curve)
     else:
         fx, fy, fz = partials(F)

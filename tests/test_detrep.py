@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 import golden
+from cubicrep import _tables
 from cubicrep.detrep import (
     BadCharacteristic,
     IsBasePoint,
@@ -442,3 +444,100 @@ def test_degenerate_scan_refuses_and_accepts():
     w = equivalent(m, m)
     assert w is not None
     assert w.a == LinearTransform.identity(F2) == w.b
+
+
+# -- the rank profile on the zeros of det against the whole plane -----------
+
+
+def _full_rank_profile(rep):
+    """rank M(P) at every point of P^2(F_q): the plain reference for
+    _rank_profile, which ranks M(P) only where det(rep) vanishes."""
+    from cubicrep.detrep import _entry_indices, _matrix_at_point
+
+    sf = _tables.scalar_field(rep.spec)
+    m_idx = _entry_indices(rep, sf)
+    return tuple(_tables.rank3_idx(_matrix_at_point(m_idx, coords, sf), sf)
+                 for coords in _tables.plane_tables(rep.spec).points)
+
+
+def _profiles(reps):
+    """(restricted, full) rank profile of each rep."""
+    from cubicrep.detrep import _rank_profile
+
+    return [(_rank_profile(m), _full_rank_profile(m)) for m in reps]
+
+
+def _assert_profiles_decide_alike(p1, p2):
+    assert (p1[0] == p2[0]) == (p1[1] == p2[1])
+
+
+def _random_transform(spec, rng):
+    while True:
+        rows = [[rng.randrange(spec.q) for _ in range(3)] for _ in range(3)]
+        try:
+            return LinearTransform(spec, rows)
+        except ValueError:
+            continue
+
+
+def _triangular_rep(spec, rng):
+    """det = XYZ, with random linear forms above the diagonal, so the rank
+    of M(P) on the three coordinate lines varies between 1 and 2."""
+    lin = lambda: tuple(rng.randrange(spec.q) for _ in range(3))
+    X, Y, Z, O = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    return LinearMatrixRep.from_entries(spec, ((X, lin(), lin()),
+                                               (O, Y, lin()),
+                                               (O, O, Z)))
+
+
+def _seeded_pairs(spec, seed, count):
+    """(rep, A rep B) and (rep, A rep' B) for reps of random smooth curves,
+    plus pairs of triangular reps whose profiles differ."""
+    rng = random.Random(seed)
+    pairs = []
+    for F in _random_smooth_curves(spec, rng, count):
+        reps = [rep for _, rep, _ in all_reps(F)]
+        m, n = rng.choice(reps), rng.choice(reps)
+        A, B = _random_transform(spec, rng), _random_transform(spec, rng)
+        pairs.append((m, transform_rep(A, m, B)))
+        pairs.append((m, transform_rep(A, n, B)))
+        t = _triangular_rep(spec, rng)
+        pairs.append((t, _triangular_rep(spec, rng)))
+        pairs.append((t, transform_rep(A, t, B)))
+    return pairs
+
+
+def test_rank_profile_on_census_pairs(census_reps):
+    # every pair of census reps with proportional determinants: the reps
+    # of one form (distinct census forms are not proportional)
+    for q in (2, 3):
+        for _, reps in census_reps[q]:
+            profiles = _profiles(rep for _, rep, _ in reps)
+            for p1, p2 in combinations(profiles, 2):
+                _assert_profiles_decide_alike(p1, p2)
+
+
+@pytest.mark.parametrize("q, count", [(5, 12), (7, 12), (31, 4)])
+def test_rank_profile_on_seeded_pairs(q, count):
+    spec = mk_field(q, 1)
+    pairs = _seeded_pairs(spec, 4000 + q, count)
+    for m1, m2 in pairs:
+        _assert_profiles_decide_alike(*_profiles((m1, m2)))
+    for m1, m2 in pairs[::4]:  # (rep, A rep B)
+        w = equivalent(m1, m2)
+        assert w is not None and w.verify(m1, m2)
+
+
+@pytest.mark.slow
+def test_equivalence_past_the_table_cap():
+    # q = 257 has no tables: the rank profile ranks M(P) at the rational
+    # points of det on field element objects
+    spec = mk_field(257, 1)
+    a, b = spec.element(1), spec.element(1)  # Y^2 Z = X^3 + X Z^2 + Z^3
+    m = galinat_rep(a, b, ProjPoint(spec, (0, 1, 1)))
+    A = LinearTransform(spec, [[1, 2, 0], [0, 1, 3], [5, 0, 1]])
+    B = LinearTransform(spec, [[2, 0, 1], [1, 1, 0], [0, 4, 1]])
+    moved = transform_rep(A, m, B)
+    w = equivalent(m, moved)
+    assert w is not None and w.verify(m, moved)
+    assert equivalent(m, galinat_rep(a, b, ProjPoint(spec, (0, -1, 1)))) is None

@@ -196,6 +196,27 @@ def test_bulk_sweeps_agree_with_per_curve_path(case):
         assert counts[i] == len(rational_points(F))
 
 
+_ZERO_SET_FIELDS = tuple(mk_field(p, m) for p, m in
+                         ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_zero_set_cache_matches_form_values(data):
+    # PlaneTables.zeros caches one scan per form up to scalars; check it
+    # against the plain evaluation at every point, for every multiple
+    spec = data.draw(st.sampled_from(_ZERO_SET_FIELDS))
+    pt = _tables.plane_tables(spec)
+    row = data.draw(st.lists(st.integers(0, spec.q - 1), min_size=10, max_size=10)
+                    .filter(any))
+    scans = pt._zeros.cache_info().misses
+    zeros = pt.zeros(row)
+    assert zeros == tuple(i for i, v in enumerate(pt.form_values(row)) if not v)
+    for c in range(1, spec.q):
+        assert pt.zeros([pt.sf.mul[c][d] for d in row]) == zeros
+    assert pt._zeros.cache_info().misses <= scans + 1
+
+
 @pytest.mark.slow
 def test_is_smooth_agrees_with_extension_search_gallery_f4():
     from cubicrep import gallery
