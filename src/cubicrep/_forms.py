@@ -18,8 +18,8 @@ CUBIC_POS = {idx: i for i, idx in enumerate(CUBIC_INDICES)}
 QUAD_POS = {idx: i for i, idx in enumerate(QUAD_INDICES)}
 
 
-#: QUAD_POS2[i][j] and CUBIC_POS3[i][j][k]: position of the monomial
-#: X_i X_j (X_k) in any variable order
+#: QUAD_POS2[i][j] is the position of X_i X_j and CUBIC_POS3[i][j][k] that
+#: of X_i X_j X_k, for indices in any order
 QUAD_POS2 = tuple(
     tuple(QUAD_POS["".join(sorted(f"{i}{j}"))] for j in range(3)) for i in range(3)
 )

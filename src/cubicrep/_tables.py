@@ -94,8 +94,7 @@ class PlaneTables:
                         acc = mul[acc][base]
                 qp.append(acc)
             self.qmono.append(tuple(qp))
-        # per field, so the bound caps the forms of one field; an entry is
-        # a tuple of about q point indices
+        # one cache per field; an entry holds about q point indices
         self._zeros = lru_cache(maxsize=1 << 10)(self._scan_zeros)
 
     # -- form evaluation ------------------------------------------------------

@@ -492,7 +492,7 @@ def _triangular_rep(spec, rng):
 
 def _seeded_pairs(spec, seed, count):
     """(rep, A rep B) and (rep, A rep' B) for reps of random smooth curves,
-    plus pairs of triangular reps whose profiles differ."""
+    plus pairs of triangular reps, whose profiles often differ."""
     rng = random.Random(seed)
     pairs = []
     for F in _random_smooth_curves(spec, rng, count):
