@@ -342,7 +342,8 @@ def _cub_grid():
     rows = [header]
     for n in (0, 1, 2):
         large = {counting.cub(q, n).total for q in _LARGE_FIELDS}
-        assert large == {0}
+        if large != {0}:
+            raise AssertionError(f"Cub_q({n}) is nonzero for some q >= 8")
         rows.append([f"Cub_q({n})"] + [str(counting.cub(q, n).total)
                                        for q in _CUB_FIELDS] + ["0"])
     return rows
@@ -391,11 +392,14 @@ def _sym_table_rows():
     rows = []
     for q, F in sorted(gallery.unique_rep_curves().items()):
         reps = detrep.all_reps(F)
-        assert len(reps) == 1
+        if len(reps) != 1:
+            raise AssertionError(f"the unique-class curve over F_{q} has {len(reps)} reps")
         found = detrep.symmetrize(reps[0][1])
-        assert found is not None, "no symmetric shape found by row moves"
+        if found is None:
+            raise AssertionError("no symmetric shape found by row moves")
         _, sym = found
-        assert detrep.is_symmetric(sym)
+        if not detrep.is_symmetric(sym):
+            raise AssertionError("symmetrize returned a non-symmetric shape")
         rows.append({"q": q, "curve": F, "points": [], "reps": [(reps[0][0], sym,
                      detrep.is_ldr_of(sym, F))]})
     return rows

@@ -153,7 +153,8 @@ def count_E(q: int, n: int) -> int:
         return 1 - kronecker_symbol(-3, p)
     if t * t == 4 * q:
         num = p + 6 - 4 * kronecker_symbol(-3, p) - 3 * kronecker_symbol(-4, p)
-        assert num % 12 == 0
+        if num % 12:
+            raise AssertionError(f"p + 6 - 4(-3/p) - 3(-4/p) = {num} is not divisible by 12")
         return num // 12
     return 0
 
@@ -177,7 +178,8 @@ def count_E33(q: int, n: int) -> int:
 
 def _special_trace(q: int) -> int:
     p, m = factor_prime_power(q)
-    assert m % 2 == 0
+    if m % 2:
+        raise AssertionError(f"the special trace needs an even exponent, got q = {p}^{m}")
     return 2 * kronecker_symbol(p, 3) ** (m // 2) * p ** (m // 2)
 
 
@@ -257,8 +259,10 @@ class CountReport:
     total: int
 
     def __post_init__(self):
-        assert self.total == self.e + self.e3 + 3 * self.e33 - self.eps
-        assert self.total >= 0
+        if self.total != self.e + self.e3 + 3 * self.e33 - self.eps:
+            raise AssertionError("total is not e + e3 + 3 e33 - eps")
+        if self.total < 0:
+            raise AssertionError(f"negative class count {self.total}")
 
     def to_obj(self) -> dict:
         def ext(v):

@@ -7,6 +7,16 @@ base point, decides equivalence M' = A M B under pairs of invertible
 constant matrices, and builds the classical alternative shapes for
 Weierstrass and Hesse models.
 
+all_reps moves the curve to a normal form once per base point, builds each
+point's representation there and pulls it back.  Where the field has
+lookup tables (q <= _tables.MAX_TABLE_Q) that whole construction runs on
+element indices, with the points read from PlaneTables.zeros, and only the
+returned points, matrices and scalars are field element objects; mp_case1
+and mp_case2 encode their input and call the same index formula.  The
+object formulas remain for larger fields.  Every representation is checked
+twice, det(rep_n) = lam_n * Fn in normal form and det(rep) = lam * F after
+the pullback, the second through the cached det_cubic.
+
 Equivalence needs proportional determinants, so both representations
 vanish at the same points and M(P) has rank 3 everywhere else; the
 pointwise ranks, which M -> A M B preserves, are therefore compared only at
@@ -295,25 +305,11 @@ def mp_case1(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
     _require_normalized(Fn)
     if Fn.evaluate(P):
         raise NotOnCurve(f"{P!r} is not on the curve")
-    s, t, u = P.coords
     if P == ProjPoint(spec, (1, 0, 0)):
         raise IsBasePoint("no representation is attached to the base point")
-    if not u:
+    if not P.z:
         raise WrongCase("third coordinate is zero; use mp_case2")
-    a011, a012, a022 = Fn.coeff("011"), Fn.coeff("012"), Fn.coeff("022")
-    a111, a112, a122 = Fn.coeff("111"), Fn.coeff("112"), Fn.coeff("122")
-    zero = spec.zero()
-    q_tu = a011 * t * t + a012 * t * u + a022 * u * u
-    row0 = ((zero, zero, zero), (zero, zero, spec.one()), (zero, -spec.one(), zero))
-    row1 = ((zero, u, -t), (zero, zero, zero), (-u * u, zero, -(q_tu + s * u)))
-    l1 = (u * u * a011, u * u * a111, u * (a111 * t + a112 * u))
-    l2 = (u * (a011 * t + a012 * u), zero, a111 * t * t + a112 * t * u + a122 * u * u)
-    row2 = ((u, zero, -s), l1, l2)
-    rep = LinearMatrixRep.from_entries(spec, (row0, row1, row2))
-    lam = is_ldr_of(rep, Fn)
-    if lam != -(u ** 3):
-        raise BrokenInvariant("determinant identity det = -u^3 * F failed")
-    return rep
+    return _mp_rep(Fn, P, _mp_case1_obj)
 
 
 def mp_case2(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
@@ -331,6 +327,78 @@ def mp_case2(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
         raise WrongCase("third coordinate is nonzero; use mp_case1")
     if P == ProjPoint(spec, (1, 0, 0)):
         raise IsBasePoint("no representation is attached to the base point")
+    return _mp_rep(Fn, P, _mp_case2_obj)
+
+
+def _mp_rep(Fn, P, obj_formula):
+    """The representation at a checked point P: the index formula where the
+    field has tables, obj_formula past MAX_TABLE_Q."""
+    spec = Fn.spec
+    sf = _tables.scalar_field(spec)
+    if sf is None:
+        return obj_formula(Fn, P)
+    enc = sf.encode
+    s, t, u = (enc(c) for c in P.coords)
+    return _rep_from_idx(spec, sf, _mp_idx([enc(c) for c in Fn.coeffs], s, t, u, sf))
+
+
+def _mp_idx(f, s, t, u, sf):
+    """Entries of the representation at the point [s:t:u] of the normal form
+    with coefficients f, all as element indices, entry (i, j) = [i][j].
+
+    [s:t:u] must be a canonically scaled curve point other than [1:0:0].
+    Case 1 (u != 0) has det = -u^3 * Fn and case 2 (u = 0) det = a011 * Fn;
+    the identity is checked and BrokenInvariant raised when it fails.
+    """
+    add, sub, mul, neg = sf.add, sf.sub, sf.mul, sf.neg
+    a011, a012, a022, a111, a112, a122, a222 = f[3:]
+    row0 = ((0, 0, 0), (0, 0, 1), (0, neg[1], 0))
+    if u:
+        uu, tt, tu = mul[u][u], mul[t][t], mul[t][u]
+        q_tu = add[add[mul[a011][tt]][mul[a012][tu]]][mul[a022][uu]]
+        row1 = ((0, u, neg[t]), (0, 0, 0), (neg[uu], 0, neg[add[q_tu][mul[s][u]]]))
+        l1 = (mul[uu][a011], mul[uu][a111], mul[u][add[mul[a111][t]][mul[a112][u]]])
+        l2 = (mul[u][add[mul[a011][t]][mul[a012][u]]], 0,
+              add[add[mul[a111][tt]][mul[a112][tu]]][mul[a122][uu]])
+        row2 = ((u, 0, neg[s]), l1, l2)
+        lam, identity = neg[mul[uu][u]], "det = -u^3 * F"
+    else:
+        if not a011:
+            raise BrokenInvariant("a011 = 0 cannot happen for a curve point with u = 0")
+        row1 = ((0, 0, 1), (0, a011, 0), (1, a012, a022))
+        lt1 = (a111, sub[mul[a012][a111]][mul[a011][a112]], 0)
+        lt2 = (0, sub[mul[a022][a111]][mul[a011][a122]], neg[mul[a011][a222]])
+        row2 = ((a011, a111, 0), lt1, lt2)
+        lam, identity = a011, "det = a011 * F"
+    m_idx = (row0, row1, row2)
+    if _tables.det_cubic_idx(m_idx, sf) != [mul[lam][c] for c in f]:
+        raise BrokenInvariant(f"determinant identity {identity} failed")
+    return m_idx
+
+
+def _mp_case1_obj(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
+    """Object-arithmetic case 1 of _mp_idx, for fields without tables."""
+    spec = Fn.spec
+    s, t, u = P.coords
+    a011, a012, a022 = Fn.coeff("011"), Fn.coeff("012"), Fn.coeff("022")
+    a111, a112, a122 = Fn.coeff("111"), Fn.coeff("112"), Fn.coeff("122")
+    zero = spec.zero()
+    q_tu = a011 * t * t + a012 * t * u + a022 * u * u
+    row0 = ((zero, zero, zero), (zero, zero, spec.one()), (zero, -spec.one(), zero))
+    row1 = ((zero, u, -t), (zero, zero, zero), (-u * u, zero, -(q_tu + s * u)))
+    l1 = (u * u * a011, u * u * a111, u * (a111 * t + a112 * u))
+    l2 = (u * (a011 * t + a012 * u), zero, a111 * t * t + a112 * t * u + a122 * u * u)
+    row2 = ((u, zero, -s), l1, l2)
+    rep = LinearMatrixRep.from_entries(spec, (row0, row1, row2))
+    lam = is_ldr_of(rep, Fn)
+    if lam != -(u ** 3):
+        raise BrokenInvariant("determinant identity det = -u^3 * F failed")
+    return rep
+
+
+def _mp_case2_obj(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
+    """Object-arithmetic case 2 of _mp_idx, for fields without tables."""
+    spec = Fn.spec
     a011, a012, a022 = Fn.coeff("011"), Fn.coeff("012"), Fn.coeff("022")
     a111, a112 = Fn.coeff("111"), Fn.coeff("112")
     a122, a222 = Fn.coeff("122"), Fn.coeff("222")
@@ -346,6 +414,20 @@ def mp_case2(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
     lam = is_ldr_of(rep, Fn)
     if lam != a011:
         raise BrokenInvariant("determinant identity det = a011 * F failed")
+    return rep
+
+
+def _rep_from_idx(spec, sf, m_idx) -> LinearMatrixRep:
+    """Decode entries given as coefficient-index triples, entry (i, j) = [i][j].
+
+    The decoded elements already live in spec, so the constructor's coercion
+    of all 27 coefficients is skipped.
+    """
+    el = sf.elems
+    rep = object.__new__(LinearMatrixRep)
+    rep.spec = spec
+    rep.m0, rep.m1, rep.m2 = (tuple(tuple(el[e[v]] for e in row) for row in m_idx)
+                              for v in range(3))
     return rep
 
 
@@ -373,6 +455,14 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     Returns a list of (point, representation, lam) with det = lam * F for
     the original form.  The list has length #C(F_q) - 1 and realizes the
     bijection between representation classes and C(F_q) \\ {p0}.
+
+    F is moved to the normal form Fn of normalize(F, p0) once; each point is
+    mapped there, given its representation by mp_case1/mp_case2 and pulled
+    back.  Both identities, det(rep_n) = lam_n * Fn and det(rep) = lam * F,
+    are checked for every representation (BrokenInvariant when one fails),
+    the second through det_cubic, whose cache then serves is_ldr_of(rep, F).
+    Where the field has tables, the points come from PlaneTables.zeros and
+    the construction runs on element indices; only the output is decoded.
     """
     if not is_smooth(F):
         raise SingularInput("the form is singular")
@@ -385,20 +475,72 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
         raise NotOnCurve(f"{p0!r} is not on the curve")
     T, Fn = normalize(F, p0)
     t_inv = T.inverse()
+    skip = pts.index(p0)
+    pt = _tables.plane_tables(F.spec)
+    if pt is None:
+        return _all_reps_obj(F, pts, skip, Fn, t_inv)
+    return _all_reps_idx(F, pts, skip, Fn, t_inv, pt)
+
+
+def _all_reps_obj(F, pts, skip, Fn, t_inv):
+    """all_reps on field element objects, for fields without tables."""
     out = []
-    for P in pts:
-        if P == p0:
+    for k, P in enumerate(pts):
+        if k == skip:
             continue
         Pn = ProjPoint(F.spec, t_inv.apply_coords(P.coords))
-        if Pn.z:
-            rep_n = mp_case1(Fn, Pn)
-        else:
-            rep_n = mp_case2(Fn, Pn)
+        if Fn.evaluate(Pn):
+            raise NotOnCurve(f"{Pn!r} is not on the curve")
+        rep_n = _mp_case1_obj(Fn, Pn) if Pn.z else _mp_case2_obj(Fn, Pn)
         rep = pullback_rep(rep_n, t_inv)
         lam = is_ldr_of(rep, F)
         if lam is None:
             raise BrokenInvariant("pullback lost the determinant identity")
         out.append((P, rep, lam))
+    return out
+
+
+def _all_reps_idx(F, pts, skip, Fn, t_inv, pt):
+    """_all_reps_obj on element indices; pts[k] is point k of pt.zeros(F)."""
+    spec = F.spec
+    sf = pt.sf
+    q = sf.q
+    add, mul, inv = sf.add, sf.mul, sf.inv
+    enc, el = sf.encode, sf.elems
+    f = [enc(c) for c in F.coeffs]
+    fn = [enc(c) for c in Fn.coeffs]
+    ti = [[enc(c) for c in row] for row in t_inv.rows]
+    cols = list(zip(*ti))
+    lead = next(k for k, c in enumerate(f) if c)
+    f_lead_inv = inv[f[lead]]
+    out = []
+    for k, i in enumerate(pt.zeros(f)):
+        if k == skip:
+            continue
+        # Pn = t_inv * P in canonical scaling, which must lie on Fn
+        x, y, z = pt.points[i]
+        v = [add[add[mul[r0][x]][mul[r1][y]]][mul[r2][z]] for r0, r1, r2 in ti]
+        scale = mul[inv[next(c for c in v if c)]]
+        s, t, u = (scale[c] for c in v)
+        pn = t * q + u if s else (q * q + u if t else q * q + q)
+        value = 0
+        for c, m in zip(fn, pt.mono[pn]):
+            value = add[value][mul[c][m]]
+        if value:
+            Pn = ProjPoint(spec, [el[c] for c in (s, t, u)])
+            raise NotOnCurve(f"{Pn!r} is not on the curve")
+        m_n = _mp_idx(fn, s, t, u, sf)
+        # pull back through w = t_inv * v: coefficient j of an entry is
+        # sum_i t_inv[i][j] * (coefficient i of the normal-form entry)
+        m_idx = [[tuple(add[add[mul[c0][e0]][mul[c1][e1]]][mul[c2][e2]]
+                        for c0, c1, c2 in cols)
+                  for e0, e1, e2 in row] for row in m_n]
+        rep = _rep_from_idx(spec, sf, m_idx)
+        D = det_cubic(rep)
+        lam = 0 if D is None else mul[enc(D.coeffs[lead])][f_lead_inv]
+        if not lam or D.coeffs != tuple(el[mul[lam][c]] for c in f):
+            raise BrokenInvariant("pullback lost the determinant identity")
+        out.append((pts[k], rep, el[lam]))
     return out
 
 

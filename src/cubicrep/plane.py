@@ -435,9 +435,25 @@ def rational_points(F: TernaryCubic) -> list[ProjPoint]:
     """All F_q-points of the curve, in the fixed enumeration order of P^2."""
     pt = _tables.plane_tables(F.spec)
     if pt is None:
-        return [P for P in projective_points(F.spec) if not F.evaluate(P)]
+        return list(_zero_points(F))
     objs = _point_objects(F.spec)
     return [objs[i] for i in pt.zeros(_coeff_indices(F, pt.sf))]
+
+
+def _zero_points(F: TernaryCubic) -> tuple[ProjPoint, ...]:
+    """The zeros of F in P^2(F_q) for fields without tables.
+
+    Like PlaneTables.zeros, the scan is cached on the form scaled to lead
+    with 1, so rational_points, is_smooth and the multiples det(rep) = lam*F
+    share one pass over the q^2+q+1 points.
+    """
+    lead = next(c for c in F.coeffs if c)
+    return _scan_zero_points(F.scaled(lead.inverse()))
+
+
+@lru_cache(maxsize=1 << 10)
+def _scan_zero_points(F: TernaryCubic) -> tuple[ProjPoint, ...]:
+    return tuple(P for P in projective_points(F.spec) if not F.evaluate(P))
 
 
 def tangent_line(F: TernaryCubic, P: ProjPoint):
@@ -552,7 +568,7 @@ def is_smooth(F: TernaryCubic) -> bool:
         singular = any(not any(pt.partial_values_at(coeffs, i)) for i in on_curve)
     else:
         fx, fy, fz = partials(F)
-        on_curve = [P.coords for P in projective_points(spec) if not F.evaluate(P)]
+        on_curve = [P.coords for P in _zero_points(F)]
         singular = any(not fx.evaluate(c) and not fy.evaluate(c) and not fz.evaluate(c)
                        for c in on_curve)
     return not singular and len(on_curve) not in (0, 2 * spec.q + 2)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import golden
+import cubicrep
 from cubicrep import cli
 from cubicrep.detrep import is_ldr_of
 
@@ -212,3 +217,14 @@ def test_point_parsing_extension_field(tmp_path, capsys):
 def test_p0_not_on_curve_exit_2(tmp_path):
     path = write_curve(tmp_path, golden.UNIQUE_REP_ROWS[0])
     assert cli.main(["points", path, "--p0", "1:1:1"]) == 2
+
+
+@pytest.mark.parametrize("selector", ["1", "sym"])
+def test_tables_output_unchanged_under_optimize_flag(selector):
+    # python -O strips assert statements; every check in the library is an
+    # explicit raise, so the tables must come out byte-identical
+    env = dict(os.environ, PYTHONPATH=str(Path(cubicrep.__file__).parent.parent))
+    outs = [subprocess.run([sys.executable, *flags, "-m", "cubicrep.cli", "tables", selector],
+                           env=env, capture_output=True, check=True, timeout=300).stdout
+            for flags in ([], ["-O"])]
+    assert outs[0] and outs[0] == outs[1]

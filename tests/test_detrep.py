@@ -334,6 +334,108 @@ def test_determinant_identity_random_sample(q):
         assert is_normalized(Fn)
 
 
+# -- the index construction of all_reps against the object reference ---------
+
+
+def _reference_reps(F, p0=None):
+    """all_reps on field element objects, the path for fields without
+    tables: the reference for the index path on every other field."""
+    from cubicrep.detrep import _all_reps_obj
+    from cubicrep.plane import normalize
+
+    pts = rational_points(F)
+    p0 = pts[0] if p0 is None else p0
+    T, Fn = normalize(F, p0)
+    return _all_reps_obj(F, pts, pts.index(p0), Fn, T.inverse())
+
+
+def test_index_construction_matches_objects_on_census(census_reps):
+    for q in (2, 3):
+        for k, (F, reps) in enumerate(census_reps[q]):
+            assert reps == _reference_reps(F), (q, F)
+            pts = rational_points(F)
+            if k % 25 == 0 and len(pts) > 1:  # a non-default base point
+                assert all_reps(F, pts[-1]) == _reference_reps(F, pts[-1]), (q, F)
+
+
+@pytest.mark.parametrize("p, m, count", [(2, 2, 12), (2, 3, 12), (3, 2, 12),
+                                         (2, 6, 4), (31, 1, 6), (101, 1, 4)])
+def test_index_construction_matches_objects_on_seeded_curves(p, m, count):
+    spec = mk_field(p, m)
+    rng = random.Random(7000 + spec.q)
+    for F in _random_smooth_curves(spec, rng, count):
+        pts = rational_points(F)
+        assert all_reps(F) == _reference_reps(F)
+        p0 = pts[rng.randrange(1, len(pts))]
+        assert all_reps(F, p0) == _reference_reps(F, p0)
+
+
+def test_mp_cases_match_objects_on_seeded_curves():
+    from cubicrep.detrep import _mp_case1_obj, _mp_case2_obj
+    from cubicrep.plane import normalize
+
+    for spec in (mk_field(2, 3), mk_field(3, 2), mk_field(13, 1)):
+        rng = random.Random(7100 + spec.q)
+        for F in _random_smooth_curves(spec, rng, 6):
+            _, Fn = normalize(F, rational_points(F)[0])
+            for P in rational_points(Fn)[1:]:
+                if P.z:
+                    assert mp_case1(Fn, P) == _mp_case1_obj(Fn, P)
+                else:
+                    assert mp_case2(Fn, P) == _mp_case2_obj(Fn, P)
+
+
+@pytest.mark.parametrize("bad_call, message", [
+    (1, "determinant identity det = (-u\\^3|a011) \\* F failed"),
+    (2, "pullback lost the determinant identity"),
+], ids=["normal-form", "pullback"])
+def test_all_reps_checks_both_identities(monkeypatch, bad_call, message):
+    # call 1 of det_cubic_idx checks det(rep_n) = lam_n * Fn for the first
+    # point, call 2 (through det_cubic) det(rep) = lam * F for its pullback
+    from cubicrep.detrep import BrokenInvariant
+
+    F = _random_smooth_curves(F7, random.Random(7200), 1)[0]
+    sf = _tables.scalar_field(F7)
+    real = _tables.det_cubic_idx
+    calls = []
+
+    def perturbed(m_idx, sf_):
+        out = list(real(m_idx, sf_))
+        calls.append(m_idx)
+        if len(calls) == bad_call:
+            out[0] = sf.add[out[0]][1]
+        return out
+
+    det_cubic.cache_clear()
+    monkeypatch.setattr(_tables, "det_cubic_idx", perturbed)
+    try:
+        with pytest.raises(BrokenInvariant, match=message):
+            all_reps(F)
+    finally:
+        det_cubic.cache_clear()  # drop the determinant computed wrongly
+    assert len(calls) == bad_call
+
+
+def test_mp_cases_check_the_identity_on_tables(monkeypatch):
+    from cubicrep.detrep import BrokenInvariant
+
+    real = _tables.det_cubic_idx
+    sf = _tables.scalar_field(F5)
+
+    def perturbed(m_idx, sf_):
+        out = list(real(m_idx, sf_))
+        out[9] = sf.add[out[9]][1]
+        return out
+
+    monkeypatch.setattr(_tables, "det_cubic_idx", perturbed)
+    row = golden.TWO_REP_ROWS[5][0]
+    Fn = golden.row_curve(row)
+    with pytest.raises(BrokenInvariant, match="a011"):
+        mp_case2(Fn, golden.point(5, (0, 1, 0)))
+    with pytest.raises(BrokenInvariant, match="-u\\^3"):
+        mp_case1(Fn, next(P for P in rational_points(Fn) if P.z))
+
+
 def test_exhaustive_scan_agrees_with_certificate():
     from cubicrep.detrep import _exhaustive_scan
 

@@ -217,6 +217,24 @@ def test_zero_set_cache_matches_form_values(data):
     assert pt._zeros.cache_info().misses <= scans + 1
 
 
+def test_zero_points_past_the_table_cap_share_one_scan(monkeypatch):
+    # fields past MAX_TABLE_Q have no PlaneTables; F_7 stands in for them
+    from cubicrep import plane
+
+    rng = random.Random(11)
+    spec = mk_field(7, 1)
+    rows = [[rng.randrange(7) for _ in range(10)] for _ in range(8)]
+    forms = [TernaryCubic(spec, row) for row in rows if any(row)]
+    with_tables = [(rational_points(F), is_smooth(F)) for F in forms]
+    monkeypatch.setattr(_tables, "plane_tables", lambda spec: None)
+    for F, expected in zip(forms, with_tables):
+        scans = plane._scan_zero_points.cache_info().misses
+        for c in range(1, 7):
+            G = F.scaled(c)
+            assert (rational_points(G), is_smooth(G)) == expected
+        assert plane._scan_zero_points.cache_info().misses <= scans + 1
+
+
 @pytest.mark.slow
 def test_is_smooth_agrees_with_extension_search_gallery_f4():
     from cubicrep import gallery
