@@ -1,10 +1,11 @@
 """Vectorized sweeps over whole coefficient spaces and matrix groups.
 
 Field elements are encoded as their position in the field's canonical
-enumeration and all arithmetic goes through the lookup tables of
-_tables.ScalarField and _tables.PlaneTables, so the same code drives prime
-and extension fields.  Used by the census machinery and by the exhaustive
-equivalence scan; nothing here is part of the public surface.
+enumeration and all arithmetic goes through the uint8 views of
+_tables.ScalarField, which exist for q <= _tables.MAX_TABLE_Q, so the same
+code drives prime and extension fields.  Used by the census machinery and
+by the exhaustive equivalence scan; nothing here is part of the public
+surface.
 """
 
 from __future__ import annotations
@@ -62,10 +63,20 @@ def inv3(sf: ScalarField, m):
 
 @lru_cache(maxsize=None)
 def _plane_arrays(spec: FieldSpec):
-    """PlaneTables' cubic and quadratic monomial values at every point, as
-    arrays."""
-    pt = plane_tables(spec)
-    return np.array(pt.mono, dtype=np.uint8), np.array(pt.qmono, dtype=np.uint8)
+    """Cubic and quadratic monomial values at every point of P^2, one row per
+    point in enumeration order; q^2 rows, so only for the census fields."""
+    sf, pt = scalar_field(spec), plane_tables(spec)
+    coords = np.array([pt.point(i) for i in range(pt.n_points)], dtype=np.uint8)
+
+    def monomials(exponents):
+        out = np.ones((len(coords), len(exponents)), dtype=np.uint8)
+        for k, exps in enumerate(exponents):
+            for v, e in enumerate(exps):
+                for _ in range(e):
+                    out[:, k] = sf.MUL[out[:, k], coords[:, v]]
+        return out
+
+    return monomials(_forms.CUBIC_EXPONENTS), monomials(_forms.QUAD_EXPONENTS)
 
 
 # ---------------------------------------------------------------------------

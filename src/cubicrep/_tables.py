@@ -1,15 +1,20 @@
-"""Plain-Python lookup-table cores for the hot loops over one small field.
+"""Index arithmetic and plane geometry over one finite field.
 
 Field elements are referred to by their position in the canonical
-enumeration; addition and multiplication become list indexing.  The point
-order mirrors the public enumeration of P^2 exactly (the plane module
-builds its point objects from these tables), so index-level results
-translate one-to-one.
+enumeration of gf, so 0 and 1 keep their values.  ScalarField derives all
+arithmetic from rules of size O(q): negation and inverse lists, the
+log/antilog pair of a fixed primitive element for multiplication, and
+addition by integers mod p (prime fields), XOR (q = 2^m) or Zech logarithms
+(other extension fields).  The tables keep the subscript interface
+add[a][b], sub[a][b], mul[a][b].  For q <= MAX_TABLE_Q they are
+materialised as q x q lists, plus uint8 array views for the batched
+kernels in _bulk; past that each row is computed on subscript, so memory
+stays O(q) up to the field size cap of 2^14.
 
-Only fields with q <= MAX_TABLE_Q get tables; callers fall back to object
-arithmetic beyond that.  This module owns the encoding and the per-field
-tables; the batched numpy kernels in _bulk read the same tables through the
-uint8 array views on ScalarField.
+PlaneTables enumerates P^2 in the public order and finds the zeros of a
+cubic line by line through [0:0:1], one cached scan per form up to
+scalars.  This module owns the encoding; every per-curve path in plane
+and detrep runs on it and decodes only its results.
 """
 
 from __future__ import annotations
@@ -21,94 +26,182 @@ import numpy as np
 from . import _forms
 from .gf import FieldSpec, embed
 
+#: largest field whose tables are materialised as lists and uint8 arrays
 MAX_TABLE_Q = 256
 
 
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _primitive_element(spec: FieldSpec):
+    """The first element in enumeration order that generates F_q^*."""
+    order = spec.q - 1
+    for g in spec.elements():
+        if g and all(g ** (order // r) != 1 for r in _prime_factors(order)):
+            return g
+    raise AssertionError("F_q^* is cyclic")  # unreachable
+
+
+class _Rows:
+    """A q x q operation table whose row a is computed on subscript."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        self.op = op
+
+    def __getitem__(self, a):
+        return _Row(self.op, a)
+
+
+class _Row:
+    __slots__ = ("op", "a")
+
+    def __init__(self, op, a):
+        self.op = op
+        self.a = a
+
+    def __getitem__(self, b):
+        return self.op(self.a, b)
+
+
 class ScalarField:
-    """Arithmetic tables for one field; elements are ints 0..q-1."""
+    """Arithmetic for one field; elements are ints 0..q-1."""
 
     def __init__(self, spec: FieldSpec):
-        elems = list(spec.elements())
-        index = {e: i for i, e in enumerate(elems)}
+        p, q = spec.p, spec.q
         self.spec = spec
-        self.q = spec.q
-        self.elems = elems
-        self.index = index
-        self.add = [[index[a + b] for b in elems] for a in elems]
-        self.sub = [[index[a - b] for b in elems] for a in elems]
-        self.mul = [[index[a * b] for b in elems] for a in elems]
-        self.neg = [index[-a] for a in elems]
-        self.inv = [index[a.inverse()] if a else 0 for a in elems]
-        self.int_mul = [[index[a * k] for a in elems] for k in range(4)]
-        # the same tables as uint8 arrays, for the batched kernels in _bulk
-        self.ADD, self.SUB, self.MUL, self.NEG, self.INV, self.INTMUL = (
-            np.array(t, dtype=np.uint8)
-            for t in (self.add, self.sub, self.mul, self.neg, self.inv, self.int_mul))
+        self.q = q
+        self.elems = list(spec.elements())
+        self.index = {e.coeffs: i for i, e in enumerate(self.elems)}
+        # exp[k] = g^k for the primitive element g, stored twice over so that
+        # exp[log[a] + log[b]] needs no reduction mod q - 1
+        g = _primitive_element(spec).coeffs
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(self.index[spec._mul(self.elems[exp[-1]].coeffs, g)])
+        log = [0] * q
+        for k, a in enumerate(exp):
+            log[a] = k
+        exp += exp
+        half = (q - 1) // 2  # g^half = -1 in odd characteristic
+        self.neg = list(range(q)) if p == 2 else [exp[log[a] + half] if a else 0
+                                                  for a in range(q)]
+        self.inv = [exp[q - 1 - log[a]] if a else 0 for a in range(q)]
+
+        def mul(a, b):
+            return exp[log[a] + log[b]] if a and b else 0
+
+        if spec.m == 1:
+            def add(a, b):
+                return (a + b) % p
+        elif p == 2:
+            def add(a, b):
+                return a ^ b
+        else:
+            # zech[n] = log(1 + g^n), -1 where 1 + g^n = 0; 1 + a changes
+            # only the constant coefficient, the lowest base-p digit of a
+            zech = []
+            for a in exp[:q - 1]:
+                c = a % p
+                one_plus = a - c + (c + 1) % p
+                zech.append(log[one_plus] if one_plus else -1)
+
+            def add(a, b):
+                if not (a and b):
+                    return a or b
+                z = zech[log[b] - log[a]]  # a negative difference wraps around
+                return exp[log[a] + z] if z >= 0 else 0
+
+        neg = self.neg
+
+        def sub(a, b):
+            return add(a, neg[b])
+
+        self.int_mul = [[mul(k % p, a) for a in range(q)] for k in range(4)]
+        if q <= MAX_TABLE_Q:
+            self.add, self.sub, self.mul = ([[op(a, b) for b in range(q)] for a in range(q)]
+                                            for op in (add, sub, mul))
+            # the same tables as uint8 arrays, for the batched kernels in _bulk
+            self.ADD, self.SUB, self.MUL, self.INV, self.INTMUL = (
+                np.array(t, dtype=np.uint8)
+                for t in (self.add, self.sub, self.mul, self.inv, self.int_mul))
+        else:
+            self.add, self.sub, self.mul = _Rows(add), _Rows(sub), _Rows(mul)
 
     def encode(self, element) -> int:
-        return self.index[element]
+        return self.index[element.coeffs]
+
+    def encode_all(self, elements) -> list[int]:
+        index = self.index
+        return [index[e.coeffs] for e in elements]
 
     def decode(self, idx: int):
         return self.elems[idx]
 
 
 @lru_cache(maxsize=None)
-def scalar_field(spec: FieldSpec) -> ScalarField | None:
-    if spec.q > MAX_TABLE_Q:
-        return None
+def scalar_field(spec: FieldSpec) -> ScalarField:
     return ScalarField(spec)
 
 
 class PlaneTables:
-    """Per-field geometry tables: points of P^2 and monomial values there."""
+    """The points of P^2 over one field and the zero sets of cubics there.
+
+    Point i is [1:y:z] for i = y*q + z, then [0:1:z] for i = q^2 + z, then
+    [0:0:1]; point() gives its coordinate indices.
+    """
 
     def __init__(self, sf: ScalarField):
         self.sf = sf
-        q = sf.q
-        one, zero = 1, 0
-        pts = []
-        for y in range(q):
-            for z in range(q):
-                pts.append((one, y, z))
-        for z in range(q):
-            pts.append((zero, one, z))
-        pts.append((zero, zero, one))
-        self.points = tuple(pts)
-        mul = sf.mul
-        self.mono = []
-        self.qmono = []
-        for (x, y, z) in pts:
-            powers = []
-            for exps in _forms.CUBIC_EXPONENTS:
-                acc = 1
-                for base, e in zip((x, y, z), exps):
-                    for _ in range(e):
-                        acc = mul[acc][base]
-                powers.append(acc)
-            self.mono.append(tuple(powers))
-            qp = []
-            for exps in _forms.QUAD_EXPONENTS:
-                acc = 1
-                for base, e in zip((x, y, z), exps):
-                    for _ in range(e):
-                        acc = mul[acc][base]
-                qp.append(acc)
-            self.qmono.append(tuple(qp))
+        self.n_points = sf.q * sf.q + sf.q + 1
         # one cache per field; an entry holds about q point indices
         self._zeros = lru_cache(maxsize=1 << 10)(self._scan_zeros)
 
+    def point(self, i: int) -> tuple[int, int, int]:
+        q = self.sf.q
+        if i < q * q:
+            return (1,) + divmod(i, q)
+        if i < q * q + q:
+            return (0, 1, i - q * q)
+        return (0, 0, 1)
+
     # -- form evaluation ------------------------------------------------------
 
-    def form_values(self, coeff_idx):
-        """Value index of the cubic at every point."""
+    def value(self, coeff_idx, coords) -> int:
+        """Value index of the cubic at one point, given as coordinate indices."""
+        add, mul = self.sf.add, self.sf.mul
+        x, y, z = coords
+        xx, yy, zz = mul[x][x], mul[y][y], mul[z][z]
+        mono = (mul[xx][x], mul[xx][y], mul[xx][z], mul[x][yy], mul[mul[x][y]][z],
+                mul[x][zz], mul[yy][y], mul[yy][z], mul[y][zz], mul[zz][z])
+        acc = 0
+        for c, m in zip(coeff_idx, mono):
+            if c:
+                acc = add[acc][mul[c][m]]
+        return acc
+
+    def gradient(self, coeff_idx, coords) -> list[int]:
+        """(dF/dX, dF/dY, dF/dZ) value indices at one point."""
         sf = self.sf
-        add, mul = sf.add, sf.mul
+        add, mul, int_mul = sf.add, sf.mul, sf.int_mul
+        x, y, z = coords
+        quad = (mul[x][x], mul[x][y], mul[x][z], mul[y][y], mul[y][z], mul[z][z])
         out = []
-        for row in self.mono:
+        for plan in _forms.DERIVATIVE_PLAN:
             acc = 0
-            for c, m in zip(coeff_idx, row):
+            for cpos, qpos, k in plan:
+                c = int_mul[k][coeff_idx[cpos]]
                 if c:
-                    acc = add[acc][mul[c][m]]
+                    acc = add[acc][mul[c][quad[qpos]]]
             out.append(acc)
         return out
 
@@ -124,30 +217,40 @@ class PlaneTables:
         return self._zeros(tuple(scale[c] for c in coeff_idx))
 
     def _scan_zeros(self, coeff_idx):
-        return tuple(i for i, v in enumerate(self.form_values(coeff_idx)) if not v)
-
-    def partial_values_at(self, coeff_idx, pt_idx):
-        """(dF/dX, dF/dY, dF/dZ) value indices at one point."""
-        sf = self.sf
-        add, mul, int_mul = sf.add, sf.mul, sf.int_mul
-        row = self.qmono[pt_idx]
+        """F restricted to each line through [0:0:1] is a cubic in z, which
+        Horner's rule evaluates at every z of the line."""
+        add, mul = self.sf.add, self.sf.mul
+        q = self.sf.q
+        a000, a001, a002, a011, a012, a022, a111, a112, a122, a222 = coeff_idx
         out = []
-        for plan in _forms.DERIVATIVE_PLAN:
-            acc = 0
-            for cpos, qpos, k in plan:
-                c = int_mul[k][coeff_idx[cpos]]
-                if c:
-                    acc = add[acc][mul[c][row[qpos]]]
-            out.append(acc)
+        # the line [1:y:z] carries F(1, y, z) = c0 + c1 z + c2 z^2 + a222 z^3
+        for y in range(q):
+            my = mul[y]
+            c0 = add[a000][my[add[a001][my[add[a011][my[a111]]]]]]
+            c1 = add[a002][my[add[a012][my[a112]]]]
+            c2 = add[a022][my[a122]]
+            out.extend(y * q + z for z in self._line_roots(c0, c1, c2, a222))
+        # the line X = 0 carries F(0, 1, z), and [0:0:1] is where it meets Y = 0
+        out.extend(q * q + z for z in self._line_roots(a111, a112, a122, a222))
+        if not a222:
+            out.append(q * q + q)
+        return tuple(out)
+
+    def _line_roots(self, c0, c1, c2, c3) -> list[int]:
+        """The z with c0 + c1 z + c2 z^2 + c3 z^3 = 0, in increasing order."""
+        add, mul = self.sf.add, self.sf.mul
+        a0, a1, a2 = add[c0], add[c1], add[c2]
+        out = []
+        for z in range(self.sf.q):
+            mz = mul[z]
+            if not a0[mz[a1[mz[a2[mz[c3]]]]]]:
+                out.append(z)
         return out
 
 
 @lru_cache(maxsize=None)
-def plane_tables(spec: FieldSpec) -> PlaneTables | None:
-    sf = scalar_field(spec)
-    if sf is None:
-        return None
-    return PlaneTables(sf)
+def plane_tables(spec: FieldSpec) -> PlaneTables:
+    return PlaneTables(scalar_field(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +262,7 @@ def right_kernel_idx(rows, sf: ScalarField):
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    add, sub, mul, inv, neg = sf.add, sf.sub, sf.mul, sf.inv, sf.neg
+    sub, mul, inv, neg = sf.sub, sf.mul, sf.inv, sf.neg
     pivots = []
     r = 0
     for c in range(ncols):

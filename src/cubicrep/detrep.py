@@ -8,14 +8,13 @@ constant matrices, and builds the classical alternative shapes for
 Weierstrass and Hesse models.
 
 all_reps moves the curve to a normal form once per base point, builds each
-point's representation there and pulls it back.  Where the field has
-lookup tables (q <= _tables.MAX_TABLE_Q) that whole construction runs on
-element indices, with the points read from PlaneTables.zeros, and only the
-returned points, matrices and scalars are field element objects; mp_case1
-and mp_case2 encode their input and call the same index formula.  The
-object formulas remain for larger fields.  Every representation is checked
-twice, det(rep_n) = lam_n * Fn in normal form and det(rep) = lam * F after
-the pullback, the second through the cached det_cubic.
+point's representation there and pulls it back.  On every field that whole
+construction runs on the element indices of _tables, with the points read
+from PlaneTables.zeros, and only the returned points, matrices and scalars
+are field element objects; mp_case1 and mp_case2 encode their input and
+call the same index formula.  Every representation is checked twice,
+det(rep_n) = lam_n * Fn in normal form and det(rep) = lam * F after the
+pullback, the second by is_ldr_of through the cached det_cubic.
 
 Equivalence needs proportional determinants, so both representations
 vanish at the same points and M(P) has rank 3 everywhere else; the
@@ -26,9 +25,10 @@ extension when the curve has few rational points); the matching conditions
 are linear in B and necessary, so an empty or failed solution space proves
 inequivalence, while a solution yields a verified witness.  Only when that
 stage is inconclusive does the exhaustive scan over GL_3(F_q) run, and the
-scan is subject to a group-size budget.  Where the field has tables, the
-rank comparison and the certificate read the zeros from PlaneTables.zeros,
-one cached scan per curve up to scalars.
+scan is subject to a group-size budget; it runs on the uint8 tables of
+_bulk and so refuses fields past _tables.MAX_TABLE_Q.  The rank comparison
+and the certificate read the zeros from PlaneTables.zeros, one cached scan
+per curve up to scalars.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from functools import lru_cache
 from typing import Optional
 
 from . import _bulk, _tables
-from ._forms import DET_PERMS
 from .gf import FieldElement, FieldMismatch, FieldSpec, embed, mk_field
 from .plane import (
     LinearTransform,
@@ -48,8 +47,6 @@ from .plane import (
     _det3,
     is_normalized,
     is_smooth,
-    mul_lin_lin,
-    mul_quad_lin,
     normalize,
     projective_points,
     rational_points,
@@ -230,9 +227,7 @@ def _matmul(x, y, spec):
 
 def _entry_indices(rep: LinearMatrixRep, sf):
     """Entries of rep as coefficient-index triples, entry (i, j) = [i][j]."""
-    enc = sf.encode
-    return [[(enc(rep.m0[i][j]), enc(rep.m1[i][j]), enc(rep.m2[i][j]))
-             for j in range(3)] for i in range(3)]
+    return [[tuple(sf.encode_all(rep.entry(i, j))) for j in range(3)] for i in range(3)]
 
 
 @lru_cache(maxsize=1 << 14)
@@ -242,27 +237,11 @@ def det_cubic(rep: LinearMatrixRep) -> Optional[TernaryCubic]:
     Returns None when the determinant vanishes identically (no cubic form
     can represent it; such a matrix is not a representation of anything).
     """
-    spec = rep.spec
-    sf = _tables.scalar_field(spec)
-    if sf is not None:
-        idx = _tables.det_cubic_idx(_entry_indices(rep, sf), sf)
-        if not any(idx):
-            return None
-        return TernaryCubic(spec, [sf.decode(v) for v in idx])
-    acc = [spec.zero()] * 10
-    for perm, sign in DET_PERMS:
-        u = rep.entry(0, perm[0])
-        v = rep.entry(1, perm[1])
-        w = rep.entry(2, perm[2])
-        quad = mul_lin_lin(u, v, spec)
-        cub = mul_quad_lin(quad, w, spec)
-        if sign > 0:
-            acc = [a + c for a, c in zip(acc, cub)]
-        else:
-            acc = [a - c for a, c in zip(acc, cub)]
-    if not any(acc):
+    sf = _tables.scalar_field(rep.spec)
+    idx = _tables.det_cubic_idx(_entry_indices(rep, sf), sf)
+    if not any(idx):
         return None
-    return TernaryCubic(spec, acc)
+    return TernaryCubic(rep.spec, [sf.decode(v) for v in idx])
 
 
 def is_ldr_of(rep: LinearMatrixRep, F: TernaryCubic) -> Optional[FieldElement]:
@@ -272,17 +251,13 @@ def is_ldr_of(rep: LinearMatrixRep, F: TernaryCubic) -> Optional[FieldElement]:
     D = det_cubic(rep)
     if D is None:
         return None
-    lam = None
-    for df, ff in zip(D.coeffs, F.coeffs):
-        if ff:
-            lam = df / ff
-            break
-    if lam is None or not lam:
+    sf = _tables.scalar_field(F.spec)
+    d, f = sf.encode_all(D.coeffs), sf.encode_all(F.coeffs)
+    lead = next(k for k, c in enumerate(f) if c)
+    lam = sf.mul[d[lead]][sf.inv[f[lead]]]
+    if not lam or d != [sf.mul[lam][c] for c in f]:
         return None
-    for df, ff in zip(D.coeffs, F.coeffs):
-        if df != lam * ff:
-            return None
-    return lam
+    return sf.decode(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +284,9 @@ def mp_case1(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
         raise IsBasePoint("no representation is attached to the base point")
     if not P.z:
         raise WrongCase("third coordinate is zero; use mp_case2")
-    return _mp_rep(Fn, P, _mp_case1_obj)
+    sf = _tables.scalar_field(spec)
+    m_idx = _mp_idx(sf.encode_all(Fn.coeffs), *sf.encode_all(P.coords), sf)
+    return _rep_from_idx(spec, sf, m_idx)
 
 
 def mp_case2(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
@@ -327,19 +304,9 @@ def mp_case2(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
         raise WrongCase("third coordinate is nonzero; use mp_case1")
     if P == ProjPoint(spec, (1, 0, 0)):
         raise IsBasePoint("no representation is attached to the base point")
-    return _mp_rep(Fn, P, _mp_case2_obj)
-
-
-def _mp_rep(Fn, P, obj_formula):
-    """The representation at a checked point P: the index formula where the
-    field has tables, obj_formula past MAX_TABLE_Q."""
-    spec = Fn.spec
     sf = _tables.scalar_field(spec)
-    if sf is None:
-        return obj_formula(Fn, P)
-    enc = sf.encode
-    s, t, u = (enc(c) for c in P.coords)
-    return _rep_from_idx(spec, sf, _mp_idx([enc(c) for c in Fn.coeffs], s, t, u, sf))
+    m_idx = _mp_idx(sf.encode_all(Fn.coeffs), *sf.encode_all(P.coords), sf)
+    return _rep_from_idx(spec, sf, m_idx)
 
 
 def _mp_idx(f, s, t, u, sf):
@@ -376,47 +343,6 @@ def _mp_idx(f, s, t, u, sf):
     return m_idx
 
 
-def _mp_case1_obj(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
-    """Object-arithmetic case 1 of _mp_idx, for fields without tables."""
-    spec = Fn.spec
-    s, t, u = P.coords
-    a011, a012, a022 = Fn.coeff("011"), Fn.coeff("012"), Fn.coeff("022")
-    a111, a112, a122 = Fn.coeff("111"), Fn.coeff("112"), Fn.coeff("122")
-    zero = spec.zero()
-    q_tu = a011 * t * t + a012 * t * u + a022 * u * u
-    row0 = ((zero, zero, zero), (zero, zero, spec.one()), (zero, -spec.one(), zero))
-    row1 = ((zero, u, -t), (zero, zero, zero), (-u * u, zero, -(q_tu + s * u)))
-    l1 = (u * u * a011, u * u * a111, u * (a111 * t + a112 * u))
-    l2 = (u * (a011 * t + a012 * u), zero, a111 * t * t + a112 * t * u + a122 * u * u)
-    row2 = ((u, zero, -s), l1, l2)
-    rep = LinearMatrixRep.from_entries(spec, (row0, row1, row2))
-    lam = is_ldr_of(rep, Fn)
-    if lam != -(u ** 3):
-        raise BrokenInvariant("determinant identity det = -u^3 * F failed")
-    return rep
-
-
-def _mp_case2_obj(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
-    """Object-arithmetic case 2 of _mp_idx, for fields without tables."""
-    spec = Fn.spec
-    a011, a012, a022 = Fn.coeff("011"), Fn.coeff("012"), Fn.coeff("022")
-    a111, a112 = Fn.coeff("111"), Fn.coeff("112")
-    a122, a222 = Fn.coeff("122"), Fn.coeff("222")
-    if not a011:
-        raise BrokenInvariant("a011 = 0 cannot happen for a curve point with u = 0")
-    zero, one = spec.zero(), spec.one()
-    row0 = ((zero, zero, zero), (zero, zero, one), (zero, -one, zero))
-    row1 = ((zero, zero, one), (zero, a011, zero), (one, a012, a022))
-    lt1 = (a111, a012 * a111 - a011 * a112, zero)
-    lt2 = (zero, a022 * a111 - a011 * a122, -a011 * a222)
-    row2 = ((a011, a111, zero), lt1, lt2)
-    rep = LinearMatrixRep.from_entries(spec, (row0, row1, row2))
-    lam = is_ldr_of(rep, Fn)
-    if lam != a011:
-        raise BrokenInvariant("determinant identity det = a011 * F failed")
-    return rep
-
-
 def _rep_from_idx(spec, sf, m_idx) -> LinearMatrixRep:
     """Decode entries given as coefficient-index triples, entry (i, j) = [i][j].
 
@@ -431,24 +357,6 @@ def _rep_from_idx(spec, sf, m_idx) -> LinearMatrixRep:
     return rep
 
 
-def pullback_rep(rep: LinearMatrixRep, t_inv: LinearTransform) -> LinearMatrixRep:
-    """Substitute the coordinate change w = t_inv * v into every entry."""
-    spec = rep.spec
-    n = rep.coefficient_matrices()
-    ms = []
-    for j in range(3):
-        mj = [[spec.zero()] * 3 for _ in range(3)]
-        for i in range(3):
-            c = t_inv.rows[i][j]
-            if not c:
-                continue
-            for r in range(3):
-                for s in range(3):
-                    mj[r][s] = mj[r][s] + c * n[i][r][s]
-        ms.append(mj)
-    return LinearMatrixRep(spec, *ms)
-
-
 def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     """One representation per rational point other than the base point.
 
@@ -460,9 +368,9 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     mapped there, given its representation by mp_case1/mp_case2 and pulled
     back.  Both identities, det(rep_n) = lam_n * Fn and det(rep) = lam * F,
     are checked for every representation (BrokenInvariant when one fails),
-    the second through det_cubic, whose cache then serves is_ldr_of(rep, F).
-    Where the field has tables, the points come from PlaneTables.zeros and
-    the construction runs on element indices; only the output is decoded.
+    the second by is_ldr_of, whose det_cubic cache then serves the callers'
+    own is_ldr_of(rep, F).  The points come from PlaneTables.zeros and the
+    construction runs on element indices; only the output is decoded.
     """
     if not is_smooth(F):
         raise SingularInput("the form is singular")
@@ -474,73 +382,36 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     elif F.evaluate(p0):
         raise NotOnCurve(f"{p0!r} is not on the curve")
     T, Fn = normalize(F, p0)
-    t_inv = T.inverse()
     skip = pts.index(p0)
     pt = _tables.plane_tables(F.spec)
-    if pt is None:
-        return _all_reps_obj(F, pts, skip, Fn, t_inv)
-    return _all_reps_idx(F, pts, skip, Fn, t_inv, pt)
-
-
-def _all_reps_obj(F, pts, skip, Fn, t_inv):
-    """all_reps on field element objects, for fields without tables."""
-    out = []
-    for k, P in enumerate(pts):
-        if k == skip:
-            continue
-        Pn = ProjPoint(F.spec, t_inv.apply_coords(P.coords))
-        if Fn.evaluate(Pn):
-            raise NotOnCurve(f"{Pn!r} is not on the curve")
-        rep_n = _mp_case1_obj(Fn, Pn) if Pn.z else _mp_case2_obj(Fn, Pn)
-        rep = pullback_rep(rep_n, t_inv)
-        lam = is_ldr_of(rep, F)
-        if lam is None:
-            raise BrokenInvariant("pullback lost the determinant identity")
-        out.append((P, rep, lam))
-    return out
-
-
-def _all_reps_idx(F, pts, skip, Fn, t_inv, pt):
-    """_all_reps_obj on element indices; pts[k] is point k of pt.zeros(F)."""
-    spec = F.spec
     sf = pt.sf
-    q = sf.q
     add, mul, inv = sf.add, sf.mul, sf.inv
-    enc, el = sf.encode, sf.elems
-    f = [enc(c) for c in F.coeffs]
-    fn = [enc(c) for c in Fn.coeffs]
-    ti = [[enc(c) for c in row] for row in t_inv.rows]
+    fn = sf.encode_all(Fn.coeffs)
+    ti = [sf.encode_all(row) for row in T.inverse().rows]
     cols = list(zip(*ti))
-    lead = next(k for k, c in enumerate(f) if c)
-    f_lead_inv = inv[f[lead]]
     out = []
-    for k, i in enumerate(pt.zeros(f)):
+    for k, i in enumerate(pt.zeros(sf.encode_all(F.coeffs))):
         if k == skip:
             continue
         # Pn = t_inv * P in canonical scaling, which must lie on Fn
-        x, y, z = pt.points[i]
+        x, y, z = pt.point(i)
         v = [add[add[mul[r0][x]][mul[r1][y]]][mul[r2][z]] for r0, r1, r2 in ti]
         scale = mul[inv[next(c for c in v if c)]]
-        s, t, u = (scale[c] for c in v)
-        pn = t * q + u if s else (q * q + u if t else q * q + q)
-        value = 0
-        for c, m in zip(fn, pt.mono[pn]):
-            value = add[value][mul[c][m]]
-        if value:
-            Pn = ProjPoint(spec, [el[c] for c in (s, t, u)])
+        pn = [scale[c] for c in v]
+        if pt.value(fn, pn):
+            Pn = ProjPoint(F.spec, [sf.decode(c) for c in pn])
             raise NotOnCurve(f"{Pn!r} is not on the curve")
-        m_n = _mp_idx(fn, s, t, u, sf)
+        m_n = _mp_idx(fn, *pn, sf)
         # pull back through w = t_inv * v: coefficient j of an entry is
         # sum_i t_inv[i][j] * (coefficient i of the normal-form entry)
         m_idx = [[tuple(add[add[mul[c0][e0]][mul[c1][e1]]][mul[c2][e2]]
                         for c0, c1, c2 in cols)
                   for e0, e1, e2 in row] for row in m_n]
-        rep = _rep_from_idx(spec, sf, m_idx)
-        D = det_cubic(rep)
-        lam = 0 if D is None else mul[enc(D.coeffs[lead])][f_lead_inv]
-        if not lam or D.coeffs != tuple(el[mul[lam][c]] for c in f):
+        rep = _rep_from_idx(F.spec, sf, m_idx)
+        lam = is_ldr_of(rep, F)
+        if lam is None:
             raise BrokenInvariant("pullback lost the determinant identity")
-        out.append((pts[k], rep, el[lam]))
+        out.append((pts[k], rep, lam))
     return out
 
 
@@ -556,18 +427,6 @@ def _proportional(D1: TernaryCubic, D2: TernaryCubic) -> bool:
         if a and lam is None:
             lam = b / a
     return all(b == lam * a for a, b in zip(D1.coeffs, D2.coeffs))
-
-
-def _rank3(m, spec):
-    if _det3(m):
-        return 3
-    for i0 in range(3):
-        for i1 in range(i0 + 1, 3):
-            for j0 in range(3):
-                for j1 in range(j0 + 1, 3):
-                    if m[i0][j0] * m[i1][j1] - m[i0][j1] * m[i1][j0]:
-                        return 2
-    return 1 if any(any(row) for row in m) else 0
 
 
 def _matrix_at_point(m_idx, coords, sf):
@@ -588,14 +447,11 @@ def _rank_profile(rep: LinearMatrixRep):
     for two representations with proportional determinants, which share
     their zeros, the profiles agree iff the ranks agree on all of P^2(F_q).
     """
-    D = det_cubic(rep)
     pt = _tables.plane_tables(rep.spec)
-    if pt is not None:
-        sf = pt.sf
-        m_idx = _entry_indices(rep, sf)
-        return tuple(_tables.rank3_idx(_matrix_at_point(m_idx, pt.points[i], sf), sf)
-                     for i in pt.zeros([sf.encode(c) for c in D.coeffs]))
-    return tuple(_rank3(rep.evaluate(P.coords), rep.spec) for P in rational_points(D))
+    sf = pt.sf
+    m_idx = _entry_indices(rep, sf)
+    return tuple(_tables.rank3_idx(_matrix_at_point(m_idx, pt.point(i), sf), sf)
+                 for i in pt.zeros(sf.encode_all(det_cubic(rep).coeffs)))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -608,54 +464,24 @@ def _kernel_data(rep: LinearMatrixRep, ext: FieldSpec):
     D = det_cubic(rep)
     if D is None:
         return None
-    spec = rep.spec
     pt = _tables.plane_tables(ext)
-    if pt is None:
-        return _kernel_data_obj(rep, D, ext)
     sf = pt.sf
-    if ext == spec:
+    if ext == rep.spec:
         m_idx = _entry_indices(rep, sf)
-        d_idx = [sf.encode(c) for c in D.coeffs]
+        d_idx = sf.encode_all(D.coeffs)
     else:
-        enc = sf.encode
-        m_idx = [[tuple(enc(embed(c, ext)) for c in rep.entry(i, j))
+        m_idx = [[tuple(sf.encode_all(embed(c, ext) for c in rep.entry(i, j)))
                   for j in range(3)] for i in range(3)]
-        d_idx = [enc(embed(c, ext)) for c in D.coeffs]
+        d_idx = sf.encode_all(embed(c, ext) for c in D.coeffs)
     pts = []
     kers = []
     for i in pt.zeros(d_idx)[:8]:
-        mat = _matrix_at_point(m_idx, pt.points[i], sf)
-        basis = _tables.right_kernel_idx(mat, sf)
+        coords = pt.point(i)
+        basis = _tables.right_kernel_idx(_matrix_at_point(m_idx, coords, sf), sf)
         if len(basis) != 1:
             return None
-        pts.append(pt.points[i])
+        pts.append(coords)
         kers.append(basis[0])
-    return tuple(pts), tuple(kers)
-
-
-def _kernel_data_obj(rep: LinearMatrixRep, D: TernaryCubic, ext: FieldSpec):
-    """Object-arithmetic variant of _kernel_data for fields without tables."""
-    spec = rep.spec
-    if ext == spec:
-        rep_e = rep
-        D_e = D
-    else:
-        ms = [[[embed(c, ext) for c in row] for row in m]
-              for m in rep.coefficient_matrices()]
-        rep_e = LinearMatrixRep(ext, *ms)
-        D_e = TernaryCubic(ext, [embed(c, ext) for c in D.coeffs])
-    pts = []
-    kers = []
-    for P in projective_points(ext):
-        if D_e.evaluate(P):
-            continue
-        basis = solve_right_kernel(rep_e.evaluate(P.coords), ext)
-        if len(basis) != 1:
-            return None
-        pts.append(P.coords)
-        kers.append(basis[0])
-        if len(pts) >= 8:
-            break
     return tuple(pts), tuple(kers)
 
 
@@ -703,19 +529,16 @@ def _kernel_certificate(m1, m2):
             return None, False
         if len(pts1) < 4:
             continue
-        sf = _tables.scalar_field(ext)
-        if sf is not None:
-            result = _certificate_from_kernels_idx(m1, m2, k1s, k2s, ext, sf)
-        else:
-            result = _certificate_from_kernels_obj(m1, m2, k1s, k2s, ext)
+        result = _certificate_from_kernels(m1, m2, k1s, k2s, ext)
         if result is not None:
             return result
     return None, False
 
 
-def _certificate_from_kernels_idx(m1, m2, k1s, k2s, ext, sf):
+def _certificate_from_kernels(m1, m2, k1s, k2s, ext):
     """Solve the B-matching conditions on index level; None if inconclusive."""
     spec = m1.spec
+    sf = _tables.scalar_field(ext)
     add, sub, mul = sf.add, sf.sub, sf.mul
     rows = []
     for k1, k2 in zip(k1s, k2s):
@@ -747,47 +570,20 @@ def _certificate_from_kernels_idx(m1, m2, k1s, k2s, ext, sf):
     return _witness_from_b(m1, m2, b_rows), True
 
 
-def _certificate_from_kernels_obj(m1, m2, k1s, k2s, ext):
-    spec = m1.spec
-    rows = []
-    for k1, k2 in zip(k1s, k2s):
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            row = [ext.zero()] * 9
-            for j in range(3):
-                row[3 * a + j] = row[3 * a + j] + k2[j] * k1[b]
-                row[3 * b + j] = row[3 * b + j] - k2[j] * k1[a]
-            rows.append(tuple(row))
-    basis = solve_right_kernel(rows, ext)
-    if len(basis) == 0:
-        return None, True
-    if len(basis) > 1:
-        return None
-    vec = list(basis[0])
-    lead = next(v for v in vec if v)
-    vec = [v * lead.inverse() for v in vec]
-    if ext != spec:
-        back = {embed(e, ext).coeffs: e for e in spec.elements()}
-        if any(v.coeffs not in back for v in vec):
-            return None, True
-        vec = [back[v.coeffs] for v in vec]
-    b_rows = [vec[0:3], vec[3:6], vec[6:9]]
-    return _witness_from_b(m1, m2, b_rows), True
-
-
 def _exhaustive_scan(m1, m2, cap):
     spec = m1.spec
     order = gl3_order(spec.q)
     if order > cap:
         raise BudgetExceeded(f"|GL_3(F_{spec.q})| = {order} exceeds the budget {cap}")
     if spec.q > _tables.MAX_TABLE_Q:
-        raise BudgetExceeded(f"the GL_3 scan runs on lookup tables, which stop at "
+        raise BudgetExceeded(f"the GL_3 scan runs on the uint8 tables, which stop at "
                              f"q = {_tables.MAX_TABLE_Q}; got q = {spec.q}")
     pt = _tables.plane_tables(spec)
     sf = pt.sf
     m1_idx = _entry_indices(m1, sf)
     m2_idx = _entry_indices(m2, sf)
-    values = pt.form_values(_tables.det_cubic_idx(m1_idx, sf))
-    at = next((pt.points[i] for i, v in enumerate(values) if v), None)
+    d1 = _tables.det_cubic_idx(m1_idx, sf)
+    at = next((c for c in map(pt.point, range(pt.n_points)) if pt.value(d1, c)), None)
     # With no rational point where det m1 is nonzero, the scan also sweeps B.
     # That happens only over F_2: the ideal of P^2(F_q) is generated in
     # degree q + 1, so a nonzero cubic vanishes on all of P^2(F_q) only when

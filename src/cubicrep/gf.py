@@ -194,7 +194,7 @@ class FieldSpec:
     def element(self, value) -> "FieldElement":
         """Coerce an int, coefficient sequence, or FieldElement into this field."""
         if isinstance(value, FieldElement):
-            if value.spec != self:
+            if value.spec is not self and value.spec != self:
                 raise FieldMismatch(f"{value!r} is not in {self!r}")
             return value
         if isinstance(value, int):
@@ -272,7 +272,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise FieldMismatch("operands live in different fields")
             return other
         if isinstance(other, int):
@@ -345,7 +345,8 @@ class FieldElement:
             other = self.spec.element(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return ((self.spec is other.spec or self.spec == other.spec)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.spec, self.coeffs))

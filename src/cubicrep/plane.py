@@ -6,8 +6,10 @@ the monomials X_i X_j X_k (X_0 = X, X_1 = Y, X_2 = Z, indices sorted), so
 (first nonzero coordinate equal to 1), which makes point sets comparable
 by plain equality.
 
-The smoothness test works from the rational points alone: their number
-and whether one of them is singular (see is_smooth for why that suffices).
+Points, zero sets and smoothness run on the element indices of _tables:
+rational_points decodes the cached zero scan of PlaneTables, and the
+smoothness test works from the rational points alone, their number and
+whether one of them is singular (see is_smooth for why that suffices).
 The direct search for singular points over extension fields is kept
 alongside as is_smooth_by_search and the two are cross-checked in the test
 suite.
@@ -15,7 +17,6 @@ suite.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import _tables
@@ -336,24 +337,19 @@ def _format_form(coeffs, exponents):
 # enumeration of P^2, restriction to a line
 
 
-@lru_cache(maxsize=None)
-def _point_objects(spec: FieldSpec) -> tuple[ProjPoint, ...]:
-    one = spec.one()
-    zero = spec.zero()
-    elems = list(spec.elements())
-    pts = []
-    for y in elems:
-        for z in elems:
-            pts.append(ProjPoint(spec, (one, y, z)))
-    for z in elems:
-        pts.append(ProjPoint(spec, (zero, one, z)))
-    pts.append(ProjPoint(spec, (zero, zero, one)))
-    return tuple(pts)
+def _point_at(pt, i: int) -> ProjPoint:
+    """Point i of the enumeration as an object; its coordinates are already
+    in canonical scaling."""
+    P = object.__new__(ProjPoint)
+    P.spec = pt.sf.spec
+    P.coords = tuple(pt.sf.elems[c] for c in pt.point(i))
+    return P
 
 
 def projective_points(spec: FieldSpec) -> Iterator[ProjPoint]:
     """All points of P^2(F_q) in a fixed order starting at [1:0:0]."""
-    return iter(_point_objects(spec))
+    pt = _tables.plane_tables(spec)
+    return (_point_at(pt, i) for i in range(pt.n_points))
 
 
 def line_basis(line, spec):
@@ -427,33 +423,10 @@ def gradient(F: TernaryCubic, P: ProjPoint):
     return (fx.evaluate(P.coords), fy.evaluate(P.coords), fz.evaluate(P.coords))
 
 
-def _coeff_indices(F: TernaryCubic, sf) -> list[int]:
-    return [sf.encode(c) for c in F.coeffs]
-
-
 def rational_points(F: TernaryCubic) -> list[ProjPoint]:
     """All F_q-points of the curve, in the fixed enumeration order of P^2."""
     pt = _tables.plane_tables(F.spec)
-    if pt is None:
-        return list(_zero_points(F))
-    objs = _point_objects(F.spec)
-    return [objs[i] for i in pt.zeros(_coeff_indices(F, pt.sf))]
-
-
-def _zero_points(F: TernaryCubic) -> tuple[ProjPoint, ...]:
-    """The zeros of F in P^2(F_q) for fields without tables.
-
-    Like PlaneTables.zeros, the scan is cached on the form scaled to lead
-    with 1, so rational_points, is_smooth and the multiples det(rep) = lam*F
-    share one pass over the q^2+q+1 points.
-    """
-    lead = next(c for c in F.coeffs if c)
-    return _scan_zero_points(F.scaled(lead.inverse()))
-
-
-@lru_cache(maxsize=1 << 10)
-def _scan_zero_points(F: TernaryCubic) -> tuple[ProjPoint, ...]:
-    return tuple(P for P in projective_points(F.spec) if not F.evaluate(P))
+    return [_point_at(pt, i) for i in pt.zeros(pt.sf.encode_all(F.coeffs))]
 
 
 def tangent_line(F: TernaryCubic, P: ProjPoint):
@@ -560,18 +533,11 @@ def is_smooth(F: TernaryCubic) -> bool:
     The direct extension-field search (is_smooth_by_search) agrees with
     this on every input; the test suite checks that exhaustively for small q.
     """
-    spec = F.spec
-    pt = _tables.plane_tables(spec)
-    if pt is not None:
-        coeffs = _coeff_indices(F, pt.sf)
-        on_curve = pt.zeros(coeffs)
-        singular = any(not any(pt.partial_values_at(coeffs, i)) for i in on_curve)
-    else:
-        fx, fy, fz = partials(F)
-        on_curve = [P.coords for P in _zero_points(F)]
-        singular = any(not fx.evaluate(c) and not fy.evaluate(c) and not fz.evaluate(c)
-                       for c in on_curve)
-    return not singular and len(on_curve) not in (0, 2 * spec.q + 2)
+    pt = _tables.plane_tables(F.spec)
+    coeffs = pt.sf.encode_all(F.coeffs)
+    on_curve = pt.zeros(coeffs)
+    singular = any(not any(pt.gradient(coeffs, pt.point(i))) for i in on_curve)
+    return not singular and len(on_curve) not in (0, 2 * F.spec.q + 2)
 
 
 def is_smooth_by_search(F: TernaryCubic, max_degree: int = 4) -> bool:

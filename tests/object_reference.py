@@ -1,0 +1,127 @@
+"""The point-to-representation construction on field element objects.
+
+A plain reference for the index path of cubicrep.detrep: every step here
+uses FieldElement arithmetic only, down to the determinant.  The
+differential tests compare all_reps, mp_case1 and mp_case2 against it.
+mp_case1 and mp_case2 here are the bare formulas; all_reps checks
+det(rep) = lam * F for every representation it returns, which is where lam
+comes from.  normalize stays shared, since it runs on objects, and so do
+the points of rational_points, which the zero-set tests of test_plane
+check against TernaryCubic.evaluate.
+"""
+
+from __future__ import annotations
+
+from cubicrep._forms import DET_PERMS
+from cubicrep.detrep import BrokenInvariant, LinearMatrixRep
+from cubicrep.plane import (
+    NotOnCurve,
+    ProjPoint,
+    TernaryCubic,
+    mul_lin_lin,
+    mul_quad_lin,
+    normalize,
+    rational_points,
+)
+
+
+def det_cubic(rep: LinearMatrixRep):
+    """det(X*m0 + Y*m1 + Z*m2) as a TernaryCubic, None when it vanishes."""
+    spec = rep.spec
+    acc = [spec.zero()] * 10
+    for perm, sign in DET_PERMS:
+        u = rep.entry(0, perm[0])
+        v = rep.entry(1, perm[1])
+        w = rep.entry(2, perm[2])
+        cub = mul_quad_lin(mul_lin_lin(u, v, spec), w, spec)
+        if sign > 0:
+            acc = [a + c for a, c in zip(acc, cub)]
+        else:
+            acc = [a - c for a, c in zip(acc, cub)]
+    if not any(acc):
+        return None
+    return TernaryCubic(spec, acc)
+
+
+def is_ldr_of(rep: LinearMatrixRep, F: TernaryCubic):
+    """The scalar lam != 0 with det(rep) = lam * F, or None."""
+    D = det_cubic(rep)
+    if D is None:
+        return None
+    lam = next(df / ff for df, ff in zip(D.coeffs, F.coeffs) if ff)
+    if not lam or any(df != lam * ff for df, ff in zip(D.coeffs, F.coeffs)):
+        return None
+    return lam
+
+
+def mp_case1(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
+    """The representation at a curve point [s:t:u] with u != 0 of a normal form."""
+    spec = Fn.spec
+    s, t, u = P.coords
+    a011, a012, a022 = Fn.coeff("011"), Fn.coeff("012"), Fn.coeff("022")
+    a111, a112, a122 = Fn.coeff("111"), Fn.coeff("112"), Fn.coeff("122")
+    zero = spec.zero()
+    q_tu = a011 * t * t + a012 * t * u + a022 * u * u
+    row0 = ((zero, zero, zero), (zero, zero, spec.one()), (zero, -spec.one(), zero))
+    row1 = ((zero, u, -t), (zero, zero, zero), (-u * u, zero, -(q_tu + s * u)))
+    l1 = (u * u * a011, u * u * a111, u * (a111 * t + a112 * u))
+    l2 = (u * (a011 * t + a012 * u), zero, a111 * t * t + a112 * t * u + a122 * u * u)
+    row2 = ((u, zero, -s), l1, l2)
+    return LinearMatrixRep.from_entries(spec, (row0, row1, row2))
+
+
+def mp_case2(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
+    """The representation at the curve point [s:t:0] other than [1:0:0]."""
+    spec = Fn.spec
+    a011, a012, a022 = Fn.coeff("011"), Fn.coeff("012"), Fn.coeff("022")
+    a111, a112 = Fn.coeff("111"), Fn.coeff("112")
+    a122, a222 = Fn.coeff("122"), Fn.coeff("222")
+    if not a011:
+        raise BrokenInvariant("a011 = 0 cannot happen for a curve point with u = 0")
+    zero, one = spec.zero(), spec.one()
+    row0 = ((zero, zero, zero), (zero, zero, one), (zero, -one, zero))
+    row1 = ((zero, zero, one), (zero, a011, zero), (one, a012, a022))
+    lt1 = (a111, a012 * a111 - a011 * a112, zero)
+    lt2 = (zero, a022 * a111 - a011 * a122, -a011 * a222)
+    row2 = ((a011, a111, zero), lt1, lt2)
+    return LinearMatrixRep.from_entries(spec, (row0, row1, row2))
+
+
+def pullback_rep(rep: LinearMatrixRep, t_inv) -> LinearMatrixRep:
+    """Substitute the coordinate change w = t_inv * v into every entry."""
+    spec = rep.spec
+    n = rep.coefficient_matrices()
+    ms = []
+    for j in range(3):
+        mj = [[spec.zero()] * 3 for _ in range(3)]
+        for i in range(3):
+            c = t_inv.rows[i][j]
+            if not c:
+                continue
+            for r in range(3):
+                for s in range(3):
+                    mj[r][s] = mj[r][s] + c * n[i][r][s]
+        ms.append(mj)
+    return LinearMatrixRep(spec, *ms)
+
+
+def all_reps(F: TernaryCubic, p0: ProjPoint | None = None):
+    """(point, representation, lam) for every rational point but p0, the
+    output that detrep.all_reps must reproduce exactly."""
+    pts = rational_points(F)
+    p0 = pts[0] if p0 is None else p0
+    T, Fn = normalize(F, p0)
+    t_inv = T.inverse()
+    out = []
+    for P in pts:
+        if P == p0:
+            continue
+        Pn = ProjPoint(F.spec, t_inv.apply_coords(P.coords))
+        if Fn.evaluate(Pn):
+            raise NotOnCurve(f"{Pn!r} is not on the curve")
+        rep = pullback_rep(mp_case1(Fn, Pn) if Pn.z else mp_case2(Fn, Pn), t_inv)
+        lam = is_ldr_of(rep, F)
+        if lam is None:
+            raise BrokenInvariant("pullback lost the determinant identity")
+        out.append((P, rep, lam))
+    return out

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 import golden
+import object_reference
 from cubicrep import _tables
 from cubicrep.detrep import (
     BadCharacteristic,
@@ -337,41 +338,29 @@ def test_determinant_identity_random_sample(q):
 # -- the index construction of all_reps against the object reference ---------
 
 
-def _reference_reps(F, p0=None):
-    """all_reps on field element objects, the path for fields without
-    tables: the reference for the index path on every other field."""
-    from cubicrep.detrep import _all_reps_obj
-    from cubicrep.plane import normalize
-
-    pts = rational_points(F)
-    p0 = pts[0] if p0 is None else p0
-    T, Fn = normalize(F, p0)
-    return _all_reps_obj(F, pts, pts.index(p0), Fn, T.inverse())
-
-
 def test_index_construction_matches_objects_on_census(census_reps):
     for q in (2, 3):
         for k, (F, reps) in enumerate(census_reps[q]):
-            assert reps == _reference_reps(F), (q, F)
+            assert reps == object_reference.all_reps(F), (q, F)
             pts = rational_points(F)
             if k % 25 == 0 and len(pts) > 1:  # a non-default base point
-                assert all_reps(F, pts[-1]) == _reference_reps(F, pts[-1]), (q, F)
+                assert all_reps(F, pts[-1]) == object_reference.all_reps(F, pts[-1]), (q, F)
 
 
 @pytest.mark.parametrize("p, m, count", [(2, 2, 12), (2, 3, 12), (3, 2, 12),
-                                         (2, 6, 4), (31, 1, 6), (101, 1, 4)])
+                                         (2, 6, 4), (31, 1, 6), (101, 1, 4),
+                                         pytest.param(257, 1, 2, marks=pytest.mark.slow)])
 def test_index_construction_matches_objects_on_seeded_curves(p, m, count):
     spec = mk_field(p, m)
     rng = random.Random(7000 + spec.q)
     for F in _random_smooth_curves(spec, rng, count):
         pts = rational_points(F)
-        assert all_reps(F) == _reference_reps(F)
+        assert all_reps(F) == object_reference.all_reps(F)
         p0 = pts[rng.randrange(1, len(pts))]
-        assert all_reps(F, p0) == _reference_reps(F, p0)
+        assert all_reps(F, p0) == object_reference.all_reps(F, p0)
 
 
 def test_mp_cases_match_objects_on_seeded_curves():
-    from cubicrep.detrep import _mp_case1_obj, _mp_case2_obj
     from cubicrep.plane import normalize
 
     for spec in (mk_field(2, 3), mk_field(3, 2), mk_field(13, 1)):
@@ -380,9 +369,13 @@ def test_mp_cases_match_objects_on_seeded_curves():
             _, Fn = normalize(F, rational_points(F)[0])
             for P in rational_points(Fn)[1:]:
                 if P.z:
-                    assert mp_case1(Fn, P) == _mp_case1_obj(Fn, P)
+                    rep = object_reference.mp_case1(Fn, P)
+                    assert mp_case1(Fn, P) == rep
+                    assert object_reference.is_ldr_of(rep, Fn) == -(P.z ** 3)
                 else:
-                    assert mp_case2(Fn, P) == _mp_case2_obj(Fn, P)
+                    rep = object_reference.mp_case2(Fn, P)
+                    assert mp_case2(Fn, P) == rep
+                    assert object_reference.is_ldr_of(rep, Fn) == Fn.coeff("011")
 
 
 @pytest.mark.parametrize("bad_call, message", [
@@ -555,11 +548,12 @@ def _full_rank_profile(rep):
     """rank M(P) at every point of P^2(F_q): the plain reference for
     _rank_profile, which ranks M(P) only where det(rep) vanishes."""
     from cubicrep.detrep import _entry_indices, _matrix_at_point
+    from cubicrep.plane import projective_points
 
     sf = _tables.scalar_field(rep.spec)
     m_idx = _entry_indices(rep, sf)
-    return tuple(_tables.rank3_idx(_matrix_at_point(m_idx, coords, sf), sf)
-                 for coords in _tables.plane_tables(rep.spec).points)
+    return tuple(_tables.rank3_idx(_matrix_at_point(m_idx, sf.encode_all(P.coords), sf), sf)
+                 for P in projective_points(rep.spec))
 
 
 def _profiles(reps):
@@ -632,8 +626,9 @@ def test_rank_profile_on_seeded_pairs(q, count):
 
 @pytest.mark.slow
 def test_equivalence_past_the_table_cap():
-    # q = 257 has no tables: the rank profile ranks M(P) at the rational
-    # points of det on field element objects
+    # past q = 256 the field tables compute each row on subscript instead of
+    # holding q x q lists; the rank profile and the kernel certificate run
+    # on them as on every smaller field
     spec = mk_field(257, 1)
     a, b = spec.element(1), spec.element(1)  # Y^2 Z = X^3 + X Z^2 + Z^3
     m = galinat_rep(a, b, ProjPoint(spec, (0, 1, 1)))

@@ -151,7 +151,8 @@ def test_line_times_conic_through_a_conjugate_pair_is_singular(p, m):
 
 @pytest.mark.slow
 def test_is_smooth_past_the_table_cap():
-    # q = 257 has no tables, so is_smooth runs on field element objects
+    # past q = 256 the field tables compute each row on subscript; is_smooth
+    # reads the same line-by-line zero scan as on smaller fields
     spec = mk_field(257, 1)
     weierstrass = TernaryCubic.from_dict(spec, {"112": 1, "000": -1, "022": -1, "222": -1})
     assert is_smooth(weierstrass)  # Y^2 Z = X^3 + X Z^2 + Z^3, discriminant -496
@@ -203,36 +204,63 @@ _ZERO_SET_FIELDS = tuple(mk_field(p, m) for p, m in
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_zero_set_cache_matches_form_values(data):
-    # PlaneTables.zeros caches one scan per form up to scalars; check it
-    # against the plain evaluation at every point, for every multiple
+    # PlaneTables.zeros scans line by line and caches one scan per form up
+    # to scalars; check it against TernaryCubic.evaluate at every point, for
+    # every multiple
     spec = data.draw(st.sampled_from(_ZERO_SET_FIELDS))
     pt = _tables.plane_tables(spec)
     row = data.draw(st.lists(st.integers(0, spec.q - 1), min_size=10, max_size=10)
                     .filter(any))
+    F = TernaryCubic(spec, [pt.sf.decode(d) for d in row])
     scans = pt._zeros.cache_info().misses
     zeros = pt.zeros(row)
-    assert zeros == tuple(i for i, v in enumerate(pt.form_values(row)) if not v)
+    assert zeros == tuple(i for i, P in enumerate(projective_points(spec))
+                          if not F.evaluate(P))
     for c in range(1, spec.q):
         assert pt.zeros([pt.sf.mul[c][d] for d in row]) == zeros
     assert pt._zeros.cache_info().misses <= scans + 1
 
 
-def test_zero_points_past_the_table_cap_share_one_scan(monkeypatch):
-    # fields past MAX_TABLE_Q have no PlaneTables; F_7 stands in for them
-    from cubicrep import plane
+@pytest.mark.parametrize("p, m", [(257, 1), (2, 9), (3, 6)])
+def test_zero_set_matches_evaluate_on_sampled_lines(p, m):
+    # past q = 256 a whole-plane evaluation on objects is too slow for the
+    # suite; check the scan of a random form and of a line times a quadric
+    # against TernaryCubic.evaluate on sampled lines through [0:0:1], with
+    # the line X = 0 and the point [0:0:1] always among them
+    spec = mk_field(p, m)
+    q = spec.q
+    pt = _tables.plane_tables(spec)
+    rng = random.Random(q)
+    elems = list(spec.elements())
+    line = [rng.choice(elems) for _ in range(3)]
+    quad = [rng.choice(elems) for _ in range(6)]
+    for F in (TernaryCubic(spec, [rng.choice(elems) for _ in range(10)]),
+              TernaryCubic(spec, mul_quad_lin(quad, line, spec))):
+        zeros = set(pt.zeros(pt.sf.encode_all(F.coeffs)))
+        for y in rng.sample(range(q), 4) + [q]:
+            for i in list(range(y * q, y * q + q)) + [q * q + q]:
+                P = ProjPoint(spec, [pt.sf.decode(c) for c in pt.point(i)])
+                assert (i in zeros) == (not F.evaluate(P)), (F, P)
 
+
+def test_zero_points_past_the_table_cap_share_one_scan():
+    # rational_points and is_smooth share one cached scan per form up to
+    # scalars, on list tables and past q = 256, where the field tables
+    # compute each row on subscript; there six multiples stand for all
     rng = random.Random(11)
-    spec = mk_field(7, 1)
-    rows = [[rng.randrange(7) for _ in range(10)] for _ in range(8)]
-    forms = [TernaryCubic(spec, row) for row in rows if any(row)]
-    with_tables = [(rational_points(F), is_smooth(F)) for F in forms]
-    monkeypatch.setattr(_tables, "plane_tables", lambda spec: None)
-    for F, expected in zip(forms, with_tables):
-        scans = plane._scan_zero_points.cache_info().misses
-        for c in range(1, 7):
-            G = F.scaled(c)
-            assert (rational_points(G), is_smooth(G)) == expected
-        assert plane._scan_zero_points.cache_info().misses <= scans + 1
+    for q, n_forms in ((7, 8), (257, 3)):
+        spec = mk_field(q, 1)
+        pt = _tables.plane_tables(spec)
+        rows = [[rng.randrange(q) for _ in range(10)] for _ in range(n_forms)]
+        for F in (TernaryCubic(spec, row) for row in rows if any(row)):
+            scans = pt._zeros.cache_info().misses
+            expected = (rational_points(F), is_smooth(F))
+            assert all(not F.evaluate(P) for P in expected[0])
+            multiples = range(2, q) if q < 256 else rng.sample(range(2, q), 6)
+            for c in multiples:
+                G = F.scaled(c)
+                assert (rational_points(G), is_smooth(G)) == expected
+            assert pt._zeros.cache_info().misses <= scans + 1
 
 
 @pytest.mark.slow
