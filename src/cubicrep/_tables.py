@@ -13,8 +13,12 @@ stays O(q) up to the field size cap of 2^14.
 
 PlaneTables enumerates P^2 in the public order and finds the zeros of a
 cubic line by line through [0:0:1], one cached scan per form up to
-scalars.  This module owns the encoding; every per-curve path in plane
-and detrep runs on it and decodes only its results.
+scalars.  The kernels below it cover the rest of the per-curve work:
+kernels, determinants, products and inverses of small index matrices,
+and one product of three linear forms, add_cubic_product, behind both the
+symbolic determinant and the substitution of coordinates into a cubic.
+This module owns the encoding; every per-curve path in plane and detrep
+runs on it and decodes only its results.
 """
 
 from __future__ import annotations
@@ -321,45 +325,85 @@ def rank3_idx(m, sf: ScalarField) -> int:
     return 1 if any(any(row) for row in m) else 0
 
 
+#: (i, j) of each quadratic monomial X_i X_j and (i, j, k) of each cubic one
+_QUAD_IJ = tuple((int(idx[0]), int(idx[1])) for idx in _forms.QUAD_INDICES)
+_CUBIC_IJK = tuple(tuple(int(ch) for ch in idx) for idx in _forms.CUBIC_INDICES)
+
+
+def add_cubic_product(acc, c, u, v, w, sf: ScalarField) -> None:
+    """acc += c*u*v*w in place, for linear forms u, v, w (coefficient
+    triples), a scalar c and a cubic acc (10-list), all element indices."""
+    add, mul = sf.add, sf.mul
+    quad_pos, cubic_pos = _forms.QUAD_POS2, _forms.CUBIC_POS3
+    if c != 1:
+        mc = mul[c]
+        u = [mc[x] for x in u]
+    quad = [0] * 6
+    for i in range(3):
+        ui = u[i]
+        if not ui:
+            continue
+        mu = mul[ui]
+        for j in range(3):
+            if v[j]:
+                pos = quad_pos[i][j]
+                quad[pos] = add[quad[pos]][mu[v[j]]]
+    for qv, (i, j) in zip(quad, _QUAD_IJ):
+        if not qv:
+            continue
+        mq = mul[qv]
+        for k in range(3):
+            if w[k]:
+                cp = cubic_pos[i][j][k]
+                acc[cp] = add[acc[cp]][mq[w[k]]]
+
+
 def det_cubic_idx(m_idx, sf: ScalarField):
     """10 coefficient indices of det(X m0 + Y m1 + Z m2).
 
     m_idx[i][j] is the entry's coefficient triple (index-encoded).
     """
-    add, sub, mul = sf.add, sf.sub, sf.mul
-    quad_pos, cubic_pos = _forms.QUAD_POS2, _forms.CUBIC_POS3
+    minus_one = sf.neg[1]
     acc = [0] * 10
     for perm, sign in _forms.DET_PERMS:
-        u = m_idx[0][perm[0]]
-        v = m_idx[1][perm[1]]
-        w = m_idx[2][perm[2]]
-        quad = [0] * 6
-        for i in range(3):
-            ui = u[i]
-            if not ui:
-                continue
-            for j in range(3):
-                if v[j]:
-                    pos = quad_pos[i][j]
-                    quad[pos] = add[quad[pos]][mul[ui][v[j]]]
-        for pos, idx in enumerate(_forms.QUAD_INDICES):
-            qv = quad[pos]
-            if not qv:
-                continue
-            i, j = int(idx[0]), int(idx[1])
-            for k in range(3):
-                if w[k]:
-                    cp = cubic_pos[i][j][k]
-                    term = mul[qv][w[k]]
-                    acc[cp] = add[acc[cp]][term] if sign > 0 else sub[acc[cp]][term]
+        add_cubic_product(acc, 1 if sign > 0 else minus_one, m_idx[0][perm[0]],
+                          m_idx[1][perm[1]], m_idx[2][perm[2]], sf)
     return acc
 
 
+def act_idx(t, f, sf: ScalarField):
+    """Coefficient indices of the cubic f with (X, Y, Z) -> t (X, Y, Z)^t
+    substituted, for a 3x3 index matrix t."""
+    acc = [0] * 10
+    for c, (i, j, k) in zip(f, _CUBIC_IJK):
+        if c:
+            add_cubic_product(acc, c, t[i], t[j], t[k], sf)
+    return acc
+
+
+def matmul3_idx(a, b, sf: ScalarField):
+    """The 3x3 product a @ b of index matrices."""
+    add, mul = sf.add, sf.mul
+    cols = list(zip(*b))
+    return [[add[add[mul[r0][c0]][mul[r1][c1]]][mul[r2][c2]] for c0, c1, c2 in cols]
+            for r0, r1, r2 in a]
+
+
+def inv3_idx(m, sf: ScalarField):
+    """Inverse of an invertible 3x3 index matrix, by the adjugate."""
+    mul, sub = sf.mul, sf.sub
+    a, b, c = m[0]
+    d, e, f = m[1]
+    g, h, i = m[2]
+    adj = ((sub[mul[e][i]][mul[f][h]], sub[mul[c][h]][mul[b][i]], sub[mul[b][f]][mul[c][e]]),
+           (sub[mul[f][g]][mul[d][i]], sub[mul[a][i]][mul[c][g]], sub[mul[c][d]][mul[a][f]]),
+           (sub[mul[d][h]][mul[e][g]], sub[mul[b][g]][mul[a][h]], sub[mul[a][e]][mul[b][d]]))
+    s = mul[sf.inv[det3_idx(m, sf)]]
+    return [[s[x] for x in row] for row in adj]
+
+
 @lru_cache(maxsize=None)
-def subfield_preimage(base: FieldSpec, ext: FieldSpec):
-    """ext element index -> base element, for elements in the image of embed."""
+def embedding(base: FieldSpec, ext: FieldSpec) -> tuple[int, ...]:
+    """The ext index of embed(e, ext) for each base element index e."""
     ext_sf = scalar_field(ext)
-    out = {}
-    for e in base.elements():
-        out[ext_sf.encode(embed(e, ext))] = e
-    return out
+    return tuple(ext_sf.encode(embed(e, ext)) for e in base.elements())

@@ -15,6 +15,9 @@ are field element objects; mp_case1 and mp_case2 encode their input and
 call the same index formula.  Every representation is checked twice,
 det(rep_n) = lam_n * Fn in normal form and det(rep) = lam * F after the
 pullback, the second by is_ldr_of through the cached det_cubic.
+symmetrize and the completion of a candidate B into a witness run on
+indices as well.  EquivalenceWitness.verify and transform_rep stay on
+objects: they are the independent check of every witness returned.
 
 Equivalence needs proportional determinants, so both representations
 vanish at the same points and M(P) has rank 3 everywhere else; the
@@ -28,7 +31,8 @@ stage is inconclusive does the exhaustive scan over GL_3(F_q) run, and the
 scan is subject to a group-size budget; it runs on the uint8 tables of
 _bulk and so refuses fields past _tables.MAX_TABLE_Q.  The rank comparison
 and the certificate read the zeros from PlaneTables.zeros, one cached scan
-per curve up to scalars.
+per curve up to scalars; the witness completion and the scan take their
+base point, where det M is nonzero, from the first gap in that zero set.
 """
 
 from __future__ import annotations
@@ -37,20 +41,17 @@ from functools import lru_cache
 from typing import Optional
 
 from . import _bulk, _tables
-from .gf import FieldElement, FieldMismatch, FieldSpec, embed, mk_field
+from .gf import FieldElement, FieldMismatch, FieldSpec, mk_field
 from .plane import (
     LinearTransform,
     NotOnCurve,
     ProjPoint,
     SingularInput,
     TernaryCubic,
-    _det3,
+    _normalize_idx,
     is_normalized,
     is_smooth,
-    normalize,
-    projective_points,
     rational_points,
-    solve_right_kernel,
 )
 
 #: |GL_3(F_q)| for q = 9, the default equivalence-scan budget
@@ -364,7 +365,7 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     the original form.  The list has length #C(F_q) - 1 and realizes the
     bijection between representation classes and C(F_q) \\ {p0}.
 
-    F is moved to the normal form Fn of normalize(F, p0) once; each point is
+    F is moved to the normal form Fn of plane.normalize(F, p0) once; each point is
     mapped there, given its representation by mp_case1/mp_case2 and pulled
     back.  Both identities, det(rep_n) = lam_n * Fn and det(rep) = lam * F,
     are checked for every representation (BrokenInvariant when one fails),
@@ -381,16 +382,16 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
         p0 = pts[0]
     elif F.evaluate(p0):
         raise NotOnCurve(f"{p0!r} is not on the curve")
-    T, Fn = normalize(F, p0)
     skip = pts.index(p0)
     pt = _tables.plane_tables(F.spec)
     sf = pt.sf
     add, mul, inv = sf.add, sf.mul, sf.inv
-    fn = sf.encode_all(Fn.coeffs)
-    ti = [sf.encode_all(row) for row in T.inverse().rows]
+    f = sf.encode_all(F.coeffs)
+    t, fn = _normalize_idx(pt, f, sf.encode_all(p0.coords))
+    ti = _tables.inv3_idx(t, sf)
     cols = list(zip(*ti))
     out = []
-    for k, i in enumerate(pt.zeros(sf.encode_all(F.coeffs))):
+    for k, i in enumerate(pt.zeros(f)):
         if k == skip:
             continue
         # Pn = t_inv * P in canonical scaling, which must lie on Fn
@@ -417,16 +418,6 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
 
 # ---------------------------------------------------------------------------
 # equivalence
-
-
-def _proportional(D1: TernaryCubic, D2: TernaryCubic) -> bool:
-    lam = None
-    for a, b in zip(D1.coeffs, D2.coeffs):
-        if bool(a) != bool(b):
-            return False
-        if a and lam is None:
-            lam = b / a
-    return all(b == lam * a for a, b in zip(D1.coeffs, D2.coeffs))
 
 
 def _matrix_at_point(m_idx, coords, sf):
@@ -466,13 +457,13 @@ def _kernel_data(rep: LinearMatrixRep, ext: FieldSpec):
         return None
     pt = _tables.plane_tables(ext)
     sf = pt.sf
-    if ext == rep.spec:
-        m_idx = _entry_indices(rep, sf)
-        d_idx = sf.encode_all(D.coeffs)
-    else:
-        m_idx = [[tuple(sf.encode_all(embed(c, ext) for c in rep.entry(i, j)))
-                  for j in range(3)] for i in range(3)]
-        d_idx = sf.encode_all(embed(c, ext) for c in D.coeffs)
+    base_sf = _tables.scalar_field(rep.spec)
+    m_idx = _entry_indices(rep, base_sf)
+    d_idx = base_sf.encode_all(D.coeffs)
+    if ext != rep.spec:
+        emb = _tables.embedding(rep.spec, ext)
+        m_idx = [[tuple(emb[c] for c in e) for e in row] for row in m_idx]
+        d_idx = [emb[c] for c in d_idx]
     pts = []
     kers = []
     for i in pt.zeros(d_idx)[:8]:
@@ -485,27 +476,32 @@ def _kernel_data(rep: LinearMatrixRep, ext: FieldSpec):
     return tuple(pts), tuple(kers)
 
 
-def _witness_from_b(m1: LinearMatrixRep, m2: LinearMatrixRep, b_rows):
-    """Complete a candidate B into a verified witness, or return None."""
-    spec = m1.spec
-    try:
-        b = LinearTransform(spec, b_rows)
-    except ValueError:
+def _off_curve_point(pt, d_idx):
+    """Coordinates of the first point of P^2 where the cubic d_idx does not
+    vanish, read off as the first gap in its cached zero set; None if none."""
+    zeros = pt.zeros(d_idx)
+    i = next((k for k, z in enumerate(zeros) if k != z), len(zeros))
+    return pt.point(i) if i < pt.n_points else None
+
+
+def _witness_from_b(m1: LinearMatrixRep, m2: LinearMatrixRep, b):
+    """Complete a candidate B, given as index rows, into a verified witness,
+    or return None."""
+    pt = _tables.plane_tables(m1.spec)
+    sf = pt.sf
+    if not _tables.det3_idx(b, sf):
         return None
-    D1 = det_cubic(m1)
-    base_pt = next((P for P in projective_points(spec) if D1.evaluate(P)), None)
-    if base_pt is None:
+    m1_idx = _entry_indices(m1, sf)
+    at = _off_curve_point(pt, _tables.det_cubic_idx(m1_idx, sf))
+    if at is None:
         return None
-    m1b = _matmul(m1.evaluate(base_pt.coords), b.rows, spec)
-    if not _det3(m1b):
+    # m1(P) is invertible where det m1 does not vanish, so A = m2(P) (m1(P) B)^-1
+    m1b = _tables.matmul3_idx(_matrix_at_point(m1_idx, at, sf), b, sf)
+    a = _tables.matmul3_idx(_matrix_at_point(_entry_indices(m2, sf), at, sf),
+                            _tables.inv3_idx(m1b, sf), sf)
+    if not _tables.det3_idx(a, sf):
         return None
-    a_rows = _matmul(m2.evaluate(base_pt.coords),
-                     LinearTransform(spec, m1b).inverse().rows, spec)
-    try:
-        a = LinearTransform(spec, a_rows)
-    except ValueError:
-        return None
-    w = EquivalenceWitness(a, b)
+    w = EquivalenceWitness(LinearTransform._from_idx(sf, a), LinearTransform._from_idx(sf, b))
     return w if w.verify(m1, m2) else None
 
 
@@ -557,17 +553,14 @@ def _certificate_from_kernels(m1, m2, k1s, k2s, ext):
     lead = next(v for v in vec if v)
     li = sf.inv[lead]
     vec = [mul[v][li] for v in vec]
-    if ext == spec:
-        elems = [sf.decode(v) for v in vec]
-    else:
-        back = _tables.subfield_preimage(spec, ext)
+    if ext != spec:
+        back = {v: i for i, v in enumerate(_tables.embedding(spec, ext))}
         if any(v not in back for v in vec):
             return None, True  # unique solution is not rational: no witness
-        elems = [back[v] for v in vec]
-    b_rows = [elems[0:3], elems[3:6], elems[6:9]]
+        vec = [back[v] for v in vec]
     # the solution space for B is one-dimensional, so a failed candidate
     # certifies that no invertible rational B exists at all
-    return _witness_from_b(m1, m2, b_rows), True
+    return _witness_from_b(m1, m2, [vec[0:3], vec[3:6], vec[6:9]]), True
 
 
 def _exhaustive_scan(m1, m2, cap):
@@ -582,8 +575,7 @@ def _exhaustive_scan(m1, m2, cap):
     sf = pt.sf
     m1_idx = _entry_indices(m1, sf)
     m2_idx = _entry_indices(m2, sf)
-    d1 = _tables.det_cubic_idx(m1_idx, sf)
-    at = next((c for c in map(pt.point, range(pt.n_points)) if pt.value(d1, c)), None)
+    at = _off_curve_point(pt, _tables.det_cubic_idx(m1_idx, sf))
     # With no rational point where det m1 is nonzero, the scan also sweeps B.
     # That happens only over F_2: the ideal of P^2(F_q) is generated in
     # degree q + 1, so a nonzero cubic vanishes on all of P^2(F_q) only when
@@ -593,8 +585,8 @@ def _exhaustive_scan(m1, m2, cap):
     found = _bulk.scan_equivalence(sf, m1_idx, m2_idx, at_point)
     if found is None:
         return None
-    a, b = ([[sf.decode(x) for x in row] for row in m] for m in found)
-    return EquivalenceWitness(LinearTransform(spec, a), LinearTransform(spec, b))
+    a, b = found
+    return EquivalenceWitness(LinearTransform._from_idx(sf, a), LinearTransform._from_idx(sf, b))
 
 
 def equivalent(m1: LinearMatrixRep, m2: LinearMatrixRep,
@@ -609,8 +601,7 @@ def equivalent(m1: LinearMatrixRep, m2: LinearMatrixRep,
     if m1.spec != m2.spec:
         raise FieldMismatch("representations live in different fields")
     D1 = det_cubic(m1)
-    D2 = det_cubic(m2)
-    if D1 is None or D2 is None or not _proportional(D1, D2):
+    if D1 is None or is_ldr_of(m2, D1) is None:
         return None
     if _rank_profile(m1) != _rank_profile(m2):
         return None  # pointwise ranks are invariant under M -> A M B
@@ -714,35 +705,35 @@ def symmetrize(rep: LinearMatrixRep) -> Optional[tuple[EquivalenceWitness, Linea
     invertible solution in a deterministic sweep of the solution space.
     """
     spec = rep.spec
-    ms = rep.coefficient_matrices()
+    sf = _tables.scalar_field(spec)
+    add, mul, neg = sf.add, sf.mul, sf.neg
+    m_idx = _entry_indices(rep, sf)
     rows = []
     for v in range(3):
         for i in range(3):
             for j in range(i + 1, 3):
-                row = [spec.zero()] * 9
+                row = [0] * 9
                 for k in range(3):
-                    row[3 * i + k] = row[3 * i + k] + ms[v][k][j]
-                    row[3 * j + k] = row[3 * j + k] - ms[v][k][i]
-                rows.append(tuple(row))
-    basis = solve_right_kernel(rows, spec)
+                    row[3 * i + k] = m_idx[k][j][v]
+                    row[3 * j + k] = neg[m_idx[k][i][v]]
+                rows.append(row)
+    basis = _tables.right_kernel_idx(rows, sf)
     if not basis:
         return None
-    elems = list(spec.elements())
-    dim = len(basis)
-    for combo in range(1, spec.q ** dim):
-        coeffs = []
+    q, dim = spec.q, len(basis)
+    ident = LinearTransform.identity(spec)
+    for combo in range(1, q ** dim):
+        # the base-q digits of combo, lowest first, are the coefficients
+        vec = [0] * 9
         c = combo
-        for _ in range(dim):
-            coeffs.append(elems[c % spec.q])
-            c //= spec.q
-        vec = [spec.zero()] * 9
-        for cf, bs in zip(coeffs, basis):
+        for bs in basis:
+            cf, c = c % q, c // q
             if cf:
-                vec = [x + cf * y for x, y in zip(vec, bs)]
+                vec = [add[x][mul[cf][y]] for x, y in zip(vec, bs)]
         rows_a = [vec[0:3], vec[3:6], vec[6:9]]
-        if _det3(rows_a):
-            a = LinearTransform(spec, rows_a)
-            sym = transform_rep(a, rep, LinearTransform.identity(spec))
+        if _tables.det3_idx(rows_a, sf):
+            a = LinearTransform._from_idx(sf, rows_a)
+            sym = transform_rep(a, rep, ident)
             if is_symmetric(sym):
-                return EquivalenceWitness(a, LinearTransform.identity(spec)), sym
+                return EquivalenceWitness(a, ident), sym
     return None

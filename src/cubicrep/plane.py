@@ -10,6 +10,9 @@ Points, zero sets and smoothness run on the element indices of _tables:
 rational_points decodes the cached zero scan of PlaneTables, and the
 smoothness test works from the rational points alone, their number and
 whether one of them is singular (see is_smooth for why that suffices).
+normalize, act and the product and inverse of LinearTransform encode their
+inputs, run the index kernels of _tables and decode the result; all_reps
+calls _normalize_idx and stays on indices throughout.
 The direct search for singular points over extension fields is kept
 alongside as is_smooth_by_search and the two are cross-checked in the test
 suite.
@@ -20,16 +23,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from . import _tables
-from ._forms import (
-    CUBIC_EXPONENTS,
-    CUBIC_INDICES,
-    CUBIC_POS,
-    CUBIC_POS3,
-    QUAD_EXPONENTS,
-    QUAD_INDICES,
-    QUAD_POS,
-    QUAD_POS2,
-)
+from ._forms import CUBIC_EXPONENTS, CUBIC_INDICES, CUBIC_POS, QUAD_EXPONENTS, QUAD_POS
 from .gf import FieldElement, FieldMismatch, FieldSpec, embed, mk_field
 
 
@@ -195,18 +189,24 @@ class LinearTransform:
     def identity(cls, spec: FieldSpec) -> "LinearTransform":
         return cls(spec, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
+    @classmethod
+    def _from_idx(cls, sf, rows) -> "LinearTransform":
+        """The transform with element-index rows over the field of sf."""
+        return cls(sf.spec, [[sf.elems[c] for c in row] for row in rows])
+
+    def _idx(self, sf):
+        return [sf.encode_all(row) for row in self.rows]
+
     def __matmul__(self, other: "LinearTransform") -> "LinearTransform":
         if self.spec != other.spec:
             raise FieldMismatch("transforms live in different fields")
-        rows = [[sum((self.rows[i][k] * other.rows[k][j] for k in range(3)),
-                     self.spec.zero()) for j in range(3)] for i in range(3)]
-        return LinearTransform(self.spec, rows)
+        sf = _tables.scalar_field(self.spec)
+        return LinearTransform._from_idx(
+            sf, _tables.matmul3_idx(self._idx(sf), other._idx(sf), sf))
 
     def inverse(self) -> "LinearTransform":
-        inv_det = self.det.inverse()
-        adj = _adjugate3(self.rows, self.spec)
-        return LinearTransform(self.spec, [[adj[i][j] * inv_det for j in range(3)]
-                                           for i in range(3)])
+        sf = _tables.scalar_field(self.spec)
+        return LinearTransform._from_idx(sf, _tables.inv3_idx(self._idx(sf), sf))
 
     def apply_coords(self, coords):
         """Matrix-vector product on a coordinate triple."""
@@ -238,80 +238,8 @@ def _det3(rows):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _adjugate3(rows, spec):
-    a, b, c = rows[0]
-    d, e, f = rows[1]
-    g, h, i = rows[2]
-    return ((e * i - f * h, c * h - b * i, b * f - c * e),
-            (f * g - d * i, a * i - c * g, c * d - a * f),
-            (d * h - e * g, b * g - a * h, a * e - b * d))
-
-
-def solve_right_kernel(rows, spec):
-    """Basis of the right kernel of a matrix over a field (list of tuples)."""
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [spec.zero()] * ncols
-        vec[fc] = spec.one()
-        for pi, pc in enumerate(pivots):
-            vec[pc] = -m[pi][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
 # ---------------------------------------------------------------------------
-# form multiplication helpers (linear forms are coefficient triples)
-
-
-def mul_lin_lin(u, v, spec):
-    """Product of two linear forms as a 6-tuple of quadratic coefficients."""
-    out = [spec.zero()] * 6
-    for i in range(3):
-        if not u[i]:
-            continue
-        for j in range(3):
-            if v[j]:
-                pos = QUAD_POS2[i][j]
-                out[pos] = out[pos] + u[i] * v[j]
-    return tuple(out)
-
-
-def mul_quad_lin(q, u, spec):
-    """Product of a quadratic (6-tuple) and a linear form as a cubic 10-tuple."""
-    out = [spec.zero()] * 10
-    for pos, idx in enumerate(QUAD_INDICES):
-        if not q[pos]:
-            continue
-        i, j = int(idx[0]), int(idx[1])
-        for k in range(3):
-            if u[k]:
-                cp = CUBIC_POS3[i][j][k]
-                out[cp] = out[cp] + q[pos] * u[k]
-    return tuple(out)
+# formatting
 
 
 def _format_form(coeffs, exponents):
@@ -572,18 +500,9 @@ def act(T: LinearTransform, F: TernaryCubic) -> TernaryCubic:
     spec = F.spec
     if T.spec != spec:
         raise FieldMismatch("transform and form live in different fields")
-    rows = T.rows
-    out = [spec.zero()] * 10
-    for cf, idx in zip(F.coeffs, CUBIC_INDICES):
-        if not cf:
-            continue
-        i, j, k = (int(ch) for ch in idx)
-        quad = mul_lin_lin(rows[i], rows[j], spec)
-        cub = mul_quad_lin(quad, rows[k], spec)
-        for pos in range(10):
-            if cub[pos]:
-                out[pos] = out[pos] + cf * cub[pos]
-    return TernaryCubic(spec, out)
+    sf = _tables.scalar_field(spec)
+    out = _tables.act_idx(T._idx(sf), sf.encode_all(F.coeffs), sf)
+    return TernaryCubic(spec, [sf.decode(c) for c in out])
 
 
 def normalize(F: TernaryCubic, P0: ProjPoint) -> tuple[LinearTransform, TernaryCubic]:
@@ -601,34 +520,38 @@ def normalize(F: TernaryCubic, P0: ProjPoint) -> tuple[LinearTransform, TernaryC
         raise SingularInput("the form is singular")
     if F.evaluate(P0):
         raise NotOnCurve(f"{P0!r} is not on the curve")
-    grad = gradient(F, P0)  # nonzero at a smooth point
-    one, zero = spec.one(), spec.zero()
-    basis = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-    col1 = P0.coords
-    col3 = None
-    ell_dot3 = None
-    for i in range(3):
-        if grad[i]:
-            col3 = basis[i]
-            ell_dot3 = grad[i]
-            break
-    inv3 = ell_dot3.inverse()
-    col2 = None
+    pt = _tables.plane_tables(spec)
+    sf = pt.sf
+    t, fn = _normalize_idx(pt, sf.encode_all(F.coeffs), sf.encode_all(P0.coords))
+    return LinearTransform._from_idx(sf, t), TernaryCubic(spec, [sf.decode(c) for c in fn])
+
+
+def _normalize_idx(pt, f, p0):
+    """normalize on element indices: (t, fn) for the smooth cubic f and its
+    point p0, both as index lists, with t a 3x3 index matrix."""
+    sf = pt.sf
+    mul, sub, inv = sf.mul, sf.sub, sf.inv
+    grad = pt.gradient(f, p0)  # nonzero at a smooth point
+    i3 = next(i for i in range(3) if grad[i])
+    col3 = [0, 0, 0]
+    col3[i3] = 1
+    scale = mul[inv[grad[i3]]]
     for j in range(3):
-        cand = tuple(basis[j][k] - grad[j] * inv3 * col3[k] for k in range(3))
-        rows = tuple(zip(col1, cand, col3))
-        if _det3(rows):
-            col2 = cand
+        # e_j minus its tangent component along e_i3, so that grad . col2 = 0
+        col2 = [0, 0, 0]
+        col2[j] = 1
+        col2[i3] = sub[col2[i3]][scale[grad[j]]]
+        t = [list(row) for row in zip(p0, col2, col3)]
+        if _tables.det3_idx(t, sf):
             break
-    if col2 is None:
+    else:
         raise AssertionError("tangent kernel completion failed")
-    T = LinearTransform(spec, tuple(zip(col1, col2, col3)))
-    Fn = act(T, F)
-    scale = Fn.coeff("002")
-    Fn = Fn.scaled(scale.inverse())
-    if not is_normalized(Fn):
+    fn = _tables.act_idx(t, f, sf)
+    s = mul[inv[fn[2]]]
+    fn = [s[c] for c in fn]
+    if fn[0] or fn[1] or fn[2] != 1:
         raise AssertionError("normalization did not reach the normal form")
-    return T, Fn
+    return t, fn
 
 
 def is_normalized(F: TernaryCubic) -> bool:

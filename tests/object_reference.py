@@ -1,28 +1,104 @@
-"""The point-to-representation construction on field element objects.
+"""The plane-geometry and point-to-representation steps on field element
+objects.
 
-A plain reference for the index path of cubicrep.detrep: every step here
-uses FieldElement arithmetic only, down to the determinant.  The
-differential tests compare all_reps, mp_case1 and mp_case2 against it.
-mp_case1 and mp_case2 here are the bare formulas; all_reps checks
-det(rep) = lam * F for every representation it returns, which is where lam
-comes from.  normalize stays shared, since it runs on objects, and so do
-the points of rational_points, which the zero-set tests of test_plane
-check against TernaryCubic.evaluate.
+A plain reference for the index paths of cubicrep.plane and cubicrep.detrep:
+every step here uses FieldElement arithmetic only, from normalize, act and
+the inverse of T down to the determinant.  The differential tests compare
+normalize, act, all_reps, mp_case1 and mp_case2 against it.  mp_case1 and
+mp_case2 here are the bare formulas; all_reps checks det(rep) = lam * F for
+every representation it returns, which is where lam comes from.  The
+gradient comes from plane.partials, which runs on objects, and the points
+from rational_points, which the zero-set tests of test_plane check against
+TernaryCubic.evaluate.
 """
 
 from __future__ import annotations
 
-from cubicrep._forms import DET_PERMS
+from cubicrep._forms import CUBIC_INDICES, CUBIC_POS3, DET_PERMS, QUAD_INDICES, QUAD_POS2
 from cubicrep.detrep import BrokenInvariant, LinearMatrixRep
 from cubicrep.plane import (
+    LinearTransform,
     NotOnCurve,
     ProjPoint,
     TernaryCubic,
-    mul_lin_lin,
-    mul_quad_lin,
-    normalize,
+    gradient,
     rational_points,
 )
+
+
+def mul_lin_lin(u, v, spec):
+    """Product of two linear forms as a 6-tuple of quadratic coefficients."""
+    out = [spec.zero()] * 6
+    for i in range(3):
+        if not u[i]:
+            continue
+        for j in range(3):
+            if v[j]:
+                pos = QUAD_POS2[i][j]
+                out[pos] = out[pos] + u[i] * v[j]
+    return tuple(out)
+
+
+def mul_quad_lin(q, u, spec):
+    """Product of a quadratic (6-tuple) and a linear form as a cubic 10-tuple."""
+    out = [spec.zero()] * 10
+    for pos, idx in enumerate(QUAD_INDICES):
+        if not q[pos]:
+            continue
+        i, j = int(idx[0]), int(idx[1])
+        for k in range(3):
+            if u[k]:
+                cp = CUBIC_POS3[i][j][k]
+                out[cp] = out[cp] + q[pos] * u[k]
+    return tuple(out)
+
+
+def act(T: LinearTransform, F: TernaryCubic) -> TernaryCubic:
+    """F with (X, Y, Z) -> T (X, Y, Z)^t substituted, expanded term by term."""
+    spec = F.spec
+    rows = T.rows
+    out = [spec.zero()] * 10
+    for cf, idx in zip(F.coeffs, CUBIC_INDICES):
+        if not cf:
+            continue
+        i, j, k = (int(ch) for ch in idx)
+        cub = mul_quad_lin(mul_lin_lin(rows[i], rows[j], spec), rows[k], spec)
+        out = [o + cf * c for o, c in zip(out, cub)]
+    return TernaryCubic(spec, out)
+
+
+def inverse(T: LinearTransform) -> LinearTransform:
+    """T^-1 as the adjugate divided by the determinant."""
+    (a, b, c), (d, e, f), (g, h, i) = T.rows
+    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
+           (f * g - d * i, a * i - c * g, c * d - a * f),
+           (d * h - e * g, b * g - a * h, a * e - b * d))
+    inv_det = T.det.inverse()
+    return LinearTransform(T.spec, [[x * inv_det for x in row] for row in adj])
+
+
+def normalize(F: TernaryCubic, P0: ProjPoint):
+    """(T, Fn): the first column of T is P0, the third the first standard
+    basis vector e_i with dF/dX_i(P0) != 0, the middle one the first e_j
+    moved into the tangent plane along e_i that makes T invertible; Fn is
+    act(T, F) scaled to X^2 Z coefficient 1."""
+    spec = F.spec
+    grad = gradient(F, P0)
+    one, zero = spec.one(), spec.zero()
+    basis = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+    i = next(i for i in range(3) if grad[i])
+    col3 = basis[i]
+    for j in range(3):
+        col2 = tuple(basis[j][k] - grad[j] / grad[i] * col3[k] for k in range(3))
+        try:
+            T = LinearTransform(spec, tuple(zip(P0.coords, col2, col3)))
+            break
+        except ValueError:
+            continue
+    else:
+        raise AssertionError("tangent kernel completion failed")
+    Fn = act(T, F)
+    return T, Fn.scaled(Fn.coeff("002").inverse())
 
 
 def det_cubic(rep: LinearMatrixRep):
@@ -111,7 +187,7 @@ def all_reps(F: TernaryCubic, p0: ProjPoint | None = None):
     pts = rational_points(F)
     p0 = pts[0] if p0 is None else p0
     T, Fn = normalize(F, p0)
-    t_inv = T.inverse()
+    t_inv = inverse(T)
     out = []
     for P in pts:
         if P == p0:

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import golden
 import object_reference
@@ -36,6 +37,7 @@ from cubicrep.plane import (
     SingularInput,
     TernaryCubic,
     is_normalized,
+    is_smooth,
     rational_points,
 )
 
@@ -314,8 +316,6 @@ def _random_smooth_curves(spec, rng, count):
             continue
         elems = list(spec.elements())
         F = TernaryCubic(spec, [elems[c] for c in coeffs])
-        from cubicrep.plane import is_smooth
-
         if is_smooth(F):
             out.append(F)
     return out
@@ -358,6 +358,28 @@ def test_index_construction_matches_objects_on_seeded_curves(p, m, count):
         assert all_reps(F) == object_reference.all_reps(F)
         p0 = pts[rng.randrange(1, len(pts))]
         assert all_reps(F, p0) == object_reference.all_reps(F, p0)
+
+
+_NORMALIZE_FIELDS = [(2, 1, 8), (3, 1, 8), (2, 2, 8), (5, 1, 8), (7, 1, 6), (2, 3, 6),
+                     (3, 2, 6), (31, 1, 4), (2, 6, 3), (101, 1, 3),
+                     pytest.param(257, 1, 2, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("p, m, count", _NORMALIZE_FIELDS)
+def test_normalize_and_act_match_objects_on_seeded_curves(p, m, count):
+    from cubicrep.plane import act, normalize
+
+    spec = mk_field(p, m)
+    rng = random.Random(7300 + spec.q)
+    for F in _random_smooth_curves(spec, rng, count):
+        pts = rational_points(F)
+        # every base point on small fields, the default and a random one past
+        p0s = pts if spec.q <= 9 else [pts[0], rng.choice(pts)]
+        for p0 in p0s:
+            assert normalize(F, p0) == object_reference.normalize(F, p0), (F, p0)
+        T = _random_transform(spec, rng)
+        assert act(T, F) == object_reference.act(T, F)
+        assert T.inverse() == object_reference.inverse(T)
 
 
 def test_mp_cases_match_objects_on_seeded_curves():
@@ -494,6 +516,35 @@ def test_witness_inverses_on_golden_classification():
         w = equivalent(sym, rep)
         assert w is not None
         assert w.inverse().verify(rep, sym)
+
+
+_PROPERTY_FIELDS = tuple(mk_field(p, m) for p, m in
+                        ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_equivalent_finds_verified_witnesses_both_ways(data):
+    spec = data.draw(st.sampled_from(_PROPERTY_FIELDS))
+    digits = lambda n: st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n)
+    el = list(spec.elements())
+    F = TernaryCubic(spec, [el[d] for d in data.draw(digits(10).filter(any))])
+    assume(is_smooth(F))
+    reps = all_reps(F)
+    assume(reps)
+    m = reps[data.draw(st.integers(0, len(reps) - 1))][1]
+
+    def invertible():
+        rows = data.draw(digits(9).map(lambda d: [d[0:3], d[3:6], d[6:9]]))
+        try:
+            return LinearTransform(spec, rows)
+        except ValueError:
+            assume(False)
+
+    moved = transform_rep(invertible(), m, invertible())
+    w = equivalent(m, moved)
+    assert w is not None and w.verify(m, moved)
+    assert w.inverse().verify(moved, m)
 
 
 def _vanishes_on_all_rational_points(rep):

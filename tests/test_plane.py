@@ -3,9 +3,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import golden
+from object_reference import mul_quad_lin
 from cubicrep import _bulk, _tables
 from cubicrep.gf import mk_field
 from cubicrep.plane import (
@@ -21,7 +22,6 @@ from cubicrep.plane import (
     is_normalized,
     is_smooth,
     is_smooth_by_search,
-    mul_quad_lin,
     normalize,
     partials,
     projective_points,
@@ -365,6 +365,28 @@ def test_act_is_group_action(q, sd, td, fd):
         fd = [1] + fd[1:]
     F = TernaryCubic(spec, [spec.element(v) for v in fd])
     assert act(s, act(t, F)) == act(t @ s, F)
+
+
+_INVERSE_FIELDS = tuple(mk_field(p, m) for p, m in
+                       ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                        (13, 1), (2, 4), (17, 1), (5, 2), (31, 1), (2, 6), (101, 1),
+                        (257, 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_transform_inverse_is_two_sided(data):
+    # F_257 runs the adjugate inverse on tables computed row by row on subscript
+    spec = data.draw(st.sampled_from(_INVERSE_FIELDS))
+    rows = data.draw(st.lists(st.lists(st.integers(0, spec.q - 1), min_size=3, max_size=3),
+                              min_size=3, max_size=3))
+    try:
+        T = LinearTransform(spec, rows)
+    except ValueError:
+        assume(False)
+    ident = LinearTransform.identity(spec)
+    assert T @ T.inverse() == ident
+    assert T.inverse() @ T == ident
 
 
 def test_normalize_examples():
