@@ -39,9 +39,3 @@ DERIVATIVE_PLAN = tuple(
     )
     for var in range(3)
 )
-
-#: signed permutations for the 3x3 determinant
-DET_PERMS = (
-    ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-    ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
-)

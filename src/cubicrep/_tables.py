@@ -15,8 +15,9 @@ PlaneTables enumerates P^2 in the public order and finds the zeros of a
 cubic line by line through [0:0:1], one cached scan per form up to
 scalars.  The kernels below it cover the rest of the per-curve work:
 kernels, determinants, products and inverses of small index matrices,
-and one product of three linear forms, add_cubic_product, behind both the
-symbolic determinant and the substitution of coordinates into a cubic.
+and two products of forms, add_lin_lin (linear by linear) and add_quad_lin
+(quadratic by linear), behind both the symbolic determinant, expanded by
+cofactors along row 0, and the substitution of coordinates into a cubic.
 This module owns the encoding; every per-curve path in plane and detrep
 runs on it and decodes only its results.
 """
@@ -330,15 +331,11 @@ _QUAD_IJ = tuple((int(idx[0]), int(idx[1])) for idx in _forms.QUAD_INDICES)
 _CUBIC_IJK = tuple(tuple(int(ch) for ch in idx) for idx in _forms.CUBIC_INDICES)
 
 
-def add_cubic_product(acc, c, u, v, w, sf: ScalarField) -> None:
-    """acc += c*u*v*w in place, for linear forms u, v, w (coefficient
-    triples), a scalar c and a cubic acc (10-list), all element indices."""
+def add_lin_lin(acc, u, v, sf: ScalarField) -> None:
+    """acc += u*v in place, for linear forms u, v (coefficient triples) and
+    a quadratic acc (6-list), all element indices."""
     add, mul = sf.add, sf.mul
-    quad_pos, cubic_pos = _forms.QUAD_POS2, _forms.CUBIC_POS3
-    if c != 1:
-        mc = mul[c]
-        u = [mc[x] for x in u]
-    quad = [0] * 6
+    quad_pos = _forms.QUAD_POS2
     for i in range(3):
         ui = u[i]
         if not ui:
@@ -347,7 +344,14 @@ def add_cubic_product(acc, c, u, v, w, sf: ScalarField) -> None:
         for j in range(3):
             if v[j]:
                 pos = quad_pos[i][j]
-                quad[pos] = add[quad[pos]][mu[v[j]]]
+                acc[pos] = add[acc[pos]][mu[v[j]]]
+
+
+def add_quad_lin(acc, quad, w, sf: ScalarField) -> None:
+    """acc += quad*w in place, for a quadratic quad (6 coefficients), a
+    linear form w and a cubic acc (10-list), all element indices."""
+    add, mul = sf.add, sf.mul
+    cubic_pos = _forms.CUBIC_POS3
     for qv, (i, j) in zip(quad, _QUAD_IJ):
         if not qv:
             continue
@@ -361,23 +365,37 @@ def add_cubic_product(acc, c, u, v, w, sf: ScalarField) -> None:
 def det_cubic_idx(m_idx, sf: ScalarField):
     """10 coefficient indices of det(X m0 + Y m1 + Z m2).
 
-    m_idx[i][j] is the entry's coefficient triple (index-encoded).
+    m_idx[i][j] is the entry's coefficient triple (index-encoded).  The
+    expansion runs along row 0: each 2x2 minor of rows 1 and 2 is a
+    quadratic u*v - u'*v', multiplied by its signed row-0 entry.
     """
-    minus_one = sf.neg[1]
+    neg = sf.neg
+    (a, b, c), (d, e, f), (g, h, i) = m_idx
     acc = [0] * 10
-    for perm, sign in _forms.DET_PERMS:
-        add_cubic_product(acc, 1 if sign > 0 else minus_one, m_idx[0][perm[0]],
-                          m_idx[1][perm[1]], m_idx[2][perm[2]], sf)
+    for top, u, v, u2, v2 in ((a, e, i, f, h), ([neg[x] for x in b], d, i, f, g),
+                              (c, d, h, e, g)):
+        if any(top):
+            minor = [0] * 6
+            add_lin_lin(minor, u, v, sf)
+            add_lin_lin(minor, [neg[x] for x in u2], v2, sf)
+            add_quad_lin(acc, minor, top, sf)
     return acc
 
 
 def act_idx(t, f, sf: ScalarField):
     """Coefficient indices of the cubic f with (X, Y, Z) -> t (X, Y, Z)^t
     substituted, for a 3x3 index matrix t."""
+    mul = sf.mul
+    quads = []
+    for i, j in _QUAD_IJ:
+        quad = [0] * 6
+        add_lin_lin(quad, t[i], t[j], sf)
+        quads.append(quad)
     acc = [0] * 10
     for c, (i, j, k) in zip(f, _CUBIC_IJK):
         if c:
-            add_cubic_product(acc, c, t[i], t[j], t[k], sf)
+            mc = mul[c]
+            add_quad_lin(acc, quads[_forms.QUAD_POS2[i][j]], [mc[x] for x in t[k]], sf)
     return acc
 
 

@@ -7,14 +7,21 @@ base point, decides equivalence M' = A M B under pairs of invertible
 constant matrices, and builds the classical alternative shapes for
 Weierstrass and Hesse models.
 
+A LinearMatrixRep is identified by its field and the element indices of
+its 27 coefficients in _tables: it compares and hashes on them, and the
+caches of this module (the determinant, the rank profile and the kernel
+data) are keyed on (spec, idx), never on the object.  The public
+constructor encodes its matrices once; a representation built on indices
+decodes its constant matrices only when they are first read.
+
 all_reps moves the curve to a normal form once per base point, builds each
 point's representation there and pulls it back.  On every field that whole
 construction runs on the element indices of _tables, with the points read
-from PlaneTables.zeros, and only the returned points, matrices and scalars
-are field element objects; mp_case1 and mp_case2 encode their input and
-call the same index formula.  Every representation is checked twice,
+from PlaneTables.zeros, and only the returned points and scalars are field
+element objects; mp_case1 and mp_case2 encode their input and call the
+same index formula.  Every representation is checked twice,
 det(rep_n) = lam_n * Fn in normal form and det(rep) = lam * F after the
-pullback, the second by is_ldr_of through the cached det_cubic.
+pullback, the second through the cached _det_idx.
 symmetrize and the completion of a candidate B into a witness run on
 indices as well.  EquivalenceWitness.verify and transform_rep stay on
 objects: they are the independent check of every witness returned.
@@ -107,15 +114,28 @@ def gl3_order(q: int) -> int:
 
 
 class LinearMatrixRep:
-    """A 3x3 matrix of linear forms, stored as constant matrices (m0, m1, m2)."""
+    """A 3x3 matrix of linear forms X*m0 + Y*m1 + Z*m2.
 
-    __slots__ = ("spec", "m0", "m1", "m2")
+    Its identity is (spec, idx): idx[i][j] = (cX, cY, cZ) holds the element
+    indices of entry (i, j) in _tables, and equality, hashing and every cache
+    of this module key on that pair.  The constant matrices m0, m1, m2 are
+    decoded from idx on first access and kept.
+    """
+
+    __slots__ = ("spec", "idx", "_hash", "_mats")
 
     def __init__(self, spec: FieldSpec, m0, m1, m2):
+        mats = tuple(_const_matrix(spec, m) for m in (m0, m1, m2))
+        index = _tables.scalar_field(spec).index
+        self._set(spec, tuple(tuple(tuple(index[m[i][j].coeffs] for m in mats)
+                                    for j in range(3)) for i in range(3)))
+        self._mats = mats
+
+    def _set(self, spec, idx):
         self.spec = spec
-        self.m0 = _const_matrix(spec, m0)
-        self.m1 = _const_matrix(spec, m1)
-        self.m2 = _const_matrix(spec, m2)
+        self.idx = idx
+        self._hash = hash((spec, idx))
+        self._mats = None
 
     @classmethod
     def from_entries(cls, spec: FieldSpec, entries) -> "LinearMatrixRep":
@@ -126,31 +146,39 @@ class LinearMatrixRep:
                        for i in range(3)])
         return cls(spec, *ms)
 
+    def coefficient_matrices(self):
+        if self._mats is None:
+            el = _tables.scalar_field(self.spec).elems
+            self._mats = tuple(tuple(tuple(el[e[v]] for e in row) for row in self.idx)
+                               for v in range(3))
+        return self._mats
+
+    m0 = property(lambda self: self.coefficient_matrices()[0])
+    m1 = property(lambda self: self.coefficient_matrices()[1])
+    m2 = property(lambda self: self.coefficient_matrices()[2])
+
     def entry(self, i: int, j: int):
         """The (i, j) entry as a coefficient triple (cX, cY, cZ)."""
-        return (self.m0[i][j], self.m1[i][j], self.m2[i][j])
-
-    def coefficient_matrices(self):
-        return (self.m0, self.m1, self.m2)
+        return tuple(m[i][j] for m in self.coefficient_matrices())
 
     def evaluate(self, coords):
         """The constant matrix M(P) at a coordinate triple."""
         x, y, z = coords
+        m0, m1, m2 = self.coefficient_matrices()
         return tuple(
-            tuple(self.m0[i][j] * x + self.m1[i][j] * y + self.m2[i][j] * z
-                  for j in range(3))
+            tuple(m0[i][j] * x + m1[i][j] * y + m2[i][j] * z for j in range(3))
             for i in range(3)
         )
 
     def is_zero(self) -> bool:
-        return not any(any(any(row) for row in m) for m in self.coefficient_matrices())
+        return not any(any(e) for row in self.idx for e in row)
 
     def __eq__(self, other):
-        return (isinstance(other, LinearMatrixRep) and self.spec == other.spec
-                and self.m0 == other.m0 and self.m1 == other.m1 and self.m2 == other.m2)
+        return (isinstance(other, LinearMatrixRep) and self._hash == other._hash
+                and self.spec == other.spec and self.idx == other.idx)
 
     def __hash__(self):
-        return hash((self.spec, self.m0, self.m1, self.m2))
+        return self._hash
 
     def __repr__(self):
         rows = []
@@ -226,39 +254,41 @@ def _matmul(x, y, spec):
 # determinant and validity
 
 
-def _entry_indices(rep: LinearMatrixRep, sf):
-    """Entries of rep as coefficient-index triples, entry (i, j) = [i][j]."""
-    return [[tuple(sf.encode_all(rep.entry(i, j))) for j in range(3)] for i in range(3)]
-
-
 @lru_cache(maxsize=1 << 14)
+def _det_idx(spec: FieldSpec, idx) -> tuple[int, ...]:
+    """The 10 coefficient indices of the determinant of the entries idx."""
+    return tuple(_tables.det_cubic_idx(idx, _tables.scalar_field(spec)))
+
+
 def det_cubic(rep: LinearMatrixRep) -> Optional[TernaryCubic]:
     """The symbolic determinant of X*m0 + Y*m1 + Z*m2 as a ternary cubic.
 
     Returns None when the determinant vanishes identically (no cubic form
     can represent it; such a matrix is not a representation of anything).
     """
-    sf = _tables.scalar_field(rep.spec)
-    idx = _tables.det_cubic_idx(_entry_indices(rep, sf), sf)
-    if not any(idx):
+    d = _det_idx(rep.spec, rep.idx)
+    if not any(d):
         return None
-    return TernaryCubic(rep.spec, [sf.decode(v) for v in idx])
+    el = _tables.scalar_field(rep.spec).elems
+    return TernaryCubic(rep.spec, [el[c] for c in d])
+
+
+def _ratio_idx(d, f, sf) -> int:
+    """The index of lam != 0 with d = lam * f for the nonzero cubic f, or 0
+    when there is none."""
+    lead = next(k for k, c in enumerate(f) if c)
+    lam = sf.mul[d[lead]][sf.inv[f[lead]]]
+    scale = sf.mul[lam]
+    return lam if lam and all(a == scale[c] for a, c in zip(d, f)) else 0
 
 
 def is_ldr_of(rep: LinearMatrixRep, F: TernaryCubic) -> Optional[FieldElement]:
     """The scalar lam != 0 with det(rep) = lam * F, or None if there is none."""
     if rep.spec != F.spec:
         raise FieldMismatch("representation and form live in different fields")
-    D = det_cubic(rep)
-    if D is None:
-        return None
     sf = _tables.scalar_field(F.spec)
-    d, f = sf.encode_all(D.coeffs), sf.encode_all(F.coeffs)
-    lead = next(k for k, c in enumerate(f) if c)
-    lam = sf.mul[d[lead]][sf.inv[f[lead]]]
-    if not lam or d != [sf.mul[lam][c] for c in f]:
-        return None
-    return sf.decode(lam)
+    lam = _ratio_idx(_det_idx(rep.spec, rep.idx), sf.encode_all(F.coeffs), sf)
+    return sf.decode(lam) if lam else None
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +317,7 @@ def mp_case1(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
         raise WrongCase("third coordinate is zero; use mp_case2")
     sf = _tables.scalar_field(spec)
     m_idx = _mp_idx(sf.encode_all(Fn.coeffs), *sf.encode_all(P.coords), sf)
-    return _rep_from_idx(spec, sf, m_idx)
+    return _rep_from_idx(spec, m_idx)
 
 
 def mp_case2(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
@@ -307,7 +337,7 @@ def mp_case2(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
         raise IsBasePoint("no representation is attached to the base point")
     sf = _tables.scalar_field(spec)
     m_idx = _mp_idx(sf.encode_all(Fn.coeffs), *sf.encode_all(P.coords), sf)
-    return _rep_from_idx(spec, sf, m_idx)
+    return _rep_from_idx(spec, m_idx)
 
 
 def _mp_idx(f, s, t, u, sf):
@@ -344,17 +374,11 @@ def _mp_idx(f, s, t, u, sf):
     return m_idx
 
 
-def _rep_from_idx(spec, sf, m_idx) -> LinearMatrixRep:
-    """Decode entries given as coefficient-index triples, entry (i, j) = [i][j].
-
-    The decoded elements already live in spec, so the constructor's coercion
-    of all 27 coefficients is skipped.
-    """
-    el = sf.elems
+def _rep_from_idx(spec, m_idx) -> LinearMatrixRep:
+    """The representation with entries m_idx, a nested tuple of coefficient
+    index triples, entry (i, j) = [i][j]; nothing is encoded or decoded."""
     rep = object.__new__(LinearMatrixRep)
-    rep.spec = spec
-    rep.m0, rep.m1, rep.m2 = (tuple(tuple(el[e[v]] for e in row) for row in m_idx)
-                              for v in range(3))
+    rep._set(spec, m_idx)
     return rep
 
 
@@ -369,7 +393,7 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     mapped there, given its representation by mp_case1/mp_case2 and pulled
     back.  Both identities, det(rep_n) = lam_n * Fn and det(rep) = lam * F,
     are checked for every representation (BrokenInvariant when one fails),
-    the second by is_ldr_of, whose det_cubic cache then serves the callers'
+    the second through the cached _det_idx, which then serves the callers'
     own is_ldr_of(rep, F).  The points come from PlaneTables.zeros and the
     construction runs on element indices; only the output is decoded.
     """
@@ -389,7 +413,7 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     f = sf.encode_all(F.coeffs)
     t, fn = _normalize_idx(pt, f, sf.encode_all(p0.coords))
     ti = _tables.inv3_idx(t, sf)
-    cols = list(zip(*ti))
+    cols = [(mul[c0], mul[c1], mul[c2]) for c0, c1, c2 in zip(*ti)]
     out = []
     for k, i in enumerate(pt.zeros(f)):
         if k == skip:
@@ -405,14 +429,12 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
         m_n = _mp_idx(fn, *pn, sf)
         # pull back through w = t_inv * v: coefficient j of an entry is
         # sum_i t_inv[i][j] * (coefficient i of the normal-form entry)
-        m_idx = [[tuple(add[add[mul[c0][e0]][mul[c1][e1]]][mul[c2][e2]]
-                        for c0, c1, c2 in cols)
-                  for e0, e1, e2 in row] for row in m_n]
-        rep = _rep_from_idx(F.spec, sf, m_idx)
-        lam = is_ldr_of(rep, F)
-        if lam is None:
+        m_idx = tuple(tuple(tuple(add[add[c0[e0]][c1[e1]]][c2[e2]] for c0, c1, c2 in cols)
+                            for e0, e1, e2 in row) for row in m_n)
+        lam = _ratio_idx(_det_idx(F.spec, m_idx), f, sf)
+        if not lam:
             raise BrokenInvariant("pullback lost the determinant identity")
-        out.append((pts[k], rep, lam))
+        out.append((pts[k], _rep_from_idx(F.spec, m_idx), sf.decode(lam)))
     return out
 
 
@@ -431,37 +453,36 @@ def _matrix_at_point(m_idx, coords, sf):
 
 
 @lru_cache(maxsize=1 << 12)
-def _rank_profile(rep: LinearMatrixRep):
-    """rank M(P) at the rational zeros of det(rep), in enumeration order.
+def _rank_profile(spec: FieldSpec, idx):
+    """rank M(P) at the rational zeros of det M, in enumeration order, for
+    the representation M with entries idx over spec.
 
-    det(rep) must not vanish identically.  Off its zeros M(P) has rank 3, so
+    det M must not vanish identically.  Off its zeros M(P) has rank 3, so
     for two representations with proportional determinants, which share
     their zeros, the profiles agree iff the ranks agree on all of P^2(F_q).
     """
-    pt = _tables.plane_tables(rep.spec)
+    pt = _tables.plane_tables(spec)
     sf = pt.sf
-    m_idx = _entry_indices(rep, sf)
-    return tuple(_tables.rank3_idx(_matrix_at_point(m_idx, pt.point(i), sf), sf)
-                 for i in pt.zeros(sf.encode_all(det_cubic(rep).coeffs)))
+    return tuple(_tables.rank3_idx(_matrix_at_point(idx, pt.point(i), sf), sf)
+                 for i in pt.zeros(_det_idx(spec, idx)))
 
 
 @lru_cache(maxsize=1 << 12)
-def _kernel_data(rep: LinearMatrixRep, ext: FieldSpec):
-    """Kernels of M(P) at curve points over ext; None when any is not a line.
+def _kernel_data(spec: FieldSpec, idx, ext: FieldSpec):
+    """Kernels of M(P) at curve points over ext, for the representation M
+    with entries idx over spec; None when any kernel is not a line.
 
     Returns (points, kernels) as element-index data where points are the
-    zeros of det(rep) in P^2(ext), capped at eight, in enumeration order.
+    zeros of det M in P^2(ext), capped at eight, in enumeration order.
     """
-    D = det_cubic(rep)
-    if D is None:
+    d_idx = _det_idx(spec, idx)
+    if not any(d_idx):
         return None
     pt = _tables.plane_tables(ext)
     sf = pt.sf
-    base_sf = _tables.scalar_field(rep.spec)
-    m_idx = _entry_indices(rep, base_sf)
-    d_idx = base_sf.encode_all(D.coeffs)
-    if ext != rep.spec:
-        emb = _tables.embedding(rep.spec, ext)
+    m_idx = idx
+    if ext != spec:
+        emb = _tables.embedding(spec, ext)
         m_idx = [[tuple(emb[c] for c in e) for e in row] for row in m_idx]
         d_idx = [emb[c] for c in d_idx]
     pts = []
@@ -491,13 +512,12 @@ def _witness_from_b(m1: LinearMatrixRep, m2: LinearMatrixRep, b):
     sf = pt.sf
     if not _tables.det3_idx(b, sf):
         return None
-    m1_idx = _entry_indices(m1, sf)
-    at = _off_curve_point(pt, _tables.det_cubic_idx(m1_idx, sf))
+    at = _off_curve_point(pt, _det_idx(m1.spec, m1.idx))
     if at is None:
         return None
     # m1(P) is invertible where det m1 does not vanish, so A = m2(P) (m1(P) B)^-1
-    m1b = _tables.matmul3_idx(_matrix_at_point(m1_idx, at, sf), b, sf)
-    a = _tables.matmul3_idx(_matrix_at_point(_entry_indices(m2, sf), at, sf),
+    m1b = _tables.matmul3_idx(_matrix_at_point(m1.idx, at, sf), b, sf)
+    a = _tables.matmul3_idx(_matrix_at_point(m2.idx, at, sf),
                             _tables.inv3_idx(m1b, sf), sf)
     if not _tables.det3_idx(a, sf):
         return None
@@ -509,13 +529,19 @@ def _kernel_certificate(m1, m2):
     """(witness | None) with a 'certified' flag; certified=False means inconclusive."""
     spec = m1.spec
     exts = [spec]
-    if spec.q ** 2 <= 1 << 14:
+    # An extension can only help a determinant with fewer than 4 rational
+    # zeros.  For q >= 8 the Hasse bound gives every smooth cubic at least
+    # q + 1 - 2 sqrt(q) > 3 points, and every singular one other than a
+    # triangle of lines conjugate over F_{q^3} has at least q; such a
+    # triangle has the same 0 or 1 points over F_{q^2}, so there the
+    # extension would scan q^4 points and never reach the 4 it needs.
+    if spec.q <= 7:
         exts.append(mk_field(spec.p, spec.m * 2))
     if spec.q == 2:
         exts.append(mk_field(spec.p, spec.m * 3))
     for ext in exts:
-        data1 = _kernel_data(m1, ext)
-        data2 = _kernel_data(m2, ext)
+        data1 = _kernel_data(spec, m1.idx, ext)
+        data2 = _kernel_data(spec, m2.idx, ext)
         if data1 is None or data2 is None:
             return None, False
         pts1, k1s = data1
@@ -573,9 +599,8 @@ def _exhaustive_scan(m1, m2, cap):
                              f"q = {_tables.MAX_TABLE_Q}; got q = {spec.q}")
     pt = _tables.plane_tables(spec)
     sf = pt.sf
-    m1_idx = _entry_indices(m1, sf)
-    m2_idx = _entry_indices(m2, sf)
-    at = _off_curve_point(pt, _tables.det_cubic_idx(m1_idx, sf))
+    m1_idx, m2_idx = m1.idx, m2.idx
+    at = _off_curve_point(pt, _det_idx(spec, m1_idx))
     # With no rational point where det m1 is nonzero, the scan also sweeps B.
     # That happens only over F_2: the ideal of P^2(F_q) is generated in
     # degree q + 1, so a nonzero cubic vanishes on all of P^2(F_q) only when
@@ -600,10 +625,12 @@ def equivalent(m1: LinearMatrixRep, m2: LinearMatrixRep,
     """
     if m1.spec != m2.spec:
         raise FieldMismatch("representations live in different fields")
-    D1 = det_cubic(m1)
-    if D1 is None or is_ldr_of(m2, D1) is None:
+    spec = m1.spec
+    d1 = _det_idx(spec, m1.idx)
+    if not any(d1) or not _ratio_idx(_det_idx(spec, m2.idx), d1,
+                                     _tables.scalar_field(spec)):
         return None
-    if _rank_profile(m1) != _rank_profile(m2):
+    if _rank_profile(spec, m1.idx) != _rank_profile(spec, m2.idx):
         return None  # pointwise ranks are invariant under M -> A M B
     witness, certified = _kernel_certificate(m1, m2)
     if witness is not None:
@@ -707,7 +734,7 @@ def symmetrize(rep: LinearMatrixRep) -> Optional[tuple[EquivalenceWitness, Linea
     spec = rep.spec
     sf = _tables.scalar_field(spec)
     add, mul, neg = sf.add, sf.mul, sf.neg
-    m_idx = _entry_indices(rep, sf)
+    m_idx = rep.idx
     rows = []
     for v in range(3):
         for i in range(3):

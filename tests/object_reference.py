@@ -14,7 +14,7 @@ TernaryCubic.evaluate.
 
 from __future__ import annotations
 
-from cubicrep._forms import CUBIC_INDICES, CUBIC_POS3, DET_PERMS, QUAD_INDICES, QUAD_POS2
+from cubicrep._forms import CUBIC_INDICES, CUBIC_POS3, QUAD_INDICES, QUAD_POS2
 from cubicrep.detrep import BrokenInvariant, LinearMatrixRep
 from cubicrep.plane import (
     LinearTransform,
@@ -23,6 +23,13 @@ from cubicrep.plane import (
     TernaryCubic,
     gradient,
     rational_points,
+)
+
+
+#: signed permutations for the 3x3 determinant
+DET_PERMS = (
+    ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+    ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
 )
 
 

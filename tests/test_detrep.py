@@ -15,6 +15,7 @@ from cubicrep.detrep import (
     SingularCurve,
     WrongCase,
     ZeroCoordinate,
+    _det_idx,
     all_reps,
     det_cubic,
     equivalent,
@@ -406,7 +407,7 @@ def test_mp_cases_match_objects_on_seeded_curves():
 ], ids=["normal-form", "pullback"])
 def test_all_reps_checks_both_identities(monkeypatch, bad_call, message):
     # call 1 of det_cubic_idx checks det(rep_n) = lam_n * Fn for the first
-    # point, call 2 (through det_cubic) det(rep) = lam * F for its pullback
+    # point, call 2 (through _det_idx) det(rep) = lam * F for its pullback
     from cubicrep.detrep import BrokenInvariant
 
     F = _random_smooth_curves(F7, random.Random(7200), 1)[0]
@@ -421,13 +422,13 @@ def test_all_reps_checks_both_identities(monkeypatch, bad_call, message):
             out[0] = sf.add[out[0]][1]
         return out
 
-    det_cubic.cache_clear()
+    _det_idx.cache_clear()
     monkeypatch.setattr(_tables, "det_cubic_idx", perturbed)
     try:
         with pytest.raises(BrokenInvariant, match=message):
             all_reps(F)
     finally:
-        det_cubic.cache_clear()  # drop the determinant computed wrongly
+        _det_idx.cache_clear()  # drop the determinant computed wrongly
     assert len(calls) == bad_call
 
 
@@ -584,7 +585,7 @@ def test_degenerate_scan_refuses_and_accepts():
                         ((1, 1, 0), (1, 1, 0), (1, 0, 1)))
     assert det_cubic(m) == det_cubic(n)
     assert _vanishes_on_all_rational_points(m)
-    assert _rank_profile(m) == _rank_profile(n)
+    assert _rank_profile(m.spec, m.idx) == _rank_profile(n.spec, n.idx)
     assert _kernel_certificate(m, n) == (None, False)
     assert equivalent(m, n) is None
     w = equivalent(m, m)
@@ -598,12 +599,11 @@ def test_degenerate_scan_refuses_and_accepts():
 def _full_rank_profile(rep):
     """rank M(P) at every point of P^2(F_q): the plain reference for
     _rank_profile, which ranks M(P) only where det(rep) vanishes."""
-    from cubicrep.detrep import _entry_indices, _matrix_at_point
+    from cubicrep.detrep import _matrix_at_point
     from cubicrep.plane import projective_points
 
     sf = _tables.scalar_field(rep.spec)
-    m_idx = _entry_indices(rep, sf)
-    return tuple(_tables.rank3_idx(_matrix_at_point(m_idx, sf.encode_all(P.coords), sf), sf)
+    return tuple(_tables.rank3_idx(_matrix_at_point(rep.idx, sf.encode_all(P.coords), sf), sf)
                  for P in projective_points(rep.spec))
 
 
@@ -611,7 +611,7 @@ def _profiles(reps):
     """(restricted, full) rank profile of each rep."""
     from cubicrep.detrep import _rank_profile
 
-    return [(_rank_profile(m), _full_rank_profile(m)) for m in reps]
+    return [(_rank_profile(m.spec, m.idx), _full_rank_profile(m)) for m in reps]
 
 
 def _assert_profiles_decide_alike(p1, p2):
@@ -689,3 +689,77 @@ def test_equivalence_past_the_table_cap():
     w = equivalent(m, moved)
     assert w is not None and w.verify(m, moved)
     assert equivalent(m, galinat_rep(a, b, ProjPoint(spec, (0, -1, 1)))) is None
+
+
+# -- representations identified by their entry indices ----------------------
+
+
+def test_lazy_and_constructed_reps_share_identity_and_cache():
+    for spec in (F5, mk_field(2, 3), mk_field(13, 1)):
+        F = _random_smooth_curves(spec, random.Random(7300 + spec.q), 1)[0]
+        for (_, lazy, _), (_, built, _) in zip(all_reps(F), object_reference.all_reps(F)):
+            assert lazy == built and hash(lazy) == hash(built)
+            before = _det_idx.cache_info()
+            assert det_cubic(lazy) == det_cubic(built)
+            after = _det_idx.cache_info()
+            # all_reps computed this determinant; both reps read that entry
+            assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+            assert lazy.coefficient_matrices() == built.coefficient_matrices()
+
+
+def test_equal_indices_over_different_fields_are_different_reps():
+    grids = ([[1, 0, 2], [0, 3, 0], [4, 0, 1]], [[0, 1, 0], [2, 0, 0], [0, 0, 3]],
+             [[0, 0, 1], [0, 4, 0], [1, 0, 0]])
+    for a, b in ((F5, F7), (mk_field(2, 2), F2)):
+        ms = [[[c % 2 if b is F2 else c for c in row] for row in g] for g in grids]
+        m, n = LinearMatrixRep(a, *ms), LinearMatrixRep(b, *ms)
+        assert m.idx == n.idx and m != n
+        assert det_cubic(m).spec == a and det_cubic(n).spec == b
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_every_rep_satisfies_the_object_determinant_identity(data):
+    spec = data.draw(st.sampled_from(_PROPERTY_FIELDS))
+    el = list(spec.elements())
+    digits = st.lists(st.integers(0, spec.q - 1), min_size=10, max_size=10).filter(any)
+    F = TernaryCubic(spec, [el[d] for d in data.draw(digits)])
+    assume(is_smooth(F))
+    for _, rep, lam in all_reps(F):
+        assert object_reference.is_ldr_of(rep, F) == lam
+
+
+# -- the extension step of the kernel certificate ----------------------------
+
+
+def _norm_form_rep(spec):
+    """X*I + Y*A + Z*A^2 for the companion matrix A of an irreducible cubic
+    t^3 + c1 t + c0; det is a norm form of F_{q^3}, zero only at 0 over
+    every field F_{q^k} with 3 not dividing k."""
+    el = list(spec.elements())
+    c1, c0 = next((c1, c0) for c1 in el for c0 in el[1:]
+                  if all(x * x * x + c1 * x + c0 for x in el))
+    zero, one = spec.zero(), spec.one()
+    ident = LinearTransform.identity(spec)
+    A = LinearTransform(spec, [[zero, zero, -c0], [one, zero, -c1], [zero, one, zero]])
+    return LinearMatrixRep(spec, ident.rows, A.rows, (A @ A).rows)
+
+
+@pytest.mark.parametrize("p", [13, 31, 101])
+def test_certificate_skips_extensions_that_cannot_reach_four_points(monkeypatch, p):
+    from cubicrep.detrep import BudgetExceeded
+
+    spec = mk_field(p, 1)
+    M = _norm_form_rep(spec)
+    assert rational_points(det_cubic(M)) == []
+    built = []
+    real = _tables.plane_tables
+
+    def recording(s):
+        built.append(s.q)
+        return real(s)
+
+    monkeypatch.setattr(_tables, "plane_tables", recording)
+    with pytest.raises(BudgetExceeded):
+        equivalent(M, M)
+    assert set(built) == {p}
