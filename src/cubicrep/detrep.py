@@ -287,7 +287,10 @@ def is_ldr_of(rep: LinearMatrixRep, F: TernaryCubic) -> Optional[FieldElement]:
     if rep.spec != F.spec:
         raise FieldMismatch("representation and form live in different fields")
     sf = _tables.scalar_field(F.spec)
-    lam = _ratio_idx(_det_idx(rep.spec, rep.idx), sf.encode_all(F.coeffs), sf)
+    f = sf.encode_all(F.coeffs)
+    if not any(f):
+        return None
+    lam = _ratio_idx(_det_idx(rep.spec, rep.idx), f, sf)
     return sf.decode(lam) if lam else None
 
 
@@ -529,13 +532,7 @@ def _kernel_certificate(m1, m2):
     """(witness | None) with a 'certified' flag; certified=False means inconclusive."""
     spec = m1.spec
     exts = [spec]
-    # An extension can only help a determinant with fewer than 4 rational
-    # zeros.  For q >= 8 the Hasse bound gives every smooth cubic at least
-    # q + 1 - 2 sqrt(q) > 3 points, and every singular one other than a
-    # triangle of lines conjugate over F_{q^3} has at least q; such a
-    # triangle has the same 0 or 1 points over F_{q^2}, so there the
-    # extension would scan q^4 points and never reach the 4 it needs.
-    if spec.q <= 7:
+    if spec.q ** 2 <= 1 << 14:
         exts.append(mk_field(spec.p, spec.m * 2))
     if spec.q == 2:
         exts.append(mk_field(spec.p, spec.m * 3))
@@ -550,6 +547,15 @@ def _kernel_certificate(m1, m2):
             # det zero sets differ over ext; cannot happen for proportional dets
             return None, False
         if len(pts1) < 4:
+            # For q >= 8 the Hasse bound gives every smooth cubic at least
+            # q + 1 - 2 sqrt(q) > 3 rational points, and every singular one
+            # other than a triangle of lines conjugate over F_{q^3} has at
+            # least q.  Such a triangle keeps its 0 or 1 points over
+            # F_{q^2}, so the extension would scan q^4 points and still
+            # fall short of 4.  Extensions do help when the base field has
+            # 4 or more zeros but leaves the B-system underdetermined.
+            if ext == spec and spec.q >= 8:
+                return None, False
             continue
         result = _certificate_from_kernels(m1, m2, k1s, k2s, ext)
         if result is not None:

@@ -73,6 +73,12 @@ def test_is_ldr_of_examples():
     F = golden.row_curve(row)
     assert is_ldr_of(golden.row_matrices(row)[0], F) == 1
     assert is_ldr_of(zero_rep(F2), F) is None
+    # the constructor refuses the zero form; one built around that check
+    # still gets None, not an error
+    zero_form = object.__new__(TernaryCubic)
+    zero_form.spec, zero_form.coeffs = F.spec, (F.spec.zero(),) * 10
+    assert is_ldr_of(golden.row_matrices(row)[0], zero_form) is None
+    assert is_ldr_of(zero_rep(F2), zero_form) is None
 
 
 def test_mp_case1_lambda_is_minus_u_cubed():
@@ -763,3 +769,39 @@ def test_certificate_skips_extensions_that_cannot_reach_four_points(monkeypatch,
     with pytest.raises(BudgetExceeded):
         equivalent(M, M)
     assert set(built) == {p}
+
+
+@pytest.mark.parametrize("p, m, coeffs", [
+    (2, 3, [5, 4, 3, 0, 6, 6, 6, 3, 6, 4]),
+    (3, 2, [6, 5, 5, 7, 2, 1, 0, 1, 4, 1]),
+])
+def test_certificate_extends_four_point_curves(monkeypatch, p, m, coeffs):
+    """A smooth cubic with exactly 4 rational points (trace 5 over F_8,
+    trace 6 over F_9): three of the four kernel points are collinear, so the
+    base-field B-system keeps a 2-dimensional solution space and only the
+    F_{q^2} pass certifies the answer."""
+    from cubicrep import detrep
+
+    spec = mk_field(p, m)
+    el = list(spec.elements())
+    F = TernaryCubic(spec, [el[c] for c in coeffs])
+    assert is_smooth(F) and len(rational_points(F)) == 4
+
+    def no_scan(*args):
+        raise AssertionError("the kernel certificate fell through to the GL_3 scan")
+
+    monkeypatch.setattr(detrep, "_exhaustive_scan", no_scan)
+    rng = random.Random(8 + spec.q)
+
+    def random_gl3():
+        while True:
+            rows = [[el[rng.randrange(spec.q)] for _ in range(3)] for _ in range(3)]
+            try:
+                return LinearTransform(spec, rows)
+            except ValueError:
+                pass
+
+    for _, rep, _ in all_reps(F):
+        moved = transform_rep(random_gl3(), rep, random_gl3())
+        w = equivalent(rep, moved)
+        assert w is not None and w.verify(rep, moved)
