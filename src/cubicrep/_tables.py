@@ -13,11 +13,15 @@ stays O(q) up to the field size cap of 2^14.
 
 PlaneTables enumerates P^2 in the public order and finds the zeros of a
 cubic line by line through [0:0:1], one cached scan per form up to
-scalars.  The kernels below it cover the rest of the per-curve work:
-kernels, determinants, products and inverses of small index matrices,
-and two products of forms, add_lin_lin (linear by linear) and add_quad_lin
-(quadratic by linear), behind both the symbolic determinant, expanded by
-cofactors along row 0, and the substitution of coordinates into a cubic.
+scalars.  The singular zeros, where the gradient vanishes too, are a
+second cache on the same key, filled by one gradient pass over the cached
+zeros; only is_smooth and the rank profile ask for them.  The kernels
+below it cover the rest of the per-curve work: kernels (by row reduction,
+or by cross products for a singular 3x3), determinants, products and
+inverses of small index matrices, and two products of forms, add_lin_lin
+(linear by linear) and add_quad_lin (quadratic by linear), behind both the
+symbolic determinant, expanded by cofactors along row 0, and the
+substitution of coordinates into a cubic.
 This module owns the encoding; every per-curve path in plane and detrep
 runs on it and decodes only its results.
 """
@@ -168,8 +172,10 @@ class PlaneTables:
     def __init__(self, sf: ScalarField):
         self.sf = sf
         self.n_points = sf.q * sf.q + sf.q + 1
-        # one cache per field; an entry holds about q point indices
+        # one cache per field; an entry holds about q point indices, and a
+        # _zero_sets entry shares the zero tuple of its _zeros entry
         self._zeros = lru_cache(maxsize=1 << 10)(self._scan_zeros)
+        self._zero_sets = lru_cache(maxsize=1 << 10)(self._scan_zero_sets)
 
     def point(self, i: int) -> tuple[int, int, int]:
         q = self.sf.q
@@ -210,6 +216,13 @@ class PlaneTables:
             out.append(acc)
         return out
 
+    def _key(self, coeff_idx) -> tuple[int, ...]:
+        """The coefficients scaled to lead with 1, the key of both caches."""
+        lead = next((c for c in coeff_idx if c), 1)
+        if lead == 1:
+            return tuple(coeff_idx)
+        return tuple(map(self.sf.mul[self.sf.inv[lead]].__getitem__, coeff_idx))
+
     def zeros(self, coeff_idx) -> tuple[int, ...]:
         """Indices of the points where the cubic vanishes, in enumeration order.
 
@@ -217,9 +230,21 @@ class PlaneTables:
         cached on the coefficients scaled to lead with 1: F, det(rep) = lam*F
         and det(A*rep*B) share one scan.  The zero form vanishes everywhere.
         """
-        lead = next((c for c in coeff_idx if c), 1)
-        scale = self.sf.mul[self.sf.inv[lead]]
-        return self._zeros(tuple(scale[c] for c in coeff_idx))
+        return self._zeros(self._key(coeff_idx))
+
+    def zero_sets(self, coeff_idx) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(zeros, singular zeros) of the cubic: the second are the zeros
+        where the gradient vanishes too, cached up to scalars like the first."""
+        return self._zero_sets(self._key(coeff_idx))
+
+    def singular(self, coeff_idx) -> tuple[int, ...]:
+        """Indices of the zeros of the cubic where its gradient vanishes."""
+        return self.zero_sets(coeff_idx)[1]
+
+    def _scan_zero_sets(self, key):
+        zeros = self._zeros(key)
+        point, gradient = self.point, self.gradient
+        return zeros, tuple(i for i in zeros if not any(gradient(key, point(i))))
 
     def _scan_zeros(self, coeff_idx):
         """F restricted to each line through [0:0:1] is a cubic in z, which
@@ -300,6 +325,20 @@ def right_kernel_idx(rows, sf: ScalarField):
             vec[pc] = neg[m[pi][fc]]
         basis.append(tuple(vec))
     return basis
+
+
+def cross_kernel_idx(m, sf: ScalarField):
+    """The kernel of a singular 3x3 index matrix of rank 2, as the first
+    nonzero cross product of two of its rows, taken in the order (0, 1),
+    (0, 2), (1, 2); None when all three vanish, which is exactly when the
+    rank is at most 1."""
+    sub, mul = sf.sub, sf.mul
+    for (a0, a1, a2), (b0, b1, b2) in ((m[0], m[1]), (m[0], m[2]), (m[1], m[2])):
+        k = (sub[mul[a1][b2]][mul[a2][b1]], sub[mul[a2][b0]][mul[a0][b2]],
+             sub[mul[a0][b1]][mul[a1][b0]])
+        if any(k):
+            return k
+    return None
 
 
 def det3_idx(m, sf: ScalarField) -> int:

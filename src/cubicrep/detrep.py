@@ -23,21 +23,26 @@ same index formula.  Every representation is checked twice,
 det(rep_n) = lam_n * Fn in normal form and det(rep) = lam * F after the
 pullback, the second through the cached _det_idx.
 symmetrize and the completion of a candidate B into a witness run on
-indices as well.  EquivalenceWitness.verify and transform_rep stay on
-objects: they are the independent check of every witness returned.
+indices as well.  EquivalenceWitness.verify and transform_rep run on the
+coefficient tuples of gf, the arithmetic behind FieldElement, and off the
+tables of _tables: they are the independent check of every witness returned.
 
 Equivalence needs proportional determinants, so both representations
 vanish at the same points and M(P) has rank 3 everywhere else; the
 pointwise ranks, which M -> A M B preserves, are therefore compared only at
-the rational zeros of the determinant.  A certificate stage then matches the
-one-dimensional kernels of M(P) across enough curve points (over a small
-extension when the curve has few rational points); the matching conditions
-are linear in B and necessary, so an empty or failed solution space proves
-inequivalence, while a solution yields a verified witness.  Only when that
-stage is inconclusive does the exhaustive scan over GL_3(F_q) run, and the
-scan is subject to a group-size budget; it runs on the uint8 tables of
-_bulk and so refuses fields past _tables.MAX_TABLE_Q.  The rank comparison
-and the certificate read the zeros from PlaneTables.zeros, one cached scan
+the rational zeros of the determinant.  By Jacobi's formula a zero of rank
+at most 1 is a singular zero of det M, so the rank is computed only at the
+cached singular zeros, which a smooth curve does not have, and is 2 at
+every other zero.  A certificate stage then matches the one-dimensional
+kernels of M(P), each the cross product of two rows, across enough curve
+points (over a small extension when the curve has few rational points);
+the matching conditions are linear in B and necessary, so an empty or
+failed solution space proves inequivalence, while a solution yields a
+verified witness.  Only when that stage is inconclusive does the
+exhaustive scan over GL_3(F_q) run, and the scan is subject to a
+group-size budget; it runs on the uint8 tables of _bulk and so refuses
+fields past _tables.MAX_TABLE_Q.  The rank comparison and the certificate
+read the zeros from PlaneTables, one cached scan and one gradient pass
 per curve up to scalars; the witness completion and the scan take their
 base point, where det M is nonzero, from the first gap in that zero set.
 """
@@ -235,19 +240,25 @@ def transform_rep(a: LinearTransform, rep: LinearMatrixRep,
                   b: LinearTransform) -> LinearMatrixRep:
     """The representation a * rep * b (constant matrices act entrywise)."""
     spec = rep.spec
+    ac, bc = _coeffs(a.rows), _coeffs(b.rows)
     out = []
     for mv in rep.coefficient_matrices():
-        am = _matmul(a.rows, mv, spec)
-        out.append(_matmul(am, b.rows, spec))
+        prod = _matmul(_matmul(ac, _coeffs(mv), spec), bc, spec)
+        out.append([[FieldElement(spec, c) for c in row] for row in prod])
     return LinearMatrixRep(spec, *out)
 
 
+def _coeffs(m):
+    return [[e.coeffs for e in row] for row in m]
+
+
 def _matmul(x, y, spec):
-    return tuple(
-        tuple(sum((x[i][k] * y[k][j] for k in range(3)), spec.zero())
-              for j in range(3))
-        for i in range(3)
-    )
+    """x @ y for 3x3 matrices of gf coefficient tuples, on the tuple
+    arithmetic behind the FieldElement operators."""
+    add, mul = spec._add, spec._mul
+    cols = tuple(zip(*y))
+    return tuple(tuple(add(add(mul(r0, c0), mul(r1, c1)), mul(r2, c2)) for c0, c1, c2 in cols)
+                 for r0, r1, r2 in x)
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +474,19 @@ def _rank_profile(spec: FieldSpec, idx):
     det M must not vanish identically.  Off its zeros M(P) has rank 3, so
     for two representations with proportional determinants, which share
     their zeros, the profiles agree iff the ranks agree on all of P^2(F_q).
+    By Jacobi's formula dD/dX_k = sum_ij cof_ij(M) (M_k)_ij for D = det M,
+    so where rank M(P) <= 1, every cofactor and with them the gradient of D
+    vanish at P.  The rank is therefore 2 at every smooth zero of D and is
+    computed only at the singular ones, none for a smooth curve.
     """
     pt = _tables.plane_tables(spec)
     sf = pt.sf
+    zeros, singular = pt.zero_sets(_det_idx(spec, idx))
+    if not singular:
+        return (2,) * len(zeros)
+    singular = set(singular)
     return tuple(_tables.rank3_idx(_matrix_at_point(idx, pt.point(i), sf), sf)
-                 for i in pt.zeros(_det_idx(spec, idx)))
+                 if i in singular else 2 for i in zeros)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -492,11 +511,11 @@ def _kernel_data(spec: FieldSpec, idx, ext: FieldSpec):
     kers = []
     for i in pt.zeros(d_idx)[:8]:
         coords = pt.point(i)
-        basis = _tables.right_kernel_idx(_matrix_at_point(m_idx, coords, sf), sf)
-        if len(basis) != 1:
+        kernel = _tables.cross_kernel_idx(_matrix_at_point(m_idx, coords, sf), sf)
+        if kernel is None:
             return None
         pts.append(coords)
-        kers.append(basis[0])
+        kers.append(kernel)
     return tuple(pts), tuple(kers)
 
 
@@ -564,17 +583,26 @@ def _kernel_certificate(m1, m2):
 
 
 def _certificate_from_kernels(m1, m2, k1s, k2s, ext):
-    """Solve the B-matching conditions on index level; None if inconclusive."""
+    """Solve the B-matching conditions on index level; None if inconclusive.
+
+    B k2 must be proportional to k1 at every point: the 2x2 minors (c, d)
+    of [k1 | B k2] vanish.  With c the first nonzero coordinate of k1 the
+    two minors (c, d) imply the third, so two rows per point span the same
+    row space, and so give the same reduced basis, as all three.
+    """
     spec = m1.spec
     sf = _tables.scalar_field(ext)
-    add, sub, mul = sf.add, sf.sub, sf.mul
+    mul, neg = sf.mul, sf.neg
     rows = []
     for k1, k2 in zip(k1s, k2s):
-        for a, b in ((0, 1), (0, 2), (1, 2)):
+        c = next(j for j in range(3) if k1[j])
+        for d in range(3):
+            if d == c:
+                continue
             row = [0] * 9
             for j in range(3):
-                row[3 * a + j] = add[row[3 * a + j]][mul[k2[j]][k1[b]]]
-                row[3 * b + j] = sub[row[3 * b + j]][mul[k2[j]][k1[a]]]
+                row[3 * c + j] = mul[k2[j]][k1[d]]
+                row[3 * d + j] = neg[mul[k2[j]][k1[c]]]
             rows.append(row)
     basis = _tables.right_kernel_idx(rows, sf)
     if len(basis) == 0:

@@ -9,7 +9,8 @@ by plain equality.
 Points, zero sets and smoothness run on the element indices of _tables:
 rational_points decodes the cached zero scan of PlaneTables, and the
 smoothness test works from the rational points alone, their number and
-whether one of them is singular (see is_smooth for why that suffices).
+whether one of them is singular, as PlaneTables caches them (see is_smooth
+for why that suffices).
 normalize, act and the product and inverse of LinearTransform encode their
 inputs, run the index kernels of _tables and decode the result; all_reps
 calls _normalize_idx and stays on indices throughout.
@@ -458,13 +459,14 @@ def is_smooth(F: TernaryCubic) -> bool:
       pair.  L and Q each have q+1 rational points and share none, so
       N = 2q+2.
 
-    The direct extension-field search (is_smooth_by_search) agrees with
-    this on every input; the test suite checks that exhaustively for small q.
+    The zeros and the singular zeros come from PlaneTables.zero_sets,
+    cached up to scalars, so the gradient is taken once per form and
+    all_reps, det(rep) and the rank profile reuse that pass.  The direct
+    extension-field search (is_smooth_by_search) agrees with this on every
+    input; the test suite checks that exhaustively for small q.
     """
     pt = _tables.plane_tables(F.spec)
-    coeffs = pt.sf.encode_all(F.coeffs)
-    on_curve = pt.zeros(coeffs)
-    singular = any(not any(pt.gradient(coeffs, pt.point(i))) for i in on_curve)
+    on_curve, singular = pt.zero_sets(pt.sf.encode_all(F.coeffs))
     return not singular and len(on_curve) not in (0, 2 * F.spec.q + 2)
 
 

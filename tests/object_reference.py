@@ -10,12 +10,18 @@ every representation it returns, which is where lam comes from.  The
 gradient comes from plane.partials, which runs on objects, and the points
 from rational_points, which the zero-set tests of test_plane check against
 TernaryCubic.evaluate.
+
+transform_rep multiplies the constant matrices with the FieldElement
+operators.  rank_profile is the exception to the objects: it ranks M(P)
+with _tables.rank3_idx at every rational zero of det M, the plain formula
+that detrep._rank_profile shortens to the singular zeros.
 """
 
 from __future__ import annotations
 
+from cubicrep import _tables
 from cubicrep._forms import CUBIC_INDICES, CUBIC_POS3, QUAD_INDICES, QUAD_POS2
-from cubicrep.detrep import BrokenInvariant, LinearMatrixRep
+from cubicrep.detrep import BrokenInvariant, LinearMatrixRep, _det_idx, _matrix_at_point
 from cubicrep.plane import (
     LinearTransform,
     NotOnCurve,
@@ -208,3 +214,24 @@ def all_reps(F: TernaryCubic, p0: ProjPoint | None = None):
             raise BrokenInvariant("pullback lost the determinant identity")
         out.append((P, rep, lam))
     return out
+
+
+def transform_rep(a: LinearTransform, rep: LinearMatrixRep, b: LinearTransform):
+    """a * rep * b, each constant matrix multiplied with FieldElement objects."""
+    spec = rep.spec
+
+    def matmul(x, y):
+        return tuple(tuple(sum((x[i][k] * y[k][j] for k in range(3)), spec.zero())
+                           for j in range(3)) for i in range(3))
+
+    return LinearMatrixRep(spec, *(matmul(matmul(a.rows, mv), b.rows)
+                                   for mv in rep.coefficient_matrices()))
+
+
+def rank_profile(rep: LinearMatrixRep):
+    """rank M(P) at every rational zero of det M, in enumeration order."""
+    spec = rep.spec
+    pt = _tables.plane_tables(spec)
+    sf = pt.sf
+    return tuple(_tables.rank3_idx(_matrix_at_point(rep.idx, pt.point(i), sf), sf)
+                 for i in pt.zeros(_det_idx(spec, rep.idx)))

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -8,6 +10,7 @@ import golden
 import object_reference
 from cubicrep import _tables
 from cubicrep.detrep import (
+    DEFAULT_GROUP_BUDGET,
     BadCharacteristic,
     IsBasePoint,
     LinearMatrixRep,
@@ -561,17 +564,27 @@ def _vanishes_on_all_rational_points(rep):
     return all(not D.evaluate(P) for P in projective_points(rep.spec))
 
 
+def _vanishing_diag():
+    """det = X^2 Y + X Y^2, which vanishes on all of P^2(F_2)."""
+    return LinearMatrixRep(F2, [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+                           [[0, 0, 0], [0, 1, 0], [0, 0, 1]], [[0] * 3] * 3)
+
+
+def _vanishing_pair():
+    """Two reps with det Y^2 Z + Y Z^2 and the same rank profile over F_2."""
+    m = LinearMatrixRep(F2, ((0, 0, 1),) * 3, ((0, 0, 0), (1, 0, 0), (1, 0, 1)),
+                        ((0, 1, 1), (0, 0, 1), (0, 0, 0)))
+    n = LinearMatrixRep(F2, ((1, 0, 0),) * 3, ((0, 0, 1), (1, 0, 1), (1, 0, 1)),
+                        ((1, 1, 0), (1, 1, 0), (1, 0, 1)))
+    return m, n
+
+
 def test_degenerate_scan_recovers_exact_witness():
     from cubicrep.detrep import _kernel_certificate
 
-    # det = X^2 Y + X Y^2 vanishes on all of P^2(F_2), so the scan has no
-    # point where det m1 is nonzero and must sweep B as well as A
-    diag = LinearMatrixRep(
-        F2,
-        [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
-        [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0] * 3] * 3,
-    )
+    # det vanishes on all of P^2(F_2), so the scan has no point where
+    # det m1 is nonzero and must sweep B as well as A
+    diag = _vanishing_diag()
     assert _vanishes_on_all_rational_points(diag)
     A = LinearTransform(F2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     B = LinearTransform(F2, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
@@ -584,11 +597,7 @@ def test_degenerate_scan_recovers_exact_witness():
 def test_degenerate_scan_refuses_and_accepts():
     from cubicrep.detrep import _kernel_certificate, _rank_profile
 
-    # both have det Y^2 Z + Y Z^2 and the same rank profile over F_2
-    m = LinearMatrixRep(F2, ((0, 0, 1),) * 3, ((0, 0, 0), (1, 0, 0), (1, 0, 1)),
-                        ((0, 1, 1), (0, 0, 1), (0, 0, 0)))
-    n = LinearMatrixRep(F2, ((1, 0, 0),) * 3, ((0, 0, 1), (1, 0, 1), (1, 0, 1)),
-                        ((1, 1, 0), (1, 1, 0), (1, 0, 1)))
+    m, n = _vanishing_pair()
     assert det_cubic(m) == det_cubic(n)
     assert _vanishes_on_all_rational_points(m)
     assert _rank_profile(m.spec, m.idx) == _rank_profile(n.spec, n.idx)
@@ -670,6 +679,55 @@ def test_rank_profile_on_census_pairs(census_reps):
                 _assert_profiles_decide_alike(p1, p2)
 
 
+# -- a pinned digest of representations, rank profiles and witnesses --------
+
+#: sha256 over the lines of _digest_lines, generated at b77353c; any change
+#: to an answer, a witness or the order of the points changes it
+WITNESS_DIGEST = "3141d3fda761e84ddb051da500756576398516cd5ea4b9a6be09de5f8c6a23cd"
+_DIGEST_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1), (31, 1),
+                  (2, 6), (101, 1))
+
+
+def _decide(m1, m2, cap=DEFAULT_GROUP_BUDGET):
+    """The reprs of both rank profiles and of the answer of equivalent."""
+    from cubicrep.detrep import BudgetExceeded, _rank_profile
+
+    try:
+        w = equivalent(m1, m2, cap)
+    except BudgetExceeded:
+        w = "BudgetExceeded"
+    return [repr(_rank_profile(m.spec, m.idx)) for m in (m1, m2)] + [repr(w)]
+
+
+def _digest_lines():
+    """all_reps of four random smooth curves per field with the decisions on
+    (rep, A rep B), (rep, rep') and (rep, A rep' B), then two rounds of
+    triangular pairs (t, t') and (t, A t B) over q <= 9 with a budget of 10^6."""
+    for p, m in _DIGEST_FIELDS:
+        spec = mk_field(p, m)
+        rng = random.Random(f"witness-digest/{spec.q}")
+        for _ in range(4):
+            F = _random_smooth_curves(spec, rng, 1)[0]
+            reps = all_reps(F)
+            yield repr(F)
+            yield repr(reps)
+            rep, other = (reps[rng.randrange(len(reps))][1] for _ in range(2))
+            A, B = _random_transform(spec, rng), _random_transform(spec, rng)
+            for m2 in (transform_rep(A, rep, B), other, transform_rep(A, other, B)):
+                yield from _decide(rep, m2)
+        for _ in range(2 if spec.q <= 9 else 0):
+            t = _triangular_rep(spec, rng)
+            A, B = _random_transform(spec, rng), _random_transform(spec, rng)
+            for m2 in (_triangular_rep(spec, rng), transform_rep(A, t, B)):
+                yield from _decide(t, m2, 10**6)
+
+
+def test_witness_digest():
+    start = time.perf_counter()
+    assert hashlib.sha256("\n".join(_digest_lines()).encode()).hexdigest() == WITNESS_DIGEST
+    assert time.perf_counter() - start < 10
+
+
 @pytest.mark.parametrize("q, count", [(5, 12), (7, 12), (31, 4)])
 def test_rank_profile_on_seeded_pairs(q, count):
     spec = mk_field(q, 1)
@@ -679,6 +737,64 @@ def test_rank_profile_on_seeded_pairs(q, count):
     for m1, m2 in pairs[::4]:  # (rep, A rep B)
         w = equivalent(m1, m2)
         assert w is not None and w.verify(m1, m2)
+
+
+def test_rank_profile_matches_the_per_zero_formula(census_reps):
+    # _rank_profile ranks M(P) only at the singular zeros of det and reports
+    # 2 at the others; the reference ranks it at every zero
+    from cubicrep.detrep import _rank_profile
+
+    reps = [rep for q in (2, 3) for _, rs in census_reps[q] for _, rep, _ in rs]
+    for p, m, count in ((2, 2, 6), (5, 1, 6), (7, 1, 6), (3, 2, 4), (31, 1, 2)):
+        spec = mk_field(p, m)
+        reps += [rep for pair in _seeded_pairs(spec, 5000 + spec.q, count) for rep in pair]
+    reps += [_vanishing_diag(), *_vanishing_pair()]
+    assert any(1 in _rank_profile(rep.spec, rep.idx) for rep in reps)
+    for rep in reps:
+        assert _rank_profile(rep.spec, rep.idx) == object_reference.rank_profile(rep), rep
+
+
+_TRANSFORM_FIELDS = tuple(mk_field(p, m) for p, m in
+                          ((2, 1), (3, 1), (2, 2), (3, 2), (13, 1), (2, 6), (257, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_transform_rep_matches_object_products(data):
+    # transform_rep multiplies gf coefficient tuples; the reference uses the
+    # FieldElement operators
+    spec = data.draw(st.sampled_from(_TRANSFORM_FIELDS))
+    sf = _tables.scalar_field(spec)
+    digits = st.lists(st.integers(0, spec.q - 1), min_size=9, max_size=9)
+
+    def matrix():
+        d = [sf.decode(c) for c in data.draw(digits)]
+        return [d[0:3], d[3:6], d[6:9]]
+
+    def invertible():
+        try:
+            return LinearTransform(spec, matrix())
+        except ValueError:
+            assume(False)
+
+    rep = LinearMatrixRep(spec, matrix(), matrix(), matrix())
+    A, B = invertible(), invertible()
+    assert transform_rep(A, rep, B) == object_reference.transform_rep(A, rep, B)
+
+
+def test_verify_checks_every_coefficient_matrix():
+    from cubicrep.detrep import EquivalenceWitness
+
+    rep = all_reps(weierstrass_cubic(F7.element(1), F7.element(1)))[0][1]
+    A = LinearTransform(F7, [[1, 2, 0], [0, 1, 3], [5, 0, 1]])
+    B = LinearTransform(F7, [[2, 0, 1], [1, 1, 0], [0, 4, 1]])
+    moved = transform_rep(A, rep, B)
+    w = EquivalenceWitness(A, B)
+    assert w.verify(rep, moved)
+    for v in range(3):
+        mats = [[list(row) for row in m] for m in moved.coefficient_matrices()]
+        mats[v][2][1] = mats[v][2][1] + 1
+        assert not w.verify(rep, LinearMatrixRep(F7, *mats)), v
 
 
 @pytest.mark.slow

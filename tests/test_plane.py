@@ -263,6 +263,72 @@ def test_zero_points_past_the_table_cap_share_one_scan():
             assert pt._zeros.cache_info().misses <= scans + 1
 
 
+def _special_forms(spec, rng):
+    """A line times a conic, nodal and cuspidal cubics, a triangle of lines
+    and a double line times a line, each moved by a random transform."""
+    elems = list(spec.elements())
+    line = [rng.choice(elems) for _ in range(3)]
+    conic = [rng.choice(elems) for _ in range(6)]
+    forms = [mul_quad_lin(conic, line, spec)]
+    for shape in ({"112": 1, "000": -1, "002": -1},  # Y^2 Z = X^3 + X^2 Z
+                  {"112": 1, "000": -1},  # Y^2 Z = X^3
+                  {"012": 1},  # XYZ
+                  {"001": 1}):  # X^2 Y
+        while True:
+            try:
+                T = LinearTransform(spec, [[rng.choice(elems) for _ in range(3)]
+                                           for _ in range(3)])
+                break
+            except ValueError:
+                continue
+        forms.append(act(T, cubic(spec, shape)).coeffs)
+    return [TernaryCubic(spec, f) for f in forms if any(f)]
+
+
+def _check_singular_zeros(F, multiples):
+    """PlaneTables.singular against the gradient of plane.partials at every
+    rational point, for F and its multiples."""
+    spec = F.spec
+    pt = _tables.plane_tables(spec)
+    row = pt.sf.encode_all(F.coeffs)
+    want = tuple(i for i, P in zip(pt.zeros(row), rational_points(F))
+                 if not any(gradient(F, P)))
+    assert pt.singular(row) == want, F
+    assert pt.zero_sets(row) == (pt.zeros(row), want)
+    for c in multiples:
+        assert pt.singular([pt.sf.mul[c][d] for d in row]) == want
+
+
+_SINGULAR_FIELDS = tuple(mk_field(p, m) for p, m in
+                         ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                          (13, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_singular_zeros_match_the_gradient_filter(data):
+    spec = data.draw(st.sampled_from(_SINGULAR_FIELDS))
+    pt = _tables.plane_tables(spec)
+    row = data.draw(st.lists(st.integers(0, spec.q - 1), min_size=10, max_size=10)
+                    .filter(any))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for F in [TernaryCubic(spec, [pt.sf.decode(d) for d in row])] + _special_forms(spec, rng):
+        _check_singular_zeros(F, range(2, spec.q))
+
+
+def test_singular_zeros_past_the_table_cap():
+    # q = 257 computes table rows on subscript; one scan per form
+    spec = mk_field(257, 1)
+    rng = random.Random(257)
+    forms = _special_forms(spec, rng)
+    assert len(forms) == 5
+    for F in forms:
+        _check_singular_zeros(F, rng.sample(range(2, spec.q), 4))
+    # every shape but the line times a conic has a rational singular point
+    pt = _tables.plane_tables(spec)
+    assert all(pt.singular(pt.sf.encode_all(F.coeffs)) for F in forms[1:])
+
+
 @pytest.mark.slow
 def test_is_smooth_agrees_with_extension_search_gallery_f4():
     from cubicrep import gallery
