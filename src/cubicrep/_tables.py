@@ -16,12 +16,11 @@ cubic line by line through [0:0:1], one cached scan per form up to
 scalars.  The singular zeros, where the gradient vanishes too, are a
 second cache on the same key, filled by one gradient pass over the cached
 zeros; only is_smooth and the rank profile ask for them.  The kernels
-below it cover the rest of the per-curve work: kernels (by row reduction,
-or by cross products for a singular 3x3), determinants, products and
-inverses of small index matrices, and two products of forms, add_lin_lin
-(linear by linear) and add_quad_lin (quadratic by linear), behind both the
-symbolic determinant, expanded by cofactors along row 0, and the
-substitution of coordinates into a cubic.
+below it cover the rest of the per-curve work: kernels by row reduction,
+ranks, determinants, products and inverses of small index matrices, and
+two products of forms, add_lin_lin (linear by linear) and add_quad_lin
+(quadratic by linear), behind both the symbolic determinant, expanded by
+cofactors along row 0, and the substitution of coordinates into a cubic.
 This module owns the encoding; every per-curve path in plane and detrep
 runs on it and decodes only its results.
 """
@@ -33,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _forms
-from .gf import FieldSpec, embed
+from .gf import FieldSpec
 
 #: largest field whose tables are materialised as lists and uint8 arrays
 MAX_TABLE_Q = 256
@@ -237,10 +236,6 @@ class PlaneTables:
         where the gradient vanishes too, cached up to scalars like the first."""
         return self._zero_sets(self._key(coeff_idx))
 
-    def singular(self, coeff_idx) -> tuple[int, ...]:
-        """Indices of the zeros of the cubic where its gradient vanishes."""
-        return self.zero_sets(coeff_idx)[1]
-
     def _scan_zero_sets(self, key):
         zeros = self._zeros(key)
         point, gradient = self.point, self.gradient
@@ -325,20 +320,6 @@ def right_kernel_idx(rows, sf: ScalarField):
             vec[pc] = neg[m[pi][fc]]
         basis.append(tuple(vec))
     return basis
-
-
-def cross_kernel_idx(m, sf: ScalarField):
-    """The kernel of a singular 3x3 index matrix of rank 2, as the first
-    nonzero cross product of two of its rows, taken in the order (0, 1),
-    (0, 2), (1, 2); None when all three vanish, which is exactly when the
-    rank is at most 1."""
-    sub, mul = sf.sub, sf.mul
-    for (a0, a1, a2), (b0, b1, b2) in ((m[0], m[1]), (m[0], m[2]), (m[1], m[2])):
-        k = (sub[mul[a1][b2]][mul[a2][b1]], sub[mul[a2][b0]][mul[a0][b2]],
-             sub[mul[a0][b1]][mul[a1][b0]])
-        if any(k):
-            return k
-    return None
 
 
 def det3_idx(m, sf: ScalarField) -> int:
@@ -457,10 +438,3 @@ def inv3_idx(m, sf: ScalarField):
            (sub[mul[d][h]][mul[e][g]], sub[mul[b][g]][mul[a][h]], sub[mul[a][e]][mul[b][d]]))
     s = mul[sf.inv[det3_idx(m, sf)]]
     return [[s[x] for x in row] for row in adj]
-
-
-@lru_cache(maxsize=None)
-def embedding(base: FieldSpec, ext: FieldSpec) -> tuple[int, ...]:
-    """The ext index of embed(e, ext) for each base element index e."""
-    ext_sf = scalar_field(ext)
-    return tuple(ext_sf.encode(embed(e, ext)) for e in base.elements())

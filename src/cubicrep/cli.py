@@ -118,10 +118,6 @@ def _load_json(path: str) -> dict:
 # text formatting
 
 
-def format_point(P: ProjPoint) -> str:
-    return "[" + ":".join(repr(c) for c in P.coords) + "]"
-
-
 def format_matrix(rep: detrep.LinearMatrixRep, indent: str = "  ") -> str:
     cells = [[detrep.format_linear_form(rep.entry(i, j)) for j in range(3)]
              for i in range(3)]
@@ -196,7 +192,7 @@ def cmd_points(args) -> int:
         }
         print(json.dumps(obj))
         return EXIT_OK
-    print(", ".join(format_point(P) + ("".join(f" ({t})" for t in tags))
+    print(", ".join(repr(P) + ("".join(f" ({t})" for t in tags))
                     for P, tags in annotated))
     return EXIT_OK
 
@@ -231,7 +227,7 @@ def cmd_detrep(args) -> int:
     if not reps:
         return EXIT_OK
     for P, rep, lam in reps:
-        print(f"P = {format_point(P)}, lambda = {lam!r}:")
+        print(f"P = {P!r}, lambda = {lam!r}:")
         print(format_matrix(rep))
     if args.witness:
         for line in _pairwise_witnesses(reps, as_json=False):
@@ -431,11 +427,11 @@ def _curve_table_text(rows) -> str:
         out.append(f"F_{row['q']}: {F!r}")
         if row["points"]:
             out.append("  points: " + ", ".join(
-                format_point(P) + (" (flex)" if fl else "")
+                repr(P) + (" (flex)" if fl else "")
                 for P, fl in row["points"]))
             out.append(f"  representation classes: {len(row['reps'])}")
         for P, rep, lam in row["reps"]:
-            out.append(f"  P = {format_point(P)}, lambda = {lam!r}:")
+            out.append(f"  P = {P!r}, lambda = {lam!r}:")
             out.append(format_matrix(rep, indent="    "))
     return "\n".join(out)
 
@@ -460,7 +456,7 @@ def _curve_table_obj(rows) -> list:
 def _curve_table_csv(rows) -> str:
     lines = ["q,curve,points,n_reps,matrices"]
     for row in rows:
-        pts = " ".join(format_point(P) + ("(flex)" if fl else "")
+        pts = " ".join(repr(P) + ("(flex)" if fl else "")
                        for P, fl in row["points"])
         mats = " | ".join(
             "; ".join(", ".join(detrep.format_linear_form(rep.entry(i, j))

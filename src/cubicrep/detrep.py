@@ -33,18 +33,19 @@ pointwise ranks, which M -> A M B preserves, are therefore compared only at
 the rational zeros of the determinant.  By Jacobi's formula a zero of rank
 at most 1 is a singular zero of det M, so the rank is computed only at the
 cached singular zeros, which a smooth curve does not have, and is 2 at
-every other zero.  A certificate stage then matches the one-dimensional
-kernels of M(P), each the cross product of two rows, across enough curve
-points (over a small extension when the curve has few rational points);
-the matching conditions are linear in B and necessary, so an empty or
-failed solution space proves inequivalence, while a solution yields a
-verified witness.  Only when that stage is inconclusive does the
-exhaustive scan over GL_3(F_q) run, and the scan is subject to a
-group-size budget; it runs on the uint8 tables of _bulk and so refuses
-fields past _tables.MAX_TABLE_Q.  The rank comparison and the certificate
-read the zeros from PlaneTables, one cached scan and one gradient pass
-per curve up to scalars; the witness completion and the scan take their
-base point, where det M is nonzero, from the first gap in that zero set.
+every other zero.  A certificate stage then solves one linear system over
+F_q for B: at the first point P off the curve, B K_u = N_u B with
+N_u = M1(P)^-1 M1_u and K_u = M2(P)^-1 M2_u.  Its solutions are
+Hom(coker M1, coker M2), of dimension 1 or 0 for a smooth curve, whose
+cokernels are line bundles (Beauville), so the solve alone decides every
+pair of representations of a smooth cubic.  Only when it is inconclusive,
+which needs a singular det, does the exhaustive scan over GL_3(F_q) run,
+and the scan is subject to a group-size budget; it runs on the uint8
+tables of _bulk and so refuses fields past _tables.MAX_TABLE_Q.  The rank
+comparison and the certificate read the zeros from PlaneTables, one cached
+scan and one gradient pass per curve up to scalars; the certificate, the
+witness completion and the scan take P from the first gap in that zero
+set.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import _bulk, _tables
-from .gf import FieldElement, FieldMismatch, FieldSpec, mk_field
+from .gf import FieldElement, FieldMismatch, FieldSpec
 from .plane import (
     LinearTransform,
     NotOnCurve,
@@ -490,33 +491,24 @@ def _rank_profile(spec: FieldSpec, idx):
 
 
 @lru_cache(maxsize=1 << 12)
-def _kernel_data(spec: FieldSpec, idx, ext: FieldSpec):
-    """Kernels of M(P) at curve points over ext, for the representation M
-    with entries idx over spec; None when any kernel is not a line.
+def _kernel_data(spec: FieldSpec, idx):
+    """(N_v, N_w) with N_u = M(P)^-1 M_u for the representation M with
+    entries idx over spec, or None when det M vanishes on all of P^2(F_q).
 
-    Returns (points, kernels) as element-index data where points are the
-    zeros of det M in P^2(ext), capped at eight, in enumeration order.
+    P is the first point off the curve det M = 0 (_off_curve_point), which
+    representations with proportional determinants share, and v < w are
+    the two coordinates other than the first nonzero one of P.
     """
-    d_idx = _det_idx(spec, idx)
-    if not any(d_idx):
-        return None
-    pt = _tables.plane_tables(ext)
+    pt = _tables.plane_tables(spec)
     sf = pt.sf
-    m_idx = idx
-    if ext != spec:
-        emb = _tables.embedding(spec, ext)
-        m_idx = [[tuple(emb[c] for c in e) for e in row] for row in m_idx]
-        d_idx = [emb[c] for c in d_idx]
-    pts = []
-    kers = []
-    for i in pt.zeros(d_idx)[:8]:
-        coords = pt.point(i)
-        kernel = _tables.cross_kernel_idx(_matrix_at_point(m_idx, coords, sf), sf)
-        if kernel is None:
-            return None
-        pts.append(coords)
-        kers.append(kernel)
-    return tuple(pts), tuple(kers)
+    at = _off_curve_point(pt, _det_idx(spec, idx))
+    if at is None:
+        return None
+    m_inv = _tables.inv3_idx(_matrix_at_point(idx, at, sf), sf)
+    first = next(u for u in range(3) if at[u])
+    mats = (_tables.matmul3_idx(m_inv, [[e[u] for e in row] for row in idx], sf)
+            for u in range(3) if u != first)
+    return tuple(tuple(map(tuple, m)) for m in mats)
 
 
 def _off_curve_point(pt, d_idx):
@@ -535,8 +527,6 @@ def _witness_from_b(m1: LinearMatrixRep, m2: LinearMatrixRep, b):
     if not _tables.det3_idx(b, sf):
         return None
     at = _off_curve_point(pt, _det_idx(m1.spec, m1.idx))
-    if at is None:
-        return None
     # m1(P) is invertible where det m1 does not vanish, so A = m2(P) (m1(P) B)^-1
     m1b = _tables.matmul3_idx(_matrix_at_point(m1.idx, at, sf), b, sf)
     a = _tables.matmul3_idx(_matrix_at_point(m2.idx, at, sf),
@@ -548,78 +538,45 @@ def _witness_from_b(m1: LinearMatrixRep, m2: LinearMatrixRep, b):
 
 
 def _kernel_certificate(m1, m2):
-    """(witness | None) with a 'certified' flag; certified=False means inconclusive."""
-    spec = m1.spec
-    exts = [spec]
-    if spec.q ** 2 <= 1 << 14:
-        exts.append(mk_field(spec.p, spec.m * 2))
-    if spec.q == 2:
-        exts.append(mk_field(spec.p, spec.m * 3))
-    for ext in exts:
-        data1 = _kernel_data(spec, m1.idx, ext)
-        data2 = _kernel_data(spec, m2.idx, ext)
-        if data1 is None or data2 is None:
-            return None, False
-        pts1, k1s = data1
-        pts2, k2s = data2
-        if pts1 != pts2:
-            # det zero sets differ over ext; cannot happen for proportional dets
-            return None, False
-        if len(pts1) < 4:
-            # For q >= 8 the Hasse bound gives every smooth cubic at least
-            # q + 1 - 2 sqrt(q) > 3 rational points, and every singular one
-            # other than a triangle of lines conjugate over F_{q^3} has at
-            # least q.  Such a triangle keeps its 0 or 1 points over
-            # F_{q^2}, so the extension would scan q^4 points and still
-            # fall short of 4.  Extensions do help when the base field has
-            # 4 or more zeros but leaves the B-system underdetermined.
-            if ext == spec and spec.q >= 8:
-                return None, False
-            continue
-        result = _certificate_from_kernels(m1, m2, k1s, k2s, ext)
-        if result is not None:
-            return result
-    return None, False
+    """(witness | None, certified) from one linear solve for B over F_q;
+    certified=False means inconclusive.
 
-
-def _certificate_from_kernels(m1, m2, k1s, k2s, ext):
-    """Solve the B-matching conditions on index level; None if inconclusive.
-
-    B k2 must be proportional to k1 at every point: the 2x2 minors (c, d)
-    of [k1 | B k2] vanish.  With c the first nonzero coordinate of k1 the
-    two minors (c, d) imply the third, so two rows per point span the same
-    row space, and so give the same reduced basis, as all three.
+    A witness m2 = A m1 B gives C m2 = m1 B with C = A^-1 = m1(P) B m2(P)^-1
+    at the shared point P off the curve, hence B K_u = N_u B for each u,
+    where N_u and K_u are the _kernel_data of m1 and m2.  Since
+    sum_u P_u N_u = I = sum_u P_u K_u, the equation for the first u with
+    P_u != 0 follows from the other two, which leave 18 rows in the 9
+    entries of B.  Their solutions are Hom(coker m1, coker m2): a map of
+    cokernels lifts to a unique pair (C, B), there being no constant maps
+    of negative degree.  For a smooth det both cokernels are line bundles
+    of one degree, so the space has dimension 1 if they are isomorphic and
+    0 otherwise.  Dimension 0 proves inequivalence; at dimension 1 every
+    witness has a multiple of the one solution as B, so _witness_from_b
+    either returns a verified witness or proves there is none.  Only a
+    singular det can leave dimension 2 or more, and only a det vanishing
+    on all of P^2(F_q) leaves no P; both are inconclusive.
     """
-    spec = m1.spec
-    sf = _tables.scalar_field(ext)
-    mul, neg = sf.mul, sf.neg
+    ns = _kernel_data(m1.spec, m1.idx)
+    ks = _kernel_data(m2.spec, m2.idx)
+    if ns is None or ks is None:
+        return None, False
+    sf = _tables.scalar_field(m1.spec)
+    add, sub, mul = sf.add, sf.sub, sf.mul
     rows = []
-    for k1, k2 in zip(k1s, k2s):
-        c = next(j for j in range(3) if k1[j])
-        for d in range(3):
-            if d == c:
-                continue
-            row = [0] * 9
+    for n, k in zip(ns, ks):
+        # entry (i, j) of B K - N B: sum_l B[i][l] K[l][j] - N[i][l] B[l][j]
+        for i in range(3):
             for j in range(3):
-                row[3 * c + j] = mul[k2[j]][k1[d]]
-                row[3 * d + j] = neg[mul[k2[j]][k1[c]]]
-            rows.append(row)
+                row = [0] * 9
+                for l in range(3):
+                    row[3 * i + l] = add[row[3 * i + l]][k[l][j]]
+                    row[3 * l + j] = sub[row[3 * l + j]][n[i][l]]
+                rows.append(row)
     basis = _tables.right_kernel_idx(rows, sf)
-    if len(basis) == 0:
-        return None, True
-    if len(basis) > 1:
-        return None
-    vec = list(basis[0])
-    lead = next(v for v in vec if v)
-    li = sf.inv[lead]
-    vec = [mul[v][li] for v in vec]
-    if ext != spec:
-        back = {v: i for i, v in enumerate(_tables.embedding(spec, ext))}
-        if any(v not in back for v in vec):
-            return None, True  # unique solution is not rational: no witness
-        vec = [back[v] for v in vec]
-    # the solution space for B is one-dimensional, so a failed candidate
-    # certifies that no invertible rational B exists at all
+    if len(basis) != 1:
+        return None, not basis
+    scale = mul[sf.inv[next(v for v in basis[0] if v)]]
+    vec = [scale[v] for v in basis[0]]
     return _witness_from_b(m1, m2, [vec[0:3], vec[3:6], vec[6:9]]), True
 
 

@@ -178,13 +178,19 @@ class LinearTransform:
     __slots__ = ("spec", "rows", "det")
 
     def __init__(self, spec: FieldSpec, rows: Sequence[Sequence]):
-        self.spec = spec
-        self.rows = tuple(tuple(spec.element(c) for c in row) for row in rows)
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
+        rows = tuple(tuple(spec.element(c) for c in row) for row in rows)
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("need a 3x3 matrix")
-        self.det = _det3(self.rows)
-        if not self.det:
+        sf = _tables.scalar_field(spec)
+        self._set(sf, rows, [sf.encode_all(row) for row in rows])
+
+    def _set(self, sf, rows, idx):
+        det = _tables.det3_idx(idx, sf)
+        if not det:
             raise ValueError("transform is singular")
+        self.spec = sf.spec
+        self.rows = rows
+        self.det = sf.decode(det)
 
     @classmethod
     def identity(cls, spec: FieldSpec) -> "LinearTransform":
@@ -193,7 +199,9 @@ class LinearTransform:
     @classmethod
     def _from_idx(cls, sf, rows) -> "LinearTransform":
         """The transform with element-index rows over the field of sf."""
-        return cls(sf.spec, [[sf.elems[c] for c in row] for row in rows])
+        t = object.__new__(cls)
+        t._set(sf, tuple(tuple(sf.elems[c] for c in row) for row in rows), rows)
+        return t
 
     def _idx(self, sf):
         return [sf.encode_all(row) for row in self.rows]
@@ -214,9 +222,6 @@ class LinearTransform:
         return tuple(sum((self.rows[i][j] * coords[j] for j in range(3)),
                          self.spec.zero()) for i in range(3))
 
-    def column(self, j: int):
-        return tuple(self.rows[i][j] for i in range(3))
-
     def __eq__(self, other):
         return (isinstance(other, LinearTransform) and self.spec == other.spec
                 and self.rows == other.rows)
@@ -226,17 +231,6 @@ class LinearTransform:
 
     def __repr__(self):
         return "LinearTransform(" + repr([[c for c in r] for r in self.rows]) + ")"
-
-
-# ---------------------------------------------------------------------------
-# small exact linear algebra
-
-
-def _det3(rows):
-    a, b, c = rows[0]
-    d, e, f = rows[1]
-    g, h, i = rows[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,12 @@ def act(T: LinearTransform, F: TernaryCubic) -> TernaryCubic:
     return TernaryCubic(spec, out)
 
 
+def det3(rows):
+    """The determinant of a 3x3 matrix of FieldElements, along row 0."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def inverse(T: LinearTransform) -> LinearTransform:
     """T^-1 as the adjugate divided by the determinant."""
     (a, b, c), (d, e, f), (g, h, i) = T.rows

@@ -1,7 +1,7 @@
 import hashlib
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -608,6 +608,153 @@ def test_degenerate_scan_refuses_and_accepts():
     assert w.a == LinearTransform.identity(F2) == w.b
 
 
+def _line_kernel_rep():
+    """[X + Y, Y + Z, Y + Z]; [X + Z, X + Y, Y]; [0, Y, Y] over F_2: det
+    vanishes on all of P^2(F_2), and M(P) has rank 2 at every point."""
+    return LinearMatrixRep.from_entries(F2, (((1, 1, 0), (0, 1, 1), (0, 1, 1)),
+                                             ((1, 0, 1), (1, 1, 0), (0, 1, 0)),
+                                             ((0, 0, 0), (0, 1, 0), (0, 1, 0))))
+
+
+def test_vanishing_det_with_line_kernels_is_equivalent_to_itself():
+    # with no point off the curve there is no system for B to solve, so the
+    # certificate is inconclusive and the scan must decide
+    from cubicrep.detrep import _kernel_certificate, _rank_profile
+
+    m = _line_kernel_rep()
+    assert _vanishes_on_all_rational_points(m)
+    assert _rank_profile(F2, m.idx) == (2,) * 7
+    A = LinearTransform(F2, [[1, 1, 0], [0, 1, 0], [1, 0, 1]])
+    B = LinearTransform(F2, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    for n in (m, transform_rep(A, m, B)):
+        assert _kernel_certificate(m, n) == (None, False)
+        w = equivalent(m, n)
+        assert w is not None and w.verify(m, n)
+
+
+def _vanishing_f2_reps(rng, count):
+    """Seeded reps over F_2 whose det is nonzero but vanishes on all of P^2(F_2)."""
+    out = []
+    while len(out) < count:
+        rep = LinearMatrixRep.from_entries(F2, [[[rng.randrange(2) for _ in range(3)]
+                                                 for _ in range(3)] for _ in range(3)])
+        if det_cubic(rep) is not None and _vanishes_on_all_rational_points(rep):
+            out.append(rep)
+    return out
+
+
+def test_vanishing_det_sweep_over_f2():
+    rng = random.Random(2002)
+    for m in _vanishing_f2_reps(rng, 40):
+        A, B = _random_transform(F2, rng), _random_transform(F2, rng)
+        for n in (m, transform_rep(A, m, B)):
+            w = equivalent(m, n)
+            assert w is not None and w.verify(m, n), (m, n)
+
+
+_SMALL_FIELDS = (F2, mk_field(3, 1), mk_field(2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equivalent_on_random_linear_matrices(data):
+    # any 3x3 linear matrix with det not identically zero, smooth or not:
+    # dense, upper triangular (det a product of three linear forms), or over
+    # F_2 one whose det vanishes at every rational point
+    shape = data.draw(st.sampled_from(("dense", "triangular", "vanishing")))
+    spec = F2 if shape == "vanishing" else data.draw(st.sampled_from(_SMALL_FIELDS))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if shape == "vanishing":
+        m = _vanishing_f2_reps(rng, 1)[0]
+    else:
+        el = list(spec.elements())
+        lin = st.lists(st.sampled_from(el), min_size=3, max_size=3)
+        # a nonzero diagonal keeps a triangular det from vanishing identically
+        diag = st.sampled_from([e for e in product(el, repeat=3) if any(e)])
+
+        def entry(i, j):
+            if shape == "dense" or j > i:
+                return data.draw(lin)
+            return data.draw(diag) if i == j else [el[0]] * 3
+
+        m = LinearMatrixRep.from_entries(spec, [[entry(i, j) for j in range(3)]
+                                                for i in range(3)])
+        assume(det_cubic(m) is not None)
+    A, B = _random_transform(spec, rng), _random_transform(spec, rng)
+    for n in (m, transform_rep(A, m, B)):
+        w = equivalent(m, n)
+        assert w is not None and w.verify(m, n)
+
+
+def _vanishing_f2_pairs(rng, count):
+    """(m, A m B) and (m, A m' B) with det m' = det m, from _vanishing_f2_reps."""
+    reps = _vanishing_f2_reps(rng, count)
+    pairs = []
+    for m in reps:
+        A, B = _random_transform(F2, rng), _random_transform(F2, rng)
+        pairs.append((m, transform_rep(A, m, B)))
+        n = next((n for n in reps if n != m and det_cubic(n) == det_cubic(m)), None)
+        if n is not None:
+            pairs.append((m, transform_rep(A, n, B)))
+    return pairs
+
+
+@pytest.mark.parametrize("p, m, count", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])
+def test_equivalent_agrees_with_the_exhaustive_scan(p, m, count):
+    # the scan is the plain reference: smooth and triangular pairs from
+    # _seeded_pairs, and over F_2 pairs whose det vanishes everywhere
+    from cubicrep.detrep import _exhaustive_scan
+
+    spec = mk_field(p, m)
+    pairs = _seeded_pairs(spec, 6000 + spec.q, count)
+    if spec.q == 2:
+        pairs += _vanishing_f2_pairs(random.Random(6002), 8)
+    answers = set()
+    for m1, m2 in pairs:
+        w, s = equivalent(m1, m2), _exhaustive_scan(m1, m2, 10**9)
+        assert (w is None) == (s is None), (m1, m2)
+        assert w is None or (w.verify(m1, m2) and s.verify(m1, m2))
+        answers.add(w is None)
+    assert answers == {True, False}
+
+
+_CERTIFICATE_FIELDS = tuple(mk_field(p, m) for p, m in
+                            ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                             (11, 1), (13, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_certificate_decides_every_smooth_pair(data):
+    # on a smooth det the solution space is Hom between two line bundles of
+    # one degree, of dimension 1 or 0: the certificate always decides
+    from cubicrep.detrep import _kernel_certificate
+
+    spec = data.draw(st.sampled_from(_CERTIFICATE_FIELDS))
+    el = list(spec.elements())
+    digits = lambda n: st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n)
+    F = TernaryCubic(spec, [el[d] for d in data.draw(digits(10).filter(any))])
+    assume(is_smooth(F))
+    reps = [rep for _, rep, _ in all_reps(F)]
+    assume(reps)
+    m, n = (reps[data.draw(st.integers(0, len(reps) - 1))] for _ in range(2))
+
+    def invertible():
+        d = data.draw(digits(9))
+        try:
+            return LinearTransform(spec, [[el[c] for c in d[k:k + 3]] for k in (0, 3, 6)])
+        except ValueError:
+            assume(False)
+
+    A, B = invertible(), invertible()
+    for other in (m, n):
+        moved = transform_rep(A, other, B)
+        w, certified = _kernel_certificate(m, moved)
+        assert certified
+        assert (w is not None) == (other == m)
+        assert w is None or w.verify(m, moved)
+
+
 # -- the rank profile on the zeros of det against the whole plane -----------
 
 
@@ -681,9 +828,9 @@ def test_rank_profile_on_census_pairs(census_reps):
 
 # -- a pinned digest of representations, rank profiles and witnesses --------
 
-#: sha256 over the lines of _digest_lines, generated at b77353c; any change
-#: to an answer, a witness or the order of the points changes it
-WITNESS_DIGEST = "3141d3fda761e84ddb051da500756576398516cd5ea4b9a6be09de5f8c6a23cd"
+#: sha256 over the lines of _digest_lines; any change to an answer, a
+#: witness or the order of the points changes it
+WITNESS_DIGEST = "afb18bf81419786517915cde878209c4b7f1b90ab6f255f62db9e42f2b241077"
 _DIGEST_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1), (31, 1),
                   (2, 6), (101, 1))
 
@@ -851,7 +998,7 @@ def test_every_rep_satisfies_the_object_determinant_identity(data):
         assert object_reference.is_ldr_of(rep, F) == lam
 
 
-# -- the extension step of the kernel certificate ----------------------------
+# -- the certificate stays on F_q ---------------------------------------------
 
 
 def _norm_form_rep(spec):
@@ -867,13 +1014,8 @@ def _norm_form_rep(spec):
     return LinearMatrixRep(spec, ident.rows, A.rows, (A @ A).rows)
 
 
-@pytest.mark.parametrize("p", [13, 31, 101])
-def test_certificate_skips_extensions_that_cannot_reach_four_points(monkeypatch, p):
-    from cubicrep.detrep import BudgetExceeded
-
-    spec = mk_field(p, 1)
-    M = _norm_form_rep(spec)
-    assert rational_points(det_cubic(M)) == []
+def _record_plane_tables(monkeypatch):
+    """The q of every plane_tables call from now on."""
     built = []
     real = _tables.plane_tables
 
@@ -882,9 +1024,43 @@ def test_certificate_skips_extensions_that_cannot_reach_four_points(monkeypatch,
         return real(s)
 
     monkeypatch.setattr(_tables, "plane_tables", recording)
+    return built
+
+
+@pytest.mark.parametrize("p", [13, 31, 101])
+def test_certificate_skips_extensions_that_cannot_reach_four_points(monkeypatch, p):
+    # B commutes with the companion matrix, a 3-dimensional solution space,
+    # so only the scan could decide, and it is past the budget
+    from cubicrep.detrep import BudgetExceeded
+
+    spec = mk_field(p, 1)
+    M = _norm_form_rep(spec)
+    assert rational_points(det_cubic(M)) == []
+    built = _record_plane_tables(monkeypatch)
     with pytest.raises(BudgetExceeded):
         equivalent(M, M)
     assert set(built) == {p}
+
+
+def test_triangular_pairs_over_f101_fail_fast(monkeypatch):
+    # det = XYZ has 3q rational zeros; no pass over F_{101^2} may run
+    from cubicrep.detrep import BudgetExceeded
+
+    spec = mk_field(101, 1)
+    rng = random.Random(10101)
+    built = _record_plane_tables(monkeypatch)
+    for _ in range(4):
+        t = _triangular_rep(spec, rng)
+        A, B = _random_transform(spec, rng), _random_transform(spec, rng)
+        for m2 in (_triangular_rep(spec, rng), transform_rep(A, t, B)):
+            start = time.perf_counter()
+            try:
+                w = equivalent(t, m2)
+                assert w is None or w.verify(t, m2)
+            except BudgetExceeded:
+                pass
+            assert time.perf_counter() - start < 2
+    assert set(built) == {101}
 
 
 @pytest.mark.parametrize("p, m, coeffs", [
@@ -893,9 +1069,8 @@ def test_certificate_skips_extensions_that_cannot_reach_four_points(monkeypatch,
 ])
 def test_certificate_extends_four_point_curves(monkeypatch, p, m, coeffs):
     """A smooth cubic with exactly 4 rational points (trace 5 over F_8,
-    trace 6 over F_9): three of the four kernel points are collinear, so the
-    base-field B-system keeps a 2-dimensional solution space and only the
-    F_{q^2} pass certifies the answer."""
+    trace 6 over F_9), three of them collinear: the solve on F_q decides
+    every pair without the scan."""
     from cubicrep import detrep
 
     spec = mk_field(p, m)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import golden
+import object_reference
 from object_reference import mul_quad_lin
 from cubicrep import _bulk, _tables
 from cubicrep.gf import mk_field
@@ -286,17 +287,16 @@ def _special_forms(spec, rng):
 
 
 def _check_singular_zeros(F, multiples):
-    """PlaneTables.singular against the gradient of plane.partials at every
+    """The singular zeros of PlaneTables.zero_sets against the gradient of plane.partials at every
     rational point, for F and its multiples."""
     spec = F.spec
     pt = _tables.plane_tables(spec)
     row = pt.sf.encode_all(F.coeffs)
     want = tuple(i for i, P in zip(pt.zeros(row), rational_points(F))
                  if not any(gradient(F, P)))
-    assert pt.singular(row) == want, F
-    assert pt.zero_sets(row) == (pt.zeros(row), want)
+    assert pt.zero_sets(row) == (pt.zeros(row), want), F
     for c in multiples:
-        assert pt.singular([pt.sf.mul[c][d] for d in row]) == want
+        assert pt.zero_sets([pt.sf.mul[c][d] for d in row])[1] == want
 
 
 _SINGULAR_FIELDS = tuple(mk_field(p, m) for p, m in
@@ -326,7 +326,7 @@ def test_singular_zeros_past_the_table_cap():
         _check_singular_zeros(F, rng.sample(range(2, spec.q), 4))
     # every shape but the line times a conic has a rational singular point
     pt = _tables.plane_tables(spec)
-    assert all(pt.singular(pt.sf.encode_all(F.coeffs)) for F in forms[1:])
+    assert all(pt.zero_sets(pt.sf.encode_all(F.coeffs))[1] for F in forms[1:])
 
 
 @pytest.mark.slow
@@ -453,6 +453,26 @@ def test_transform_inverse_is_two_sided(data):
     ident = LinearTransform.identity(spec)
     assert T @ T.inverse() == ident
     assert T.inverse() @ T == ident
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_transform_det_matches_object_expansion(data):
+    # both constructors test singularity with det3_idx and decode det from it
+    spec = data.draw(st.sampled_from(_INVERSE_FIELDS))
+    sf = _tables.scalar_field(spec)
+    idx = data.draw(st.lists(st.lists(st.integers(0, spec.q - 1), min_size=3, max_size=3),
+                             min_size=3, max_size=3))
+    rows = [[sf.decode(c) for c in row] for row in idx]
+    want = object_reference.det3(rows)
+    if not want:
+        for build in (lambda: LinearTransform(spec, rows),
+                      lambda: LinearTransform._from_idx(sf, idx)):
+            with pytest.raises(ValueError, match="singular"):
+                build()
+        return
+    T, U = LinearTransform(spec, rows), LinearTransform._from_idx(sf, idx)
+    assert T == U and T.det == U.det == want
 
 
 def test_normalize_examples():

@@ -109,32 +109,3 @@ def test_det_cubic_idx_matches_the_permutation_expansion(data):
     assert got == ([0] * 10 if want is None else sf.encode_all(want.coeffs))
     if dependent != "none":
         assert want is None
-
-
-# prime and extension fields from F_2 to F_257
-_KERNEL_FIELDS = tuple(mk_field(p, m) for p, m in
-                       ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1),
-                        (2, 6), (101, 1), (257, 1)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_cross_kernel_matches_row_reduction(data):
-    # a random 3x3 matrix of rank at most 2: a sum of `rank` outer products
-    # u v^t; the cross-product kernel must span the kernel that
-    # right_kernel_idx finds when it is a line, and be None otherwise
-    spec = data.draw(st.sampled_from(_KERNEL_FIELDS))
-    sf = _tables.scalar_field(spec)
-    vec = st.lists(st.integers(0, spec.q - 1), min_size=3, max_size=3)
-    m = [[0] * 3 for _ in range(3)]
-    for _ in range(data.draw(st.integers(0, 2))):
-        u, v = data.draw(vec), data.draw(vec)
-        m = [[sf.add[m[i][j]][sf.mul[u[i]][v[j]]] for j in range(3)] for i in range(3)]
-    basis = _tables.right_kernel_idx(m, sf)
-    kernel = _tables.cross_kernel_idx(m, sf)
-    if len(basis) != 1:
-        assert kernel is None
-        return
-    assert kernel is not None
-    # proportional: the only nonzero cross product, kernel x basis[0], vanishes
-    assert _tables.cross_kernel_idx([kernel, basis[0], (0, 0, 0)], sf) is None
