@@ -283,41 +283,51 @@ def plane_tables(spec: FieldSpec) -> PlaneTables:
 
 
 def right_kernel_idx(rows, sf: ScalarField):
-    """Kernel basis of a matrix of element indices; returns index vectors."""
+    """Kernel basis of a matrix of element indices; returns index vectors.
+
+    The basis is the reduced echelon one: a vector per free column, 1 there
+    and 0 at the other free columns.  Forward elimination touches only the
+    columns from the pivot rightwards, and back-substitution runs only when
+    there is a kernel.
+    """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    sub, mul, inv, neg = sf.sub, sf.mul, sf.inv, sf.neg
+    add, sub, mul, inv, neg = sf.add, sf.sub, sf.mul, sf.inv, sf.neg
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        f = inv[m[r][c]]
+        mr = m[r]
+        f = inv[mr[c]]
         if f != 1:
-            m[r] = [mul[x][f] for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                g = m[i][c]
-                mi, mr = m[i], m[r]
-                m[i] = [sub[x][mul[g][y]] for x, y in zip(mi, mr)]
+            mr[c:] = [mul[x][f] for x in mr[c:]]
+        tail = mr[c + 1:]
+        for i in range(r + 1, nrows):
+            mi = m[i]
+            if mi[c]:
+                mg = mul[mi[c]]
+                mi[c + 1:] = [sub[x][mg[y]] for x, y in zip(mi[c + 1:], tail)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    free = [c for c in range(ncols) if c not in pivots]
+    if r == ncols:
+        return []
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[fc] = 1
-        for pi, pc in enumerate(pivots):
-            vec[pc] = neg[m[pi][fc]]
+        for pi in range(r - 1, -1, -1):
+            pc, row = pivots[pi], m[pi]
+            acc = 0
+            for j in range(pc + 1, ncols):
+                if vec[j] and row[j]:
+                    acc = add[acc][mul[row[j]][vec[j]]]
+            vec[pc] = neg[acc]
         basis.append(tuple(vec))
     return basis
 

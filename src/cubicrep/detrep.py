@@ -24,28 +24,37 @@ det(rep_n) = lam_n * Fn in normal form and det(rep) = lam * F after the
 pullback, the second through the cached _det_idx.
 symmetrize and the completion of a candidate B into a witness run on
 indices as well.  EquivalenceWitness.verify and transform_rep run on the
-coefficient tuples of gf, the arithmetic behind FieldElement, and off the
-tables of _tables: they are the independent check of every witness returned.
+coefficient tuples of gf, each output entry summed in Z[x] and reduced once,
+off the tables of _tables: they are the independent check of every witness
+returned.
 
-Equivalence needs proportional determinants, so both representations
-vanish at the same points and M(P) has rank 3 everywhere else; the
-pointwise ranks, which M -> A M B preserves, are therefore compared only at
-the rational zeros of the determinant.  By Jacobi's formula a zero of rank
-at most 1 is a singular zero of det M, so the rank is computed only at the
-cached singular zeros, which a smooth curve does not have, and is 2 at
-every other zero.  A certificate stage then solves one linear system over
-F_q for B: at the first point P off the curve, B K_u = N_u B with
-N_u = M1(P)^-1 M1_u and K_u = M2(P)^-1 M2_u.  Its solutions are
-Hom(coker M1, coker M2), of dimension 1 or 0 for a smooth curve, whose
-cokernels are line bundles (Beauville), so the solve alone decides every
-pair of representations of a smooth cubic.  Only when it is inconclusive,
-which needs a singular det, does the exhaustive scan over GL_3(F_q) run,
-and the scan is subject to a group-size budget; it runs on the uint8
-tables of _bulk and so refuses fields past _tables.MAX_TABLE_Q.  The rank
-comparison and the certificate read the zeros from PlaneTables, one cached
-scan and one gradient pass per curve up to scalars; the certificate, the
-witness completion and the scan take P from the first gap in that zero
-set.
+equivalent decides a pair in stages: det ratio -> rank profile -> traces ->
+certificate -> scan.  Equivalence needs proportional determinants, so both
+representations vanish at the same points and M(P) has rank 3 everywhere
+else; the pointwise ranks, which M -> A M B preserves, are therefore
+compared only at the rational zeros of the determinant.  By Jacobi's formula
+a zero of rank at most 1 is a singular zero of det M, so the rank is
+computed only at the cached singular zeros, which a smooth curve does not
+have, and is 2 at every other zero.  At the first point P off the curve,
+N_u = M1(P)^-1 M1_u and K_u = M2(P)^-1 M2_u; a witness M2 = A M1 B gives
+K_u = B^-1 N_u B, so the trace of every word in the N_u equals that of the
+same word in the K_u.  The trace stage compares tr(N_v^2 N_w^2) and
+tr(N_v^2 N_w^2 N_v N_w), cached with the N_u, and a difference proves
+inequivalence.  Words of degree 3 or less would not help: their traces come
+from det(sum_u x_u N_u - t I), which the curve fixes, and in characteristic
+2 and 3 too they agreed on every pair of representations of one curve
+tried, while these two words told every inequivalent pair tried apart.  Pairs
+with equal traces go to the certificate, one linear system over F_q for B,
+B K_u = N_u B.  Its solutions are Hom(coker M1, coker M2), of dimension 1
+or 0 for a smooth curve, whose cokernels are line bundles (Beauville), so
+the solve alone decides every pair of representations of a smooth cubic.
+Only when it is inconclusive, which needs a singular det, does the
+exhaustive scan over GL_3(F_q) run, and the scan is subject to a
+group-size budget; it runs on the uint8 tables of _bulk and so refuses
+fields past _tables.MAX_TABLE_Q.  The rank comparison and the certificate
+read the zeros from PlaneTables, one cached scan and one gradient pass per
+curve up to scalars; the trace stage, the certificate, the witness
+completion and the scan take P from the first gap in that zero set.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import _bulk, _tables
-from .gf import FieldElement, FieldMismatch, FieldSpec
+from .gf import FieldElement, FieldMismatch, FieldSpec, _poly_mod
 from .plane import (
     LinearTransform,
     NotOnCurve,
@@ -228,7 +237,12 @@ class EquivalenceWitness:
         self.b = b
 
     def verify(self, m1: LinearMatrixRep, m2: LinearMatrixRep) -> bool:
-        return transform_rep(self.a, m1, self.b) == m2
+        """Whether m2 = a * m1 * b, compared on gf coefficient tuples."""
+        if m1.spec != m2.spec:
+            return False
+        got = _product_coeffs(self.a, m1, self.b)
+        return all(tuple(tuple(e.coeffs for e in row) for row in mv) == g
+                   for mv, g in zip(m2.coefficient_matrices(), got))
 
     def inverse(self) -> "EquivalenceWitness":
         return EquivalenceWitness(self.a.inverse(), self.b.inverse())
@@ -240,26 +254,48 @@ class EquivalenceWitness:
 def transform_rep(a: LinearTransform, rep: LinearMatrixRep,
                   b: LinearTransform) -> LinearMatrixRep:
     """The representation a * rep * b (constant matrices act entrywise)."""
+    index = _tables.scalar_field(rep.spec).index
+    out = _product_coeffs(a, rep, b)
+    return _rep_from_idx(rep.spec, tuple(tuple(tuple(index[mv[i][j]] for mv in out)
+                                               for j in range(3)) for i in range(3)))
+
+
+def _product_coeffs(a, rep, b):
+    """The gf coefficient tuples of a * m_v * b for v = 0, 1, 2, off the
+    tables of _tables.
+
+    An element with coefficients c_k is packed into the integer
+    sum_k c_k 2^(s k), its polynomial at x = 2^s; over a prime field that is
+    the element itself.  An output entry, a sum of nine triple products, is
+    then one integer whose base-2^s digits are its coefficients in Z[x], as
+    none exceeds 9 m^2 (p-1)^3 < 2^s, and it is reduced once: mod p, and for
+    m > 1 mod the field's modulus with gf's _poly_mod.
+    """
     spec = rep.spec
-    ac, bc = _coeffs(a.rows), _coeffs(b.rows)
+    p, m = spec.p, spec.m
+    s = (9 * m * m * (p - 1) ** 3).bit_length()
+    mask = (1 << s) - 1
+
+    def pack(mat):
+        if m == 1:
+            return [[e.coeffs[0] for e in row] for row in mat]
+        return [[sum(c << (s * k) for k, c in enumerate(e.coeffs)) for e in row] for row in mat]
+
+    def reduce(n):
+        if m == 1:
+            return (n % p,)
+        red = _poly_mod([((n >> (s * k)) & mask) % p for k in range(3 * m - 2)],
+                        spec.modulus, p)
+        return red + (0,) * (m - len(red))
+
+    pa, cols_b = pack(a.rows), tuple(zip(*pack(b.rows)))
     out = []
     for mv in rep.coefficient_matrices():
-        prod = _matmul(_matmul(ac, _coeffs(mv), spec), bc, spec)
-        out.append([[FieldElement(spec, c) for c in row] for row in prod])
-    return LinearMatrixRep(spec, *out)
-
-
-def _coeffs(m):
-    return [[e.coeffs for e in row] for row in m]
-
-
-def _matmul(x, y, spec):
-    """x @ y for 3x3 matrices of gf coefficient tuples, on the tuple
-    arithmetic behind the FieldElement operators."""
-    add, mul = spec._add, spec._mul
-    cols = tuple(zip(*y))
-    return tuple(tuple(add(add(mul(r0, c0), mul(r1, c1)), mul(r2, c2)) for c0, c1, c2 in cols)
-                 for r0, r1, r2 in x)
+        cols_m = tuple(zip(*pack(mv)))
+        am = [[r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in cols_m] for r0, r1, r2 in pa]
+        out.append(tuple(tuple(reduce(r0 * c0 + r1 * c1 + r2 * c2) for c0, c1, c2 in cols_b)
+                         for r0, r1, r2 in am))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +528,9 @@ def _rank_profile(spec: FieldSpec, idx):
 
 @lru_cache(maxsize=1 << 12)
 def _kernel_data(spec: FieldSpec, idx):
-    """(N_v, N_w) with N_u = M(P)^-1 M_u for the representation M with
-    entries idx over spec, or None when det M vanishes on all of P^2(F_q).
+    """((N_v, N_w), traces) with N_u = M(P)^-1 M_u for the representation M
+    with entries idx over spec, or None when det M vanishes on all of
+    P^2(F_q); traces = (tr(N_v^2 N_w^2), tr(N_v^2 N_w^2 N_v N_w)).
 
     P is the first point off the curve det M = 0 (_off_curve_point), which
     representations with proportional determinants share, and v < w are
@@ -504,11 +541,16 @@ def _kernel_data(spec: FieldSpec, idx):
     at = _off_curve_point(pt, _det_idx(spec, idx))
     if at is None:
         return None
+    mm = _tables.matmul3_idx
     m_inv = _tables.inv3_idx(_matrix_at_point(idx, at, sf), sf)
     first = next(u for u in range(3) if at[u])
-    mats = (_tables.matmul3_idx(m_inv, [[e[u] for e in row] for row in idx], sf)
-            for u in range(3) if u != first)
-    return tuple(tuple(map(tuple, m)) for m in mats)
+    n_v, n_w = (mm(m_inv, [[e[u] for e in row] for row in idx], sf)
+                for u in range(3) if u != first)
+    word = mm(mm(n_v, n_v, sf), mm(n_w, n_w, sf), sf)
+    add = sf.add
+    traces = tuple(add[add[x[0][0]][x[1][1]]][x[2][2]]
+                   for x in (word, mm(word, mm(n_v, n_w, sf), sf)))
+    return tuple(tuple(map(tuple, n)) for n in (n_v, n_w)), traces
 
 
 def _off_curve_point(pt, d_idx):
@@ -556,14 +598,13 @@ def _kernel_certificate(m1, m2):
     singular det can leave dimension 2 or more, and only a det vanishing
     on all of P^2(F_q) leaves no P; both are inconclusive.
     """
-    ns = _kernel_data(m1.spec, m1.idx)
-    ks = _kernel_data(m2.spec, m2.idx)
-    if ns is None or ks is None:
+    k1, k2 = _kernel_data(m1.spec, m1.idx), _kernel_data(m2.spec, m2.idx)
+    if k1 is None or k2 is None:
         return None, False
     sf = _tables.scalar_field(m1.spec)
     add, sub, mul = sf.add, sf.sub, sf.mul
     rows = []
-    for n, k in zip(ns, ks):
+    for n, k in zip(k1[0], k2[0]):
         # entry (i, j) of B K - N B: sum_l B[i][l] K[l][j] - N[i][l] B[l][j]
         for i in range(3):
             for j in range(3):
@@ -610,9 +651,14 @@ def equivalent(m1: LinearMatrixRep, m2: LinearMatrixRep,
     """A witness (A, B) with m2 = A m1 B, or None when no such pair exists.
 
     Both inputs must be valid representations of proportional cubics;
-    otherwise the answer is immediately None.  Witnesses are deterministic.
-    Raises BudgetExceeded when only the exhaustive GL_3 scan could decide
-    and the group order exceeds cap (the default accepts q <= 9).
+    otherwise the answer is immediately None.  The stages are det ratio ->
+    rank profile -> traces -> certificate -> scan; each of the first three
+    returns None on an invariant that differs.  The traces are those of
+    _kernel_data: a witness gives K_u = B^-1 N_u B at the shared point off
+    the curve, so the trace of any word in the N_u is that of the same word
+    in the K_u.  Witnesses are deterministic.  Raises BudgetExceeded when
+    only the exhaustive GL_3 scan could decide and the group order exceeds
+    cap (the default accepts q <= 9).
     """
     if m1.spec != m2.spec:
         raise FieldMismatch("representations live in different fields")
@@ -623,6 +669,9 @@ def equivalent(m1: LinearMatrixRep, m2: LinearMatrixRep,
         return None
     if _rank_profile(spec, m1.idx) != _rank_profile(spec, m2.idx):
         return None  # pointwise ranks are invariant under M -> A M B
+    k1, k2 = _kernel_data(spec, m1.idx), _kernel_data(spec, m2.idx)
+    if k1 and k2 and k1[1] != k2[1]:
+        return None  # so are the traces of words in the kernel pencil
     witness, certified = _kernel_certificate(m1, m2)
     if witness is not None:
         return witness

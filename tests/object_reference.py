@@ -12,7 +12,8 @@ from rational_points, which the zero-set tests of test_plane check against
 TernaryCubic.evaluate.
 
 transform_rep multiplies the constant matrices with the FieldElement
-operators.  rank_profile is the exception to the objects: it ranks M(P)
+operators, and right_kernel reads a kernel basis off the reduced row echelon
+form.  rank_profile is the exception to the objects: it ranks M(P)
 with _tables.rank3_idx at every rational zero of det M, the plain formula
 that detrep._rank_profile shortens to the singular zeros.
 """
@@ -232,6 +233,38 @@ def transform_rep(a: LinearTransform, rep: LinearMatrixRep, b: LinearTransform):
 
     return LinearMatrixRep(spec, *(matmul(matmul(a.rows, mv), b.rows)
                                    for mv in rep.coefficient_matrices()))
+
+
+def right_kernel(rows, spec):
+    """Kernel basis of a matrix of FieldElements read off its reduced row
+    echelon form by Gauss-Jordan elimination: one vector per free column,
+    1 there and 0 at the other free columns."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                g = m[i][c]
+                m[i] = [x - g * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [spec.zero()] * ncols
+        vec[fc] = spec.one()
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc]
+        basis.append(tuple(vec))
+    return basis
 
 
 def rank_profile(rep: LinearMatrixRep):

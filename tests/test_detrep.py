@@ -755,6 +755,88 @@ def test_certificate_decides_every_smooth_pair(data):
         assert w is None or w.verify(m, moved)
 
 
+# -- the trace stage ---------------------------------------------------------
+
+
+def _traces(rep):
+    """t(rep) from _kernel_data, or None when det rep leaves no point off
+    the curve."""
+    from cubicrep.detrep import _kernel_data
+
+    data = _kernel_data(rep.spec, rep.idx)
+    return None if data is None else data[1]
+
+
+def _random_matrix(spec, rng):
+    """A 3x3 matrix of field elements drawn from the whole field."""
+    el = _tables.scalar_field(spec).elems
+    return [[el[rng.randrange(spec.q)] for _ in range(3)] for _ in range(3)]
+
+
+def _random_invertible(spec, rng):
+    while True:
+        try:
+            return LinearTransform(spec, _random_matrix(spec, rng))
+        except ValueError:
+            continue
+
+
+def _smooth_trace_pairs(spec, seed, curves, per_curve):
+    """Pairs of reps of one smooth curve, (m, n), (m, A n B) and the
+    equivalent (m, A m B), at most per_curve of each per curve."""
+    rng = random.Random(seed)
+    pairs = []
+    for F in _random_smooth_curves(spec, rng, curves):
+        reps = [rep for _, rep, _ in all_reps(F)]
+        combos = list(combinations(reps, 2))
+        for m, n in rng.sample(combos, min(per_curve, len(combos))):
+            A, B = _random_invertible(spec, rng), _random_invertible(spec, rng)
+            pairs += [(m, n), (m, transform_rep(A, n, B)), (m, transform_rep(A, m, B))]
+    return pairs
+
+
+def test_trace_stage_rejects_only_certified_inequivalences(census_reps):
+    # whenever the traces of two smooth reps differ, the B solve proves the
+    # pair inequivalent; the other pairs fall through to the solve
+    from cubicrep.detrep import _kernel_certificate
+
+    pairs = [pair for q in (2, 3) for _, reps in census_reps[q]
+             for pair in combinations([rep for _, rep, _ in reps], 2)]
+    for k, (p, m) in enumerate(((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+                                (2, 4), (31, 1))):
+        pairs += _smooth_trace_pairs(mk_field(p, m), 8100 + k, 4, 10)
+    rejected = 0
+    for m1, m2 in pairs:
+        t1, t2 = _traces(m1), _traces(m2)
+        assert t1 is not None and t2 is not None
+        if t1 != t2:
+            assert _kernel_certificate(m1, m2) == (None, True), (m1, m2)
+            rejected += 1
+    print(f"trace stage: {rejected} of {len(pairs)} smooth pairs rejected, "
+          f"{len(pairs) - rejected} fell through to the solve")
+    assert rejected
+
+
+_TRACE_FIELDS = tuple(mk_field(p, m) for p, m in
+                      ((2, 1), (3, 1), (2, 2), (3, 2), (13, 1), (2, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_traces_are_invariant_under_equivalence(data):
+    # K_u = B^-1 N_u B at the shared point off the curve, for any matrix of
+    # linear forms, singular det included
+    spec = data.draw(st.sampled_from(_TRACE_FIELDS))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans()):
+        m = _triangular_rep(spec, rng)
+    else:
+        m = LinearMatrixRep(spec, *(_random_matrix(spec, rng) for _ in range(3)))
+    assume(_traces(m) is not None)
+    moved = transform_rep(_random_invertible(spec, rng), m, _random_invertible(spec, rng))
+    assert _traces(moved) == _traces(m)
+
+
 # -- the rank profile on the zeros of det against the whole plane -----------
 
 
@@ -942,6 +1024,39 @@ def test_verify_checks_every_coefficient_matrix():
         mats = [[list(row) for row in m] for m in moved.coefficient_matrices()]
         mats[v][2][1] = mats[v][2][1] + 1
         assert not w.verify(rep, LinearMatrixRep(F7, *mats)), v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_matches_object_products(data):
+    # verify compares gf coefficient tuples; the reference multiplies with
+    # the FieldElement operators and compares representations
+    from cubicrep.detrep import EquivalenceWitness
+
+    spec = data.draw(st.sampled_from(_TRANSFORM_FIELDS))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    rep = LinearMatrixRep(spec, *(_random_matrix(spec, rng) for _ in range(3)))
+    A, B = _random_invertible(spec, rng), _random_invertible(spec, rng)
+    want = object_reference.transform_rep(A, rep, B)
+    mats = [[list(row) for row in m] for m in want.coefficient_matrices()]
+    if data.draw(st.booleans()):
+        v, i, j = (data.draw(st.integers(0, 2)) for _ in range(3))
+        nonzero = _tables.scalar_field(spec).elems[data.draw(st.integers(1, spec.q - 1))]
+        mats[v][i][j] = mats[v][i][j] + nonzero
+    target = LinearMatrixRep(spec, *mats)
+    assert EquivalenceWitness(A, B).verify(rep, target) == (want == target)
+
+
+def test_verify_is_false_across_fields():
+    from cubicrep.detrep import EquivalenceWitness
+
+    grid = [[1, 0, 1], [0, 1, 0], [1, 1, 0]]
+    ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for a, b in ((F5, F7), (mk_field(2, 2), F2), (F2, mk_field(2, 3))):
+        w = EquivalenceWitness(LinearTransform(a, ident), LinearTransform(a, ident))
+        m = LinearMatrixRep(a, grid, ident, grid)
+        assert w.verify(m, m)
+        assert w.verify(m, LinearMatrixRep(b, grid, ident, grid)) is False
 
 
 @pytest.mark.slow

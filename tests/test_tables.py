@@ -1,5 +1,6 @@
-"""The O(q) field rules of _tables.ScalarField and the symbolic determinant
-of _tables against FieldElement arithmetic."""
+"""The O(q) field rules of _tables.ScalarField, the symbolic determinant
+and the kernel by row reduction of _tables against FieldElement
+arithmetic."""
 
 import random
 
@@ -109,3 +110,76 @@ def test_det_cubic_idx_matches_the_permutation_expansion(data):
     assert got == ([0] * 10 if want is None else sf.encode_all(want.coeffs))
     if dependent != "none":
         assert want is None
+
+
+def _check_kernel(rows, sf):
+    got = [tuple(sf.decode(v) for v in vec) for vec in _tables.right_kernel_idx(rows, sf)]
+    ref = object_reference.right_kernel([[sf.decode(x) for x in row] for row in rows], sf.spec)
+    assert got == ref, rows
+
+
+_KERNEL_FIELDS = tuple(mk_field(p, m) for p, m in
+                       ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3), (13, 1), (2, 6),
+                        (101, 1), (257, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_right_kernel_matches_row_reduction(data):
+    spec = data.draw(st.sampled_from(_KERNEL_FIELDS))
+    sf = _tables.scalar_field(spec)
+    nrows, ncols = data.draw(st.integers(1, 18)), data.draw(st.integers(1, 10))
+    coeff = st.integers(0, spec.q - 1)
+    # zero entries come up often, so zero rows and columns do too
+    entry = st.one_of(st.just(0), coeff)
+    rows = [data.draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for k in range(data.draw(st.integers(0, nrows - 1))):
+        # rank deficiency: row k becomes c0 * row k+1 + c1 * the last row
+        c0, c1 = data.draw(coeff), data.draw(coeff)
+        rows[k] = [sf.add[sf.mul[c0][x]][sf.mul[c1][y]] for x, y in zip(rows[k + 1], rows[-1])]
+    _check_kernel(rows, sf)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (2, 6), (31, 1),
+                                  pytest.param(257, 1, marks=pytest.mark.slow)])
+def test_right_kernel_matches_row_reduction_on_solver_systems(monkeypatch, p, m):
+    # the 18 x 9 B-systems of the kernel certificate, on pairs (m, A m B)
+    # and (m, A n B), and the 9 x 9 systems of symmetrize
+    from cubicrep.detrep import _kernel_certificate, all_reps, symmetrize, transform_rep
+    from cubicrep.plane import LinearTransform, TernaryCubic, is_smooth
+
+    spec = mk_field(p, m)
+    sf = _tables.scalar_field(spec)
+    systems = []
+    solve = _tables.right_kernel_idx
+
+    def recording(rows, sf):
+        systems.append([list(r) for r in rows])
+        return solve(rows, sf)
+
+    monkeypatch.setattr(_tables, "right_kernel_idx", recording)
+    rng = random.Random(9100 + spec.q)
+    el = sf.elems
+    curves = 0
+    while curves < 3:
+        F = TernaryCubic(spec, [el[rng.randrange(spec.q)] for _ in range(10)])
+        if not is_smooth(F):
+            continue
+        curves += 1
+        reps = [rep for _, rep, _ in all_reps(F)][:6]
+        for k, rep in enumerate(reps):
+            while True:
+                try:
+                    A, B = (LinearTransform(spec, [[el[rng.randrange(spec.q)] for _ in range(3)]
+                                                   for _ in range(3)]) for _ in range(2))
+                    break
+                except ValueError:
+                    continue
+            for other in (rep, reps[k - 1]):
+                _kernel_certificate(rep, transform_rep(A, other, B))
+            symmetrize(rep)
+    monkeypatch.undo()
+    shapes = {(len(rows), len(rows[0])) for rows in systems}
+    assert shapes == {(18, 9), (9, 9)}
+    for rows in systems:
+        _check_kernel(rows, sf)
