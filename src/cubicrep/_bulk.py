@@ -3,9 +3,8 @@
 Field elements are encoded as their position in the field's canonical
 enumeration and all arithmetic goes through the uint8 views of
 _tables.ScalarField, which exist for q <= _tables.MAX_TABLE_Q, so the same
-code drives prime and extension fields.  Used by the census machinery and
-by the exhaustive equivalence scan; nothing here is part of the public
-surface.
+code drives prime and extension fields.  Used by the census machinery;
+nothing here is part of the public surface.
 """
 
 from __future__ import annotations
@@ -23,15 +22,6 @@ from .gf import FieldSpec
 # batched 3x3 linear algebra
 
 
-def matmul3(sf: ScalarField, a, b):
-    """(..., 3, 3) @ (..., 3, 3) under table arithmetic."""
-    acc = sf.MUL[a[..., :, 0:1], b[..., 0:1, :]]
-    for k in range(1, 3):
-        term = sf.MUL[a[..., :, k:k + 1], b[..., k:k + 1, :]]
-        acc = sf.ADD[acc, term]
-    return acc
-
-
 def det3(sf: ScalarField, m):
     MUL, ADD, SUB = sf.MUL, sf.ADD, sf.SUB
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
@@ -41,24 +31,6 @@ def det3(sf: ScalarField, m):
     t2 = MUL[b, SUB[MUL[d, i], MUL[f, g]]]
     t3 = MUL[c, SUB[MUL[d, h], MUL[e, g]]]
     return ADD[SUB[t1, t2], t3]
-
-
-def inv3(sf: ScalarField, m):
-    """Inverses of a batch of invertible 3x3 matrices."""
-    MUL, SUB = sf.MUL, sf.SUB
-    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
-    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
-    adj = np.stack([
-        np.stack([SUB[MUL[e, i], MUL[f, h]], SUB[MUL[c, h], MUL[b, i]],
-                  SUB[MUL[b, f], MUL[c, e]]], axis=-1),
-        np.stack([SUB[MUL[f, g], MUL[d, i]], SUB[MUL[a, i], MUL[c, g]],
-                  SUB[MUL[c, d], MUL[a, f]]], axis=-1),
-        np.stack([SUB[MUL[d, h], MUL[e, g]], SUB[MUL[b, g], MUL[a, h]],
-                  SUB[MUL[a, e], MUL[b, d]]], axis=-1),
-    ], axis=-2)
-    det_inv = sf.INV[det3(sf, m)]
-    return MUL[adj, det_inv[..., None, None]]
 
 
 @lru_cache(maxsize=None)
@@ -226,59 +198,3 @@ def decode_form(q: int, enc: int) -> list[int]:
         digits.append(enc % q)
         enc //= q
     return digits[::-1]
-
-
-# ---------------------------------------------------------------------------
-# exhaustive equivalence scan
-
-
-def _gl3_blocks(sf: ScalarField):
-    """GL_3 in blocks: the identity first, then the rest in lexicographic order."""
-    ident = np.eye(3, dtype=np.uint8)
-    yield ident[None]
-    for block in _all_matrices_blocks(sf.q):
-        keep = (det3(sf, block) != 0) & (block != ident).any(axis=(1, 2))
-        if keep.any():
-            yield block[keep]
-
-
-def _sandwich(sf: ScalarField, a, mc, b):
-    """a @ M @ b for the linear-form matrix mc[row, col, var]; a and b are
-    (..., 3, 3) batches that broadcast against each other."""
-    # t[..., i, k, v] = sum_j a[..., i, j] * mc[j, k, v]
-    t = sf.MUL[a[..., :, 0, None, None], mc[0]]
-    for j in range(1, 3):
-        t = sf.ADD[t, sf.MUL[a[..., :, j, None, None], mc[j]]]
-    # u[..., i, l, v] = sum_k t[..., i, k, v] * b[..., k, l]
-    u = sf.MUL[t[..., :, 0, None, :], b[..., None, 0, :, None]]
-    for k in range(1, 3):
-        u = sf.ADD[u, sf.MUL[t[..., :, k, None, :], b[..., None, k, :, None]]]
-    return u
-
-
-def scan_equivalence(sf: ScalarField, m1_idx, m2_idx, at_point=None):
-    """First (A, B) with A @ m1 @ B == m2, A identity-first then lex order.
-
-    m1_idx and m2_idx hold each entry's coefficient indices as [row][col][var].
-    at_point is the pair (m1(P), m2(P)) of index matrices at a point P where
-    det m1 is nonzero; B is then determined by each A (it is unique for valid
-    representations), so only the 27-coefficient identity needs checking.
-    Without such a point every B in GL_3 is tried against each A.  Returns
-    the pair as index matrices, or None.
-    """
-    m1c = np.array(m1_idx, dtype=np.uint8)
-    m2c = np.array(m2_idx, dtype=np.uint8)
-    if at_point is not None:
-        m1pt, m2pt = (np.array(m, dtype=np.uint8)[None] for m in at_point)
-    for a in _gl3_blocks(sf):
-        if at_point is None:
-            a, b = a[:, None], gl3_array(sf.spec)[None]
-        else:
-            b = matmul3(sf, inv3(sf, matmul3(sf, a, m1pt)), m2pt)
-        ok = (_sandwich(sf, a, m1c, b) == m2c).all(axis=(-3, -2, -1))
-        hit = np.argwhere(ok)
-        if hit.size:
-            g = tuple(hit[0])
-            return (np.broadcast_to(a, ok.shape + (3, 3))[g],
-                    np.broadcast_to(b, ok.shape + (3, 3))[g])
-    return None

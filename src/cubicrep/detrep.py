@@ -29,7 +29,7 @@ off the tables of _tables: they are the independent check of every witness
 returned.
 
 equivalent decides a pair in stages: det ratio -> rank profile -> traces ->
-certificate -> scan.  Equivalence needs proportional determinants, so both
+sweep.  Equivalence needs proportional determinants, so both
 representations vanish at the same points and M(P) has rank 3 everywhere
 else; the pointwise ranks, which M -> A M B preserves, are therefore
 compared only at the rational zeros of the determinant.  By Jacobi's formula
@@ -44,25 +44,26 @@ inequivalence.  Words of degree 3 or less would not help: their traces come
 from det(sum_u x_u N_u - t I), which the curve fixes, and in characteristic
 2 and 3 too they agreed on every pair of representations of one curve
 tried, while these two words told every inequivalent pair tried apart.  Pairs
-with equal traces go to the certificate, one linear system over F_q for B,
-B K_u = N_u B.  Its solutions are Hom(coker M1, coker M2), of dimension 1
-or 0 for a smooth curve, whose cokernels are line bundles (Beauville), so
-the solve alone decides every pair of representations of a smooth cubic.
-Only when it is inconclusive, which needs a singular det, does the
-exhaustive scan over GL_3(F_q) run, and the scan is subject to a
-group-size budget; it runs on the uint8 tables of _bulk and so refuses
-fields past _tables.MAX_TABLE_Q.  The rank comparison and the certificate
-read the zeros from PlaneTables, one cached scan and one gradient pass per
-curve up to scalars; the trace stage, the certificate, the witness
-completion and the scan take P from the first gap in that zero set.
+with equal traces go to the sweep over the solutions of one linear system
+over F_q for B, B K_u = N_u B.  They are Hom(coker M1, coker M2) and hold
+the B of every witness, so completing each line of the solution space to
+the one A that can go with it, and verifying, decides every pair.  For a
+smooth curve, whose cokernels are line bundles (Beauville), the space has
+dimension 1 or 0: one candidate or none.  Only a singular det leaves a
+larger space, and the sweep gives up with BudgetExceeded after
+SWEEP_BUDGET candidates.  The rank comparison and the sweep read the zeros
+from PlaneTables, one cached scan and one gradient pass per curve up to
+scalars; the trace stage, the linear system and the witness completion
+take P from the first gap in that zero set.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Optional
 
-from . import _bulk, _tables
+from . import _tables
 from .gf import FieldElement, FieldMismatch, FieldSpec, _poly_mod
 from .plane import (
     LinearTransform,
@@ -76,8 +77,8 @@ from .plane import (
     rational_points,
 )
 
-#: |GL_3(F_q)| for q = 9, the default equivalence-scan budget
-DEFAULT_GROUP_BUDGET = (9**3 - 1) * (9**3 - 9) * (9**3 - 81)
+#: lines of a solution space _sweep may try before equivalent gives up
+SWEEP_BUDGET = 10**5
 
 
 class DetRepError(Exception):
@@ -118,10 +119,6 @@ class BudgetExceeded(DetRepError):
 
 class NoRationalPoint(DetRepError):
     """Cannot occur for smooth cubics over finite fields; internal error."""
-
-
-def gl3_order(q: int) -> int:
-    return (q**3 - 1) * (q**3 - q) * (q**3 - q**2)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +577,8 @@ def _witness_from_b(m1: LinearMatrixRep, m2: LinearMatrixRep, b):
 
 
 def _kernel_certificate(m1, m2):
-    """(witness | None, certified) from one linear solve for B over F_q;
-    certified=False means inconclusive.
+    """A verified witness with m2 = A m1 B, or None when there is none, from
+    the solutions of one linear system over F_q.
 
     A witness m2 = A m1 B gives C m2 = m1 B with C = A^-1 = m1(P) B m2(P)^-1
     at the shared point P off the curve, hence B K_u = N_u B for each u,
@@ -591,19 +588,36 @@ def _kernel_certificate(m1, m2):
     entries of B.  Their solutions are Hom(coker m1, coker m2): a map of
     cokernels lifts to a unique pair (C, B), there being no constant maps
     of negative degree.  For a smooth det both cokernels are line bundles
-    of one degree, so the space has dimension 1 if they are isomorphic and
-    0 otherwise.  Dimension 0 proves inequivalence; at dimension 1 every
-    witness has a multiple of the one solution as B, so _witness_from_b
-    either returns a verified witness or proves there is none.  Only a
-    singular det can leave dimension 2 or more, and only a det vanishing
-    on all of P^2(F_q) leaves no P; both are inconclusive.
+    of one degree, so the space has dimension d = 1 if they are isomorphic
+    and 0 otherwise; only a singular det leaves d >= 2.  Every witness has
+    a multiple of a solution as B, and _witness_from_b completes a B to the
+    only A that can go with it, so _sweep over the lines of the solution
+    space either finds a verified witness or proves there is none.  At
+    d = 1 that is one candidate.  A solution B with det B != 0 always
+    completes to a witness, so a candidate is rejected only for det B = 0,
+    at the cost of one determinant; the verify is the independent check.
+
+    Only a det vanishing on all of P^2(F_q) leaves no P.  The ideal of
+    P^2(F_q) is generated in degree q + 1, so a nonzero cubic vanishes on
+    all of it only when q + 1 <= 3, over F_2.  There the sweep runs on the
+    27 rows C m2_v = m1_v B in the 18 entries of (C, B), with A = C^-1.
     """
     k1, k2 = _kernel_data(m1.spec, m1.idx), _kernel_data(m2.spec, m2.idx)
-    if k1 is None or k2 is None:
-        return None, False
     sf = _tables.scalar_field(m1.spec)
-    add, sub, mul = sf.add, sf.sub, sf.mul
+    add, sub, neg = sf.add, sf.sub, sf.neg
     rows = []
+    if k1 is None or k2 is None:
+        for v in range(3):
+            for i in range(3):
+                for j in range(3):
+                    # entry (i, j) of C m2_v - m1_v B
+                    row = [0] * 18
+                    for l in range(3):
+                        row[3 * i + l] = m2.idx[l][j][v]
+                        row[9 + 3 * l + j] = neg[m1.idx[i][l][v]]
+                    rows.append(row)
+        return _sweep(_tables.right_kernel_idx(rows, sf), sf,
+                      lambda vec: _witness_from_cb(m1, m2, vec, sf))
     for n, k in zip(k1[0], k2[0]):
         # entry (i, j) of B K - N B: sum_l B[i][l] K[l][j] - N[i][l] B[l][j]
         for i in range(3):
@@ -613,52 +627,62 @@ def _kernel_certificate(m1, m2):
                     row[3 * i + l] = add[row[3 * i + l]][k[l][j]]
                     row[3 * l + j] = sub[row[3 * l + j]][n[i][l]]
                 rows.append(row)
-    basis = _tables.right_kernel_idx(rows, sf)
-    if len(basis) != 1:
-        return None, not basis
-    scale = mul[sf.inv[next(v for v in basis[0] if v)]]
-    vec = [scale[v] for v in basis[0]]
-    return _witness_from_b(m1, m2, [vec[0:3], vec[3:6], vec[6:9]]), True
+    return _sweep(_tables.right_kernel_idx(rows, sf), sf,
+                  lambda vec: _witness_from_b(m1, m2, [vec[0:3], vec[3:6], vec[6:9]]))
 
 
-def _exhaustive_scan(m1, m2, cap):
-    spec = m1.spec
-    order = gl3_order(spec.q)
-    if order > cap:
-        raise BudgetExceeded(f"|GL_3(F_{spec.q})| = {order} exceeds the budget {cap}")
-    if spec.q > _tables.MAX_TABLE_Q:
-        raise BudgetExceeded(f"the GL_3 scan runs on the uint8 tables, which stop at "
-                             f"q = {_tables.MAX_TABLE_Q}; got q = {spec.q}")
-    pt = _tables.plane_tables(spec)
-    sf = pt.sf
-    m1_idx, m2_idx = m1.idx, m2.idx
-    at = _off_curve_point(pt, _det_idx(spec, m1_idx))
-    # With no rational point where det m1 is nonzero, the scan also sweeps B.
-    # That happens only over F_2: the ideal of P^2(F_q) is generated in
-    # degree q + 1, so a nonzero cubic vanishes on all of P^2(F_q) only when
-    # q + 1 <= 3.
-    at_point = None if at is None else (_matrix_at_point(m1_idx, at, sf),
-                                        _matrix_at_point(m2_idx, at, sf))
-    found = _bulk.scan_equivalence(sf, m1_idx, m2_idx, at_point)
-    if found is None:
+def _witness_from_cb(m1, m2, vec, sf):
+    """Complete a solution (C, B) of C m2 = m1 B, given as 18 indices, into
+    the verified witness (C^-1, B), or return None."""
+    c, b = [vec[0:3], vec[3:6], vec[6:9]], [vec[9:12], vec[12:15], vec[15:18]]
+    if not (_tables.det3_idx(c, sf) and _tables.det3_idx(b, sf)):
         return None
-    a, b = found
-    return EquivalenceWitness(LinearTransform._from_idx(sf, a), LinearTransform._from_idx(sf, b))
+    w = EquivalenceWitness(LinearTransform._from_idx(sf, _tables.inv3_idx(c, sf)),
+                           LinearTransform._from_idx(sf, b))
+    return w if w.verify(m1, m2) else None
 
 
-def equivalent(m1: LinearMatrixRep, m2: LinearMatrixRep,
-               cap: int = DEFAULT_GROUP_BUDGET) -> Optional[EquivalenceWitness]:
+def _sweep(basis, sf, complete):
+    """The first result other than None of complete(vec), with one vec per
+    line of the span of basis, or None when every line is tried.
+
+    The lines are taken in a fixed order: the coefficient vectors c with
+    first nonzero entry 1, ascending lexicographically on element indices,
+    and vec = sum_k c_k basis[k] scaled to lead with 1.  Raises
+    BudgetExceeded before the line after the first SWEEP_BUDGET.
+    """
+    add, mul = sf.add, sf.mul
+    tried = 0
+    for lead in range(len(basis) - 1, -1, -1):
+        for tail in product(range(sf.q), repeat=len(basis) - 1 - lead):
+            if tried == SWEEP_BUDGET:
+                raise BudgetExceeded(f"no decision after {tried} of the lines of a "
+                                     f"{len(basis)}-dimensional solution space")
+            tried += 1
+            vec = basis[lead]
+            for c, bs in zip(tail, basis[lead + 1:]):
+                if c:
+                    vec = [add[x][mul[c][y]] for x, y in zip(vec, bs)]
+            scale = mul[sf.inv[next(v for v in vec if v)]]
+            found = complete([scale[v] for v in vec])
+            if found is not None:
+                return found
+    return None
+
+
+def equivalent(m1: LinearMatrixRep, m2: LinearMatrixRep) -> Optional[EquivalenceWitness]:
     """A witness (A, B) with m2 = A m1 B, or None when no such pair exists.
 
     Both inputs must be valid representations of proportional cubics;
     otherwise the answer is immediately None.  The stages are det ratio ->
-    rank profile -> traces -> certificate -> scan; each of the first three
-    returns None on an invariant that differs.  The traces are those of
-    _kernel_data: a witness gives K_u = B^-1 N_u B at the shared point off
-    the curve, so the trace of any word in the N_u is that of the same word
-    in the K_u.  Witnesses are deterministic.  Raises BudgetExceeded when
-    only the exhaustive GL_3 scan could decide and the group order exceeds
-    cap (the default accepts q <= 9).
+    rank profile -> traces -> sweep; each of the first three returns None
+    on an invariant that differs.  The traces are those of _kernel_data: a
+    witness gives K_u = B^-1 N_u B at the shared point off the curve, so
+    the trace of any word in the N_u is that of the same word in the K_u.
+    The sweep (_kernel_certificate) tries the lines of the solution space
+    of a linear system that holds every witness's B, so it decides every
+    pair.  Witnesses are deterministic.  Raises BudgetExceeded when
+    SWEEP_BUDGET candidates are tried without a decision.
     """
     if m1.spec != m2.spec:
         raise FieldMismatch("representations live in different fields")
@@ -672,12 +696,7 @@ def equivalent(m1: LinearMatrixRep, m2: LinearMatrixRep,
     k1, k2 = _kernel_data(spec, m1.idx), _kernel_data(spec, m2.idx)
     if k1 and k2 and k1[1] != k2[1]:
         return None  # so are the traces of words in the kernel pencil
-    witness, certified = _kernel_certificate(m1, m2)
-    if witness is not None:
-        return witness
-    if certified:
-        return None
-    return _exhaustive_scan(m1, m2, cap)
+    return _kernel_certificate(m1, m2)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,28 @@ operators, and right_kernel reads a kernel basis off the reduced row echelon
 form.  rank_profile is the exception to the objects: it ranks M(P)
 with _tables.rank3_idx at every rational zero of det M, the plain formula
 that detrep._rank_profile shortens to the singular zeros.
+
+exhaustive_scan decides equivalence by brute force over GL_3(F_q), the
+plain reference for the sweep of detrep.equivalent: scan_equivalence and
+its helpers run on the uint8 tables of _tables.ScalarField with numpy, so
+they need q <= _tables.MAX_TABLE_Q and are practical up to q = 4 or so.
 """
 
 from __future__ import annotations
 
-from cubicrep import _tables
+import numpy as np
+
+from cubicrep import _bulk, _tables
 from cubicrep._forms import CUBIC_INDICES, CUBIC_POS3, QUAD_INDICES, QUAD_POS2
-from cubicrep.detrep import BrokenInvariant, LinearMatrixRep, _det_idx, _matrix_at_point
+from cubicrep._tables import ScalarField
+from cubicrep.detrep import (
+    BrokenInvariant,
+    EquivalenceWitness,
+    LinearMatrixRep,
+    _det_idx,
+    _matrix_at_point,
+    _off_curve_point,
+)
 from cubicrep.plane import (
     LinearTransform,
     NotOnCurve,
@@ -274,3 +289,101 @@ def rank_profile(rep: LinearMatrixRep):
     sf = pt.sf
     return tuple(_tables.rank3_idx(_matrix_at_point(rep.idx, pt.point(i), sf), sf)
                  for i in pt.zeros(_det_idx(spec, rep.idx)))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive equivalence scan
+
+
+def exhaustive_scan(m1: LinearMatrixRep, m2: LinearMatrixRep):
+    """The first witness of scan_equivalence for m2 = A m1 B, or None."""
+    pt = _tables.plane_tables(m1.spec)
+    sf = pt.sf
+    at = _off_curve_point(pt, _det_idx(m1.spec, m1.idx))
+    # With no rational point where det m1 is nonzero, the scan also sweeps B.
+    at_point = None if at is None else (_matrix_at_point(m1.idx, at, sf),
+                                        _matrix_at_point(m2.idx, at, sf))
+    found = scan_equivalence(sf, m1.idx, m2.idx, at_point)
+    if found is None:
+        return None
+    a, b = found
+    return EquivalenceWitness(LinearTransform._from_idx(sf, a), LinearTransform._from_idx(sf, b))
+
+
+def matmul3(sf: ScalarField, a, b):
+    """(..., 3, 3) @ (..., 3, 3) under table arithmetic."""
+    acc = sf.MUL[a[..., :, 0:1], b[..., 0:1, :]]
+    for k in range(1, 3):
+        term = sf.MUL[a[..., :, k:k + 1], b[..., k:k + 1, :]]
+        acc = sf.ADD[acc, term]
+    return acc
+
+
+def inv3(sf: ScalarField, m):
+    """Inverses of a batch of invertible 3x3 matrices."""
+    MUL, SUB = sf.MUL, sf.SUB
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    adj = np.stack([
+        np.stack([SUB[MUL[e, i], MUL[f, h]], SUB[MUL[c, h], MUL[b, i]],
+                  SUB[MUL[b, f], MUL[c, e]]], axis=-1),
+        np.stack([SUB[MUL[f, g], MUL[d, i]], SUB[MUL[a, i], MUL[c, g]],
+                  SUB[MUL[c, d], MUL[a, f]]], axis=-1),
+        np.stack([SUB[MUL[d, h], MUL[e, g]], SUB[MUL[b, g], MUL[a, h]],
+                  SUB[MUL[a, e], MUL[b, d]]], axis=-1),
+    ], axis=-2)
+    det_inv = sf.INV[_bulk.det3(sf, m)]
+    return MUL[adj, det_inv[..., None, None]]
+
+
+def _gl3_blocks(sf: ScalarField):
+    """GL_3 in blocks: the identity first, then the rest in lexicographic order."""
+    ident = np.eye(3, dtype=np.uint8)
+    yield ident[None]
+    for block in _bulk._all_matrices_blocks(sf.q):
+        keep = (_bulk.det3(sf, block) != 0) & (block != ident).any(axis=(1, 2))
+        if keep.any():
+            yield block[keep]
+
+
+def _sandwich(sf: ScalarField, a, mc, b):
+    """a @ M @ b for the linear-form matrix mc[row, col, var]; a and b are
+    (..., 3, 3) batches that broadcast against each other."""
+    # t[..., i, k, v] = sum_j a[..., i, j] * mc[j, k, v]
+    t = sf.MUL[a[..., :, 0, None, None], mc[0]]
+    for j in range(1, 3):
+        t = sf.ADD[t, sf.MUL[a[..., :, j, None, None], mc[j]]]
+    # u[..., i, l, v] = sum_k t[..., i, k, v] * b[..., k, l]
+    u = sf.MUL[t[..., :, 0, None, :], b[..., None, 0, :, None]]
+    for k in range(1, 3):
+        u = sf.ADD[u, sf.MUL[t[..., :, k, None, :], b[..., None, k, :, None]]]
+    return u
+
+
+def scan_equivalence(sf: ScalarField, m1_idx, m2_idx, at_point=None):
+    """First (A, B) with A @ m1 @ B == m2, A identity-first then lex order.
+
+    m1_idx and m2_idx hold each entry's coefficient indices as [row][col][var].
+    at_point is the pair (m1(P), m2(P)) of index matrices at a point P where
+    det m1 is nonzero; B is then determined by each A (it is unique for valid
+    representations), so only the 27-coefficient identity needs checking.
+    Without such a point every B in GL_3 is tried against each A.  Returns
+    the pair as index matrices, or None.
+    """
+    m1c = np.array(m1_idx, dtype=np.uint8)
+    m2c = np.array(m2_idx, dtype=np.uint8)
+    if at_point is not None:
+        m1pt, m2pt = (np.array(m, dtype=np.uint8)[None] for m in at_point)
+    for a in _gl3_blocks(sf):
+        if at_point is None:
+            a, b = a[:, None], _bulk.gl3_array(sf.spec)[None]
+        else:
+            b = matmul3(sf, inv3(sf, matmul3(sf, a, m1pt)), m2pt)
+        ok = (_sandwich(sf, a, m1c, b) == m2c).all(axis=(-3, -2, -1))
+        hit = np.argwhere(ok)
+        if hit.size:
+            g = tuple(hit[0])
+            return (np.broadcast_to(a, ok.shape + (3, 3))[g],
+                    np.broadcast_to(b, ok.shape + (3, 3))[g])
+    return None

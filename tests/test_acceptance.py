@@ -7,6 +7,7 @@ import time
 
 import golden
 import test_counting as counting_helpers
+import test_detrep as detrep_helpers
 from cubicrep import cli
 from cubicrep.counting import (
     class_number_H,
@@ -105,13 +106,8 @@ def test_criterion_4_determinant_identity_sweep(census_reps):
 
 
 def test_criterion_5_class_count_realization(census_reps, monkeypatch):
-    from cubicrep import detrep
-
-    def no_scan(*args):
-        raise AssertionError("the GL_3 scan ran on a smooth census curve")
-
-    # on a smooth det the certificate decides every pair by itself
-    monkeypatch.setattr(detrep, "_exhaustive_scan", no_scan)
+    # on a smooth det the certificate decides every pair with one candidate
+    detrep_helpers.one_candidate_sweep(monkeypatch)
     start = time.time()
     n_pairs = 0
     for q in (2, 3):

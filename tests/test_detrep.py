@@ -10,7 +10,6 @@ import golden
 import object_reference
 from cubicrep import _tables
 from cubicrep.detrep import (
-    DEFAULT_GROUP_BUDGET,
     BadCharacteristic,
     IsBasePoint,
     LinearMatrixRep,
@@ -462,22 +461,68 @@ def test_mp_cases_check_the_identity_on_tables(monkeypatch):
 
 
 def test_exhaustive_scan_agrees_with_certificate():
-    from cubicrep.detrep import _exhaustive_scan
+    from cubicrep.detrep import _kernel_certificate
 
-    # equivalent pair over F_3, forced through the raw GL_3 scan
+    # equivalent pair over F_3, through the raw GL_3 scan of the reference
     spec = golden.SPECS[3]
     m1 = golden.row_matrices(golden.TWO_REP_ROWS[3][0])[0]
     A = LinearTransform(spec, [[1, 0, 2], [0, 1, 0], [0, 2, 1]])
     B = LinearTransform(spec, [[2, 0, 0], [1, 1, 0], [0, 0, 1]])
     m2 = transform_rep(A, m1, B)
-    w = _exhaustive_scan(m1, m2, 10**9)
-    assert w is not None and w.verify(m1, m2)
+    for w in (object_reference.exhaustive_scan(m1, m2), _kernel_certificate(m1, m2)):
+        assert w is not None and w.verify(m1, m2)
     # inequivalent golden pair over F_2: the scan must exhaust and refuse
     n1, n2 = golden.row_matrices(golden.TWO_REP_ROWS[2][0])
-    assert _exhaustive_scan(n1, n2, 10**9) is None
+    assert object_reference.exhaustive_scan(n1, n2) is None
+    assert _kernel_certificate(n1, n2) is None
 
 
-def test_budget_exceeded_on_degenerate_input():
+def _record_sweeps(monkeypatch):
+    """The number of candidates each sweep tries from now on, in call order."""
+    from cubicrep import detrep
+
+    tried = []
+    real = detrep._sweep
+
+    def recording(basis, sf, complete):
+        tried.append(0)
+
+        def counted(vec):
+            tried[-1] += 1
+            return complete(vec)
+
+        return real(basis, sf, counted)
+
+    monkeypatch.setattr(detrep, "_sweep", recording)
+    return tried
+
+
+def one_candidate_sweep(monkeypatch):
+    """Make every sweep raise when its solution space has dimension 2 or
+    more or when it tries a second candidate: what the single linear solve
+    decides for a smooth det."""
+    from cubicrep import detrep
+
+    real = detrep._sweep
+
+    def one_candidate(basis, sf, complete):
+        if len(basis) >= 2:
+            raise AssertionError(f"a {len(basis)}-dimensional solution space")
+        tried = []
+
+        def once(vec):
+            tried.append(vec)
+            if len(tried) > 1:
+                raise AssertionError("the sweep tried a second candidate")
+            return complete(vec)
+
+        return real(basis, sf, once)
+
+    monkeypatch.setattr(detrep, "_sweep", one_candidate)
+
+
+def test_budget_exceeded_on_degenerate_input(monkeypatch):
+    from cubicrep import detrep
     from cubicrep.detrep import BudgetExceeded
 
     # det = XYZ is a singular cubic, so the kernel certificate cannot run
@@ -489,33 +534,14 @@ def test_budget_exceeded_on_degenerate_input():
     )
     A = LinearTransform(F2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     moved = transform_rep(A, diag, LinearTransform.identity(F2))
-    with pytest.raises(BudgetExceeded):
-        equivalent(diag, moved, cap=10)
+    tried = _record_sweeps(monkeypatch)
     w = equivalent(diag, moved)
     assert w is not None and w.verify(diag, moved)
-
-
-def test_exhaustive_scan_refuses_fields_past_the_table_cap(monkeypatch):
-    from cubicrep import _tables
-    from cubicrep.detrep import BudgetExceeded, _exhaustive_scan
-
-    f257 = mk_field(257, 1)
-    diag = LinearMatrixRep(
-        f257,
-        [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
-    )
-    A = LinearTransform(f257, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    moved = transform_rep(A, diag, LinearTransform.identity(f257))
-
-    def no_tables(*args):
-        raise AssertionError("a lookup table was built")
-
-    monkeypatch.setattr(_tables, "ScalarField", no_tables)
-    monkeypatch.setattr(_tables, "PlaneTables", no_tables)
-    with pytest.raises(BudgetExceeded, match="q = 256"):
-        _exhaustive_scan(diag, moved, 10**30)
+    # the sweep needed tried[0] candidates; one fewer gives up
+    assert tried[0] > 1
+    monkeypatch.setattr(detrep, "SWEEP_BUDGET", tried[0] - 1)
+    with pytest.raises(BudgetExceeded, match=f"after {tried[0] - 1} "):
+        equivalent(diag, moved)
 
 
 def test_witness_inverses_on_golden_classification():
@@ -579,29 +605,35 @@ def _vanishing_pair():
     return m, n
 
 
-def test_degenerate_scan_recovers_exact_witness():
-    from cubicrep.detrep import _kernel_certificate
+def test_degenerate_scan_recovers_exact_witness(monkeypatch):
+    from cubicrep.detrep import _kernel_data
 
-    # det vanishes on all of P^2(F_2), so the scan has no point where
-    # det m1 is nonzero and must sweep B as well as A
+    # det vanishes on all of P^2(F_2), so there is no point where det m1 is
+    # nonzero and the sweep runs on the (C, B) system
     diag = _vanishing_diag()
     assert _vanishes_on_all_rational_points(diag)
+    assert _kernel_data(F2, diag.idx) is None
     A = LinearTransform(F2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     B = LinearTransform(F2, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
     moved = transform_rep(A, diag, B)
-    assert _kernel_certificate(diag, moved) == (None, False)
-    w = equivalent(diag, moved)
-    assert w is not None and w.a == A and w.b == B
+    tried = _record_sweeps(monkeypatch)
+    for _ in range(2):
+        w = equivalent(diag, moved)
+        assert w is not None and w.verify(diag, moved)
+        # the seventh and last line of a 3-dimensional solution space
+        assert w.a == A and w.b == B
+    assert tried == [7, 7]
 
 
 def test_degenerate_scan_refuses_and_accepts():
-    from cubicrep.detrep import _kernel_certificate, _rank_profile
+    from cubicrep.detrep import _kernel_certificate, _kernel_data, _rank_profile
 
     m, n = _vanishing_pair()
     assert det_cubic(m) == det_cubic(n)
     assert _vanishes_on_all_rational_points(m)
+    assert _kernel_data(F2, m.idx) is None
     assert _rank_profile(m.spec, m.idx) == _rank_profile(n.spec, n.idx)
-    assert _kernel_certificate(m, n) == (None, False)
+    assert _kernel_certificate(m, n) is None
     assert equivalent(m, n) is None
     w = equivalent(m, m)
     assert w is not None
@@ -617,19 +649,19 @@ def _line_kernel_rep():
 
 
 def test_vanishing_det_with_line_kernels_is_equivalent_to_itself():
-    # with no point off the curve there is no system for B to solve, so the
-    # certificate is inconclusive and the scan must decide
-    from cubicrep.detrep import _kernel_certificate, _rank_profile
+    # with no point off the curve there is no system for B alone, so the
+    # sweep runs on the (C, B) system
+    from cubicrep.detrep import _kernel_certificate, _kernel_data, _rank_profile
 
     m = _line_kernel_rep()
     assert _vanishes_on_all_rational_points(m)
+    assert _kernel_data(F2, m.idx) is None
     assert _rank_profile(F2, m.idx) == (2,) * 7
     A = LinearTransform(F2, [[1, 1, 0], [0, 1, 0], [1, 0, 1]])
     B = LinearTransform(F2, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
     for n in (m, transform_rep(A, m, B)):
-        assert _kernel_certificate(m, n) == (None, False)
-        w = equivalent(m, n)
-        assert w is not None and w.verify(m, n)
+        for w in (_kernel_certificate(m, n), equivalent(m, n)):
+            assert w is not None and w.verify(m, n)
 
 
 def _vanishing_f2_reps(rng, count):
@@ -699,23 +731,54 @@ def _vanishing_f2_pairs(rng, count):
     return pairs
 
 
+def _assert_agrees_with_the_scan(m1, m2):
+    """equivalent and the reference scan give None together, or witnesses
+    that both verify; returns whether the pair is inequivalent."""
+    w, s = equivalent(m1, m2), object_reference.exhaustive_scan(m1, m2)
+    assert (w is None) == (s is None), (m1, m2)
+    assert w is None or (w.verify(m1, m2) and s.verify(m1, m2))
+    return w is None
+
+
 @pytest.mark.parametrize("p, m, count", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])
 def test_equivalent_agrees_with_the_exhaustive_scan(p, m, count):
     # the scan is the plain reference: smooth and triangular pairs from
     # _seeded_pairs, and over F_2 pairs whose det vanishes everywhere
-    from cubicrep.detrep import _exhaustive_scan
-
     spec = mk_field(p, m)
     pairs = _seeded_pairs(spec, 6000 + spec.q, count)
     if spec.q == 2:
         pairs += _vanishing_f2_pairs(random.Random(6002), 8)
-    answers = set()
-    for m1, m2 in pairs:
-        w, s = equivalent(m1, m2), _exhaustive_scan(m1, m2, 10**9)
-        assert (w is None) == (s is None), (m1, m2)
-        assert w is None or (w.verify(m1, m2) and s.verify(m1, m2))
-        answers.add(w is None)
+    answers = {_assert_agrees_with_the_scan(m1, m2) for m1, m2 in pairs}
     assert answers == {True, False}
+
+
+def _transpose(rep):
+    """rep^t, which has the same det and is in general not equivalent."""
+    return LinearMatrixRep(rep.spec, *([list(col) for col in zip(*mv)]
+                                       for mv in rep.coefficient_matrices()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sweep_agrees_with_the_exhaustive_scan(data):
+    # dense pairs (m, A m B) and (m, A m^t B), triangular pairs (t, A t B)
+    # and (t, A t' B) with det = XYZ, and over F_2 pairs whose det vanishes
+    # on every rational point
+    shape = data.draw(st.sampled_from(("dense", "triangular", "vanishing")))
+    spec = F2 if shape == "vanishing" else data.draw(st.sampled_from(_SMALL_FIELDS))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if shape == "vanishing":
+        m1, m2 = rng.choice(_vanishing_f2_pairs(rng, 4))
+    else:
+        if shape == "dense":
+            m = LinearMatrixRep(spec, *(_random_matrix(spec, rng) for _ in range(3)))
+            assume(det_cubic(m) is not None)
+            other = _transpose(m)
+        else:
+            m, other = _triangular_rep(spec, rng), _triangular_rep(spec, rng)
+        A, B = _random_transform(spec, rng), _random_transform(spec, rng)
+        m1, m2 = m, transform_rep(A, rng.choice((m, other)), B)
+    _assert_agrees_with_the_scan(m1, m2)
 
 
 _CERTIFICATE_FIELDS = tuple(mk_field(p, m) for p, m in
@@ -727,7 +790,7 @@ _CERTIFICATE_FIELDS = tuple(mk_field(p, m) for p, m in
 @given(st.data())
 def test_certificate_decides_every_smooth_pair(data):
     # on a smooth det the solution space is Hom between two line bundles of
-    # one degree, of dimension 1 or 0: the certificate always decides
+    # one degree, of dimension 1 or 0: one candidate at most decides
     from cubicrep.detrep import _kernel_certificate
 
     spec = data.draw(st.sampled_from(_CERTIFICATE_FIELDS))
@@ -747,12 +810,13 @@ def test_certificate_decides_every_smooth_pair(data):
             assume(False)
 
     A, B = invertible(), invertible()
-    for other in (m, n):
-        moved = transform_rep(A, other, B)
-        w, certified = _kernel_certificate(m, moved)
-        assert certified
-        assert (w is not None) == (other == m)
-        assert w is None or w.verify(m, moved)
+    with pytest.MonkeyPatch.context() as mp:
+        one_candidate_sweep(mp)
+        for other in (m, n):
+            moved = transform_rep(A, other, B)
+            w = _kernel_certificate(m, moved)
+            assert (w is not None) == (other == m)
+            assert w is None or w.verify(m, moved)
 
 
 # -- the trace stage ---------------------------------------------------------
@@ -795,7 +859,7 @@ def _smooth_trace_pairs(spec, seed, curves, per_curve):
     return pairs
 
 
-def test_trace_stage_rejects_only_certified_inequivalences(census_reps):
+def test_trace_stage_rejects_only_certified_inequivalences(census_reps, monkeypatch):
     # whenever the traces of two smooth reps differ, the B solve proves the
     # pair inequivalent; the other pairs fall through to the solve
     from cubicrep.detrep import _kernel_certificate
@@ -806,11 +870,12 @@ def test_trace_stage_rejects_only_certified_inequivalences(census_reps):
                                 (2, 4), (31, 1))):
         pairs += _smooth_trace_pairs(mk_field(p, m), 8100 + k, 4, 10)
     rejected = 0
+    one_candidate_sweep(monkeypatch)
     for m1, m2 in pairs:
         t1, t2 = _traces(m1), _traces(m2)
         assert t1 is not None and t2 is not None
         if t1 != t2:
-            assert _kernel_certificate(m1, m2) == (None, True), (m1, m2)
+            assert _kernel_certificate(m1, m2) is None, (m1, m2)
             rejected += 1
     print(f"trace stage: {rejected} of {len(pairs)} smooth pairs rejected, "
           f"{len(pairs) - rejected} fell through to the solve")
@@ -863,8 +928,9 @@ def _assert_profiles_decide_alike(p1, p2):
 
 
 def _random_transform(spec, rng):
+    el = list(spec.elements())
     while True:
-        rows = [[rng.randrange(spec.q) for _ in range(3)] for _ in range(3)]
+        rows = [[rng.choice(el) for _ in range(3)] for _ in range(3)]
         try:
             return LinearTransform(spec, rows)
         except ValueError:
@@ -874,7 +940,8 @@ def _random_transform(spec, rng):
 def _triangular_rep(spec, rng):
     """det = XYZ, with random linear forms above the diagonal, so the rank
     of M(P) on the three coordinate lines varies between 1 and 2."""
-    lin = lambda: tuple(rng.randrange(spec.q) for _ in range(3))
+    el = list(spec.elements())
+    lin = lambda: tuple(rng.choice(el) for _ in range(3))
     X, Y, Z, O = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
     return LinearMatrixRep.from_entries(spec, ((X, lin(), lin()),
                                                (O, Y, lin()),
@@ -912,17 +979,17 @@ def test_rank_profile_on_census_pairs(census_reps):
 
 #: sha256 over the lines of _digest_lines; any change to an answer, a
 #: witness or the order of the points changes it
-WITNESS_DIGEST = "afb18bf81419786517915cde878209c4b7f1b90ab6f255f62db9e42f2b241077"
+WITNESS_DIGEST = "f6804ffc60fdc77f3e492d963e8f08954020c34f3b1fb65c02d15d8f09b7bdf1"
 _DIGEST_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1), (31, 1),
                   (2, 6), (101, 1))
 
 
-def _decide(m1, m2, cap=DEFAULT_GROUP_BUDGET):
+def _decide(m1, m2):
     """The reprs of both rank profiles and of the answer of equivalent."""
     from cubicrep.detrep import BudgetExceeded, _rank_profile
 
     try:
-        w = equivalent(m1, m2, cap)
+        w = equivalent(m1, m2)
     except BudgetExceeded:
         w = "BudgetExceeded"
     return [repr(_rank_profile(m.spec, m.idx)) for m in (m1, m2)] + [repr(w)]
@@ -931,7 +998,7 @@ def _decide(m1, m2, cap=DEFAULT_GROUP_BUDGET):
 def _digest_lines():
     """all_reps of four random smooth curves per field with the decisions on
     (rep, A rep B), (rep, rep') and (rep, A rep' B), then two rounds of
-    triangular pairs (t, t') and (t, A t B) over q <= 9 with a budget of 10^6."""
+    triangular pairs (t, t') and (t, A t B) over q <= 9."""
     for p, m in _DIGEST_FIELDS:
         spec = mk_field(p, m)
         rng = random.Random(f"witness-digest/{spec.q}")
@@ -948,7 +1015,7 @@ def _digest_lines():
             t = _triangular_rep(spec, rng)
             A, B = _random_transform(spec, rng), _random_transform(spec, rng)
             for m2 in (_triangular_rep(spec, rng), transform_rep(A, t, B)):
-                yield from _decide(t, m2, 10**6)
+                yield from _decide(t, m2)
 
 
 def test_witness_digest():
@@ -1144,38 +1211,37 @@ def _record_plane_tables(monkeypatch):
 
 @pytest.mark.parametrize("p", [13, 31, 101])
 def test_certificate_skips_extensions_that_cannot_reach_four_points(monkeypatch, p):
-    # B commutes with the companion matrix, a 3-dimensional solution space,
-    # so only the scan could decide, and it is past the budget
-    from cubicrep.detrep import BudgetExceeded
-
+    # B commutes with the companion matrix, a 3-dimensional solution space
+    # of (q^3 - 1) / (q - 1) lines, which the sweep decides on F_q alone
     spec = mk_field(p, 1)
     M = _norm_form_rep(spec)
     assert rational_points(det_cubic(M)) == []
     built = _record_plane_tables(monkeypatch)
-    with pytest.raises(BudgetExceeded):
-        equivalent(M, M)
+    start = time.perf_counter()
+    w = equivalent(M, M)
+    assert time.perf_counter() - start < 1
+    assert w is not None and w.verify(M, M)
     assert set(built) == {p}
 
 
-def test_triangular_pairs_over_f101_fail_fast(monkeypatch):
-    # det = XYZ has 3q rational zeros; no pass over F_{101^2} may run
-    from cubicrep.detrep import BudgetExceeded
-
-    spec = mk_field(101, 1)
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 2), (101, 1),
+                                  pytest.param(257, 1, marks=pytest.mark.slow)])
+def test_triangular_pairs_fail_fast(monkeypatch, p, m):
+    # det = XYZ has 3q rational zeros; every pair is decided on F_q, with
+    # no pass over F_{q^2} and no BudgetExceeded
+    spec = mk_field(p, m)
     rng = random.Random(10101)
     built = _record_plane_tables(monkeypatch)
     for _ in range(4):
         t = _triangular_rep(spec, rng)
         A, B = _random_transform(spec, rng), _random_transform(spec, rng)
-        for m2 in (_triangular_rep(spec, rng), transform_rep(A, t, B)):
+        moved = transform_rep(A, t, B)
+        for m2 in (_triangular_rep(spec, rng), moved):
             start = time.perf_counter()
-            try:
-                w = equivalent(t, m2)
-                assert w is None or w.verify(t, m2)
-            except BudgetExceeded:
-                pass
+            w = equivalent(t, m2)
+            assert w.verify(t, m2) if w is not None else m2 is not moved
             assert time.perf_counter() - start < 2
-    assert set(built) == {101}
+    assert set(built) == {spec.q}
 
 
 @pytest.mark.parametrize("p, m, coeffs", [
@@ -1185,18 +1251,13 @@ def test_triangular_pairs_over_f101_fail_fast(monkeypatch):
 def test_certificate_extends_four_point_curves(monkeypatch, p, m, coeffs):
     """A smooth cubic with exactly 4 rational points (trace 5 over F_8,
     trace 6 over F_9), three of them collinear: the solve on F_q decides
-    every pair without the scan."""
-    from cubicrep import detrep
-
+    every pair with one candidate."""
     spec = mk_field(p, m)
     el = list(spec.elements())
     F = TernaryCubic(spec, [el[c] for c in coeffs])
     assert is_smooth(F) and len(rational_points(F)) == 4
 
-    def no_scan(*args):
-        raise AssertionError("the kernel certificate fell through to the GL_3 scan")
-
-    monkeypatch.setattr(detrep, "_exhaustive_scan", no_scan)
+    one_candidate_sweep(monkeypatch)
     rng = random.Random(8 + spec.q)
 
     def random_gl3():
