@@ -173,18 +173,6 @@ class LinearMatrixRep:
         """The (i, j) entry as a coefficient triple (cX, cY, cZ)."""
         return tuple(m[i][j] for m in self.coefficient_matrices())
 
-    def evaluate(self, coords):
-        """The constant matrix M(P) at a coordinate triple."""
-        x, y, z = coords
-        m0, m1, m2 = self.coefficient_matrices()
-        return tuple(
-            tuple(m0[i][j] * x + m1[i][j] * y + m2[i][j] * z for j in range(3))
-            for i in range(3)
-        )
-
-    def is_zero(self) -> bool:
-        return not any(any(e) for row in self.idx for e in row)
-
     def __eq__(self, other):
         return (isinstance(other, LinearMatrixRep) and self._hash == other._hash
                 and self.spec == other.spec and self.idx == other.idx)

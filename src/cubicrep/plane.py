@@ -13,10 +13,11 @@ whether one of them is singular, as PlaneTables caches them (see is_smooth
 for why that suffices).
 normalize, act and the product and inverse of LinearTransform encode their
 inputs, run the index kernels of _tables and decode the result; all_reps
-calls _normalize_idx and stays on indices throughout.
-The direct search for singular points over extension fields is kept
-alongside as is_smooth_by_search and the two are cross-checked in the test
-suite.
+calls _normalize_idx and stays on indices throughout, and is_flex reads its
+answer off the same normal form.
+The direct search for singular points over extension fields and the flex
+test by restriction to the tangent line live in the test suite, as the
+references these are checked against.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterator, Sequence
 
 from . import _tables
 from ._forms import CUBIC_EXPONENTS, CUBIC_INDICES, CUBIC_POS, QUAD_EXPONENTS, QUAD_POS
-from .gf import FieldElement, FieldMismatch, FieldSpec, embed, mk_field
+from .gf import FieldElement, FieldMismatch, FieldSpec
 
 
 class PlaneError(Exception):
@@ -257,7 +258,7 @@ def _format_form(coeffs, exponents):
 
 
 # ---------------------------------------------------------------------------
-# enumeration of P^2, restriction to a line
+# enumeration of P^2
 
 
 def _point_at(pt, i: int) -> ProjPoint:
@@ -275,54 +276,12 @@ def projective_points(spec: FieldSpec) -> Iterator[ProjPoint]:
     return (_point_at(pt, i) for i in range(pt.n_points))
 
 
-def line_basis(line, spec):
-    """Two independent points spanning the line with coefficients (a, b, c).
-
-    The construction is deterministic in the canonical scaling of the line.
-    """
-    a, b, c = line
-    one, zero = spec.one(), spec.zero()
-    if a:
-        inv = a.inverse()
-        return (-b * inv, one, zero), (-c * inv, zero, one)
-    if b:
-        inv = b.inverse()
-        return (one, zero, zero), (zero, -c * inv, one)
-    return (one, zero, zero), (zero, one, zero)
-
-
-def restrict_to_line(F: TernaryCubic, v, w):
-    """Coefficients (b0, b1, b2, b3) of F(s*v + t*w) in s^3, s^2 t, s t^2, t^3."""
-    spec = F.spec
-    out = [spec.zero()] * 4
-    for cf, (ex, ey, ez) in zip(F.coeffs, CUBIC_EXPONENTS):
-        if not cf:
-            continue
-        # expand the product of linear binary forms (v_i s + w_i t)^e_i
-        poly = [spec.one()]
-        for coord in range(3):
-            e = (ex, ey, ez)[coord]
-            for _ in range(e):
-                nxt = [spec.zero()] * (len(poly) + 1)
-                for d, pc in enumerate(poly):
-                    if pc:
-                        nxt[d] = nxt[d] + pc * v[coord]
-                        nxt[d + 1] = nxt[d + 1] + pc * w[coord]
-                poly = nxt
-        for d in range(4):
-            out[d] = out[d] + cf * poly[d]
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # operations
 
 
 def evaluate(F: TernaryCubic, P: ProjPoint) -> FieldElement:
     return F.evaluate(P)
-
-
-_DERIV_SHIFT = {0: "X", 1: "Y", 2: "Z"}
 
 
 def partials(F: TernaryCubic) -> tuple[TernaryQuadratic, TernaryQuadratic, TernaryQuadratic]:
@@ -367,62 +326,21 @@ def tangent_line(F: TernaryCubic, P: ProjPoint):
 def is_flex(F: TernaryCubic, P: ProjPoint) -> bool:
     """True iff the tangent at P meets the curve with multiplicity >= 3 there.
 
-    Computed by restricting F to a parametrization of the tangent line and
-    counting the root multiplicity at the parameter of P, which stays valid
-    in characteristics 2 and 3.
+    Read off the normal form at P (see normalize): P goes to [1:0:0] and its
+    tangent to Z = 0, so F(X, Y, 0) = Y^2 (a011 X + a111 Y).  The tangent
+    meets the curve at P with multiplicity >= 3 iff a011 = 0, in every
+    characteristic; when a111 = 0 too, the tangent is a component of the
+    curve.
     """
-    line = tangent_line(F, P)  # raises NotOnCurve / SingularPoint
-    spec = F.spec
-    v, w = line_basis(line, spec)
-    b = restrict_to_line(F, v, w)
-    if not any(b):
-        return True  # tangent line contained in the curve
-    s, t = _parameters_on_line(P, v, w, spec)
-    return _root_multiplicity(b, s, t, spec) >= 3
-
-
-def _parameters_on_line(P, v, w, spec):
-    """(s, t) with P = s*v + t*w, for P known to lie on the line span(v, w)."""
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            det = v[i] * w[j] - v[j] * w[i]
-            if det:
-                inv = det.inverse()
-                s = (P.coords[i] * w[j] - P.coords[j] * w[i]) * inv
-                t = (v[i] * P.coords[j] - v[j] * P.coords[i]) * inv
-                # guard against P off the line
-                if all(s * v[k] + t * w[k] == P.coords[k] for k in range(3)):
-                    return s, t
-                raise NotOnCurve(f"{P!r} does not lie on the expected line")
-    raise AssertionError("degenerate line basis")
-
-
-def _root_multiplicity(b, s, t, spec):
-    """Multiplicity of the root (s:t) in a binary cubic b0 s^3 + ... + b3 t^3."""
-    if not t:
-        # root (1:0) corresponds to leading zero coefficients
-        for k, c in enumerate(b):
-            if c:
-                return k
-        return 4
-    # dehomogenize at u = s/t: p(u) = b0 u^3 + b1 u^2 + b2 u + b3
-    u = s / t
-    poly = list(b)
-    mult = 0
-    while poly:
-        # value and synthetic division by (x - u), highest degree first
-        acc = spec.zero()
-        quot = []
-        for c in poly:
-            acc = acc * u + c
-            quot.append(acc)
-        if acc:
-            break
-        mult += 1
-        poly = quot[:-1]
-    return mult
+    if P.spec != F.spec:
+        raise FieldMismatch("point and form live in different fields")
+    pt = _tables.plane_tables(F.spec)
+    f, p = pt.sf.encode_all(F.coeffs), pt.sf.encode_all(P.coords)
+    if pt.value(f, p):
+        raise NotOnCurve(f"{P!r} is not on the curve")
+    if not any(pt.gradient(f, p)):
+        raise SingularPoint(f"{P!r} is a singular point")
+    return not _normalize_idx(pt, f, p)[1][3]
 
 
 def is_smooth(F: TernaryCubic) -> bool:
@@ -455,36 +373,13 @@ def is_smooth(F: TernaryCubic) -> bool:
 
     The zeros and the singular zeros come from PlaneTables.zero_sets,
     cached up to scalars, so the gradient is taken once per form and
-    all_reps, det(rep) and the rank profile reuse that pass.  The direct
-    extension-field search (is_smooth_by_search) agrees with this on every
-    input; the test suite checks that exhaustively for small q.
+    all_reps, det(rep) and the rank profile reuse that pass.  A direct
+    extension-field search agrees with this on every input; the test suite
+    checks that exhaustively for small q.
     """
     pt = _tables.plane_tables(F.spec)
     on_curve, singular = pt.zero_sets(pt.sf.encode_all(F.coeffs))
     return not singular and len(on_curve) not in (0, 2 * F.spec.q + 2)
-
-
-def is_smooth_by_search(F: TernaryCubic, max_degree: int = 4) -> bool:
-    """Smoothness by brute-force singular point search over F_{q^k}, k <= max_degree.
-
-    Degree 4 suffices for cubics: a zero-dimensional singular locus has at
-    most four geometric points, each of residue degree at most 4, and a
-    positive-dimensional singular locus meets low-degree extensions.  May
-    raise UnsupportedSize when q^max_degree exceeds the field size cap.
-    """
-    spec = F.spec
-    for k in range(1, max_degree + 1):
-        big = spec if k == 1 else mk_field(spec.p, spec.m * k)
-        coeffs = [embed(c, big) for c in F.coeffs]
-        Fk = TernaryCubic(big, coeffs)
-        fx, fy, fz = partials(Fk)
-        for P in projective_points(big):
-            if Fk.evaluate(P):
-                continue
-            c = P.coords
-            if not fx.evaluate(c) and not fy.evaluate(c) and not fz.evaluate(c):
-                return False
-    return True
 
 
 def act(T: LinearTransform, F: TernaryCubic) -> TernaryCubic:

@@ -17,6 +17,13 @@ form.  rank_profile is the exception to the objects: it ranks M(P)
 with _tables.rank3_idx at every rational zero of det M, the plain formula
 that detrep._rank_profile shortens to the singular zeros.
 
+is_flex restricts F to a parametrization of the tangent line at P and
+counts the root multiplicity there, the reference for plane.is_flex, which
+reads the answer off the normal form instead; restrict_to_line and
+_root_multiplicity work for any line and any point on it.
+is_smooth_by_search looks for a singular point over every F_{q^k}, k <= 4,
+the reference for plane.is_smooth, which decides from the rational points.
+
 exhaustive_scan decides equivalence by brute force over GL_3(F_q), the
 plain reference for the sweep of detrep.equivalent: scan_equivalence and
 its helpers run on the uint8 tables of _tables.ScalarField with numpy, so
@@ -28,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from cubicrep import _bulk, _tables
-from cubicrep._forms import CUBIC_INDICES, CUBIC_POS3, QUAD_INDICES, QUAD_POS2
+from cubicrep._forms import CUBIC_EXPONENTS, CUBIC_INDICES, CUBIC_POS3, QUAD_INDICES, QUAD_POS2
 from cubicrep._tables import ScalarField
 from cubicrep.detrep import (
     BrokenInvariant,
@@ -38,13 +45,17 @@ from cubicrep.detrep import (
     _matrix_at_point,
     _off_curve_point,
 )
+from cubicrep.gf import embed, mk_field
 from cubicrep.plane import (
     LinearTransform,
     NotOnCurve,
     ProjPoint,
     TernaryCubic,
     gradient,
+    partials,
+    projective_points,
     rational_points,
+    tangent_line,
 )
 
 
@@ -289,6 +300,133 @@ def rank_profile(rep: LinearMatrixRep):
     sf = pt.sf
     return tuple(_tables.rank3_idx(_matrix_at_point(rep.idx, pt.point(i), sf), sf)
                  for i in pt.zeros(_det_idx(spec, rep.idx)))
+
+
+# ---------------------------------------------------------------------------
+# flexes by restriction to the tangent line, smoothness by search
+
+
+def line_basis(line, spec):
+    """Two independent points spanning the line with coefficients (a, b, c).
+
+    The construction is deterministic in the canonical scaling of the line.
+    """
+    a, b, c = line
+    one, zero = spec.one(), spec.zero()
+    if a:
+        inv = a.inverse()
+        return (-b * inv, one, zero), (-c * inv, zero, one)
+    if b:
+        inv = b.inverse()
+        return (one, zero, zero), (zero, -c * inv, one)
+    return (one, zero, zero), (zero, one, zero)
+
+
+def restrict_to_line(F: TernaryCubic, v, w):
+    """Coefficients (b0, b1, b2, b3) of F(s*v + t*w) in s^3, s^2 t, s t^2, t^3."""
+    spec = F.spec
+    out = [spec.zero()] * 4
+    for cf, (ex, ey, ez) in zip(F.coeffs, CUBIC_EXPONENTS):
+        if not cf:
+            continue
+        # expand the product of linear binary forms (v_i s + w_i t)^e_i
+        poly = [spec.one()]
+        for coord in range(3):
+            e = (ex, ey, ez)[coord]
+            for _ in range(e):
+                nxt = [spec.zero()] * (len(poly) + 1)
+                for d, pc in enumerate(poly):
+                    if pc:
+                        nxt[d] = nxt[d] + pc * v[coord]
+                        nxt[d + 1] = nxt[d + 1] + pc * w[coord]
+                poly = nxt
+        for d in range(4):
+            out[d] = out[d] + cf * poly[d]
+    return tuple(out)
+
+
+def is_flex(F: TernaryCubic, P: ProjPoint) -> bool:
+    """True iff the tangent at P meets the curve with multiplicity >= 3 there.
+
+    Computed by restricting F to a parametrization of the tangent line and
+    counting the root multiplicity at the parameter of P, which stays valid
+    in characteristics 2 and 3.
+    """
+    line = tangent_line(F, P)  # raises NotOnCurve / SingularPoint
+    spec = F.spec
+    v, w = line_basis(line, spec)
+    b = restrict_to_line(F, v, w)
+    if not any(b):
+        return True  # tangent line contained in the curve
+    s, t = _parameters_on_line(P, v, w, spec)
+    return _root_multiplicity(b, s, t, spec) >= 3
+
+
+def _parameters_on_line(P, v, w, spec):
+    """(s, t) with P = s*v + t*w, for P known to lie on the line span(v, w)."""
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            det = v[i] * w[j] - v[j] * w[i]
+            if det:
+                inv = det.inverse()
+                s = (P.coords[i] * w[j] - P.coords[j] * w[i]) * inv
+                t = (v[i] * P.coords[j] - v[j] * P.coords[i]) * inv
+                # guard against P off the line
+                if all(s * v[k] + t * w[k] == P.coords[k] for k in range(3)):
+                    return s, t
+                raise NotOnCurve(f"{P!r} does not lie on the expected line")
+    raise AssertionError("degenerate line basis")
+
+
+def _root_multiplicity(b, s, t, spec):
+    """Multiplicity of the root (s:t) in a binary cubic b0 s^3 + ... + b3 t^3."""
+    if not t:
+        # root (1:0) corresponds to leading zero coefficients
+        for k, c in enumerate(b):
+            if c:
+                return k
+        return 4
+    # dehomogenize at u = s/t: p(u) = b0 u^3 + b1 u^2 + b2 u + b3
+    u = s / t
+    poly = list(b)
+    mult = 0
+    while poly:
+        # value and synthetic division by (x - u), highest degree first
+        acc = spec.zero()
+        quot = []
+        for c in poly:
+            acc = acc * u + c
+            quot.append(acc)
+        if acc:
+            break
+        mult += 1
+        poly = quot[:-1]
+    return mult
+
+
+def is_smooth_by_search(F: TernaryCubic, max_degree: int = 4) -> bool:
+    """Smoothness by brute-force singular point search over F_{q^k}, k <= max_degree.
+
+    Degree 4 suffices for cubics: a zero-dimensional singular locus has at
+    most four geometric points, each of residue degree at most 4, and a
+    positive-dimensional singular locus meets low-degree extensions.  May
+    raise UnsupportedSize when q^max_degree exceeds the field size cap.
+    """
+    spec = F.spec
+    for k in range(1, max_degree + 1):
+        big = spec if k == 1 else mk_field(spec.p, spec.m * k)
+        coeffs = [embed(c, big) for c in F.coeffs]
+        Fk = TernaryCubic(big, coeffs)
+        fx, fy, fz = partials(Fk)
+        for P in projective_points(big):
+            if Fk.evaluate(P):
+                continue
+            c = P.coords
+            if not fx.evaluate(c) and not fy.evaluate(c) and not fz.evaluate(c):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,21 @@ def write_rep(tmp_path, rep, name="rep.json"):
     return str(path)
 
 
+def test_public_names_are_pinned():
+    # removing an internal helper must not remove an exported name
+    assert sorted(cubicrep.__all__) == [
+        "CountReport", "EquivalenceWitness", "FieldElement", "FieldSpec", "INFINITY",
+        "LinearMatrixRep", "LinearTransform", "OrbitCensus", "ProjPoint", "TernaryCubic",
+        "act", "all_reps", "arith", "census", "class_number_H", "count_E", "count_E3",
+        "count_E33", "counting", "crosscheck", "cub", "cubics_with_points", "det_cubic",
+        "detrep", "embed", "enumerate_field", "epsilon", "equivalent", "evaluate",
+        "frobenius", "galinat_rep", "gf", "is_flex", "is_ldr_of", "is_smooth",
+        "is_symmetric", "kronecker_symbol", "mk_field", "moore_rep", "mp_case1",
+        "mp_case2", "normalize", "oracle", "parse_field_literal", "partials", "plane",
+        "rational_points", "t0", "t1", "tangent_line",
+    ]
+
+
 def test_points_unique_rep_f2(tmp_path, capsys):
     path = write_curve(tmp_path, golden.UNIQUE_REP_ROWS[0])
     assert cli.main(["points", path]) == 0

@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import golden
 import object_reference
-from object_reference import mul_quad_lin
+from object_reference import is_smooth_by_search, mul_quad_lin
 from cubicrep import _bulk, _tables
-from cubicrep.gf import mk_field
+from cubicrep.gf import FieldMismatch, mk_field
 from cubicrep.plane import (
     LinearTransform,
     NotOnCurve,
@@ -22,7 +22,6 @@ from cubicrep.plane import (
     is_flex,
     is_normalized,
     is_smooth,
-    is_smooth_by_search,
     normalize,
     partials,
     projective_points,
@@ -380,6 +379,56 @@ def test_golden_points_and_flexes():
         assert rational_points(F) == [P for P, _ in expected]
         for P, flex in expected:
             assert is_flex(F, P) == flex, (row["q"], row["coeffs"], P)
+
+
+def _flex_outcome(flex_test, F, P):
+    try:
+        return flex_test(F, P)
+    except (NotOnCurve, SingularPoint, FieldMismatch) as exc:
+        return type(exc)
+
+
+def _flex_test_forms(census2, census3):
+    """Census representatives, golden rows, and seeded random forms over
+    eleven fields, each with a line times a conic so singular points occur."""
+    forms = [o.representative for cen in (census2, census3) for o in cen.orbits]
+    forms += [golden.row_curve(row) for row in golden.NO_REP_ROWS + golden.all_matrix_rows()]
+    rng = random.Random(13)
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                 (11, 1), (13, 1), (2, 4), (31, 1)):
+        spec = mk_field(p, m)
+        elems = list(spec.elements())
+        for _ in range(8):
+            coeffs = [rng.choice(elems) for _ in range(10)]
+            if any(coeffs):
+                forms.append(TernaryCubic(spec, coeffs))
+        conic = [rng.choice(elems) for _ in range(6)]
+        line = [rng.choice(elems) for _ in range(2)] + [spec.one()]
+        if any(conic):
+            forms.append(TernaryCubic(spec, mul_quad_lin(conic, line, spec)))
+    return forms
+
+
+def test_is_flex_matches_the_line_restriction(census2, census3):
+    # is_flex reads a011 off the normal form; the reference restricts F to
+    # the tangent line and counts the root multiplicity at P
+    seen = set()
+    for F in _flex_test_forms(census2, census3):
+        pts = rational_points(F)
+        off = next((P for P in projective_points(F.spec) if P not in pts), None)
+        for P in pts + ([off] if off is not None else []):
+            outcome = _flex_outcome(is_flex, F, P)
+            assert outcome == _flex_outcome(object_reference.is_flex, F, P), (F, P)
+            seen.add(outcome)
+    assert seen == {True, False, NotOnCurve, SingularPoint}
+    # X^2 Z + Y Z^2 = Z (X^2 + Y Z): the tangent Z = 0 at [1:0:0] is a component
+    for spec in (F2, F3, F5):
+        F = cubic(spec, {"002": 1, "122": 1})
+        P = ProjPoint(spec, (1, 0, 0))
+        assert is_flex(F, P) is object_reference.is_flex(F, P) is True
+    F = cubic(F2, {"002": 1, "122": 1})
+    assert _flex_outcome(is_flex, F, ProjPoint(F3, (1, 0, 0))) is FieldMismatch
+    assert _flex_outcome(object_reference.is_flex, F, ProjPoint(F3, (1, 0, 0))) is FieldMismatch
 
 
 def test_act_examples():
