@@ -18,9 +18,10 @@ second cache on the same key, filled by one gradient pass over the cached
 zeros; only is_smooth and the rank profile ask for them.  The kernels
 below it cover the rest of the per-curve work: kernels by row reduction,
 ranks, determinants, products and inverses of small index matrices, and
-two products of forms, add_lin_lin (linear by linear) and add_quad_lin
-(quadratic by linear), behind both the symbolic determinant, expanded by
-cofactors along row 0, and the substitution of coordinates into a cubic.
+two straight-line products of forms on pre-fetched mul rows, minor_idx
+(u*v - s*t for linear forms) and quad_lin_idx (quadratic by linear),
+behind both the symbolic determinant, expanded by cofactors along row 0,
+and the substitution of coordinates into a cubic.
 This module owns the encoding; every per-curve path in plane and detrep
 runs on it and decodes only its results.
 """
@@ -361,71 +362,60 @@ _QUAD_IJ = tuple((int(idx[0]), int(idx[1])) for idx in _forms.QUAD_INDICES)
 _CUBIC_IJK = tuple(tuple(int(ch) for ch in idx) for idx in _forms.CUBIC_INDICES)
 
 
-def add_lin_lin(acc, u, v, sf: ScalarField) -> None:
-    """acc += u*v in place, for linear forms u, v (coefficient triples) and
-    a quadratic acc (6-list), all element indices."""
-    add, mul = sf.add, sf.mul
-    quad_pos = _forms.QUAD_POS2
-    for i in range(3):
-        ui = u[i]
-        if not ui:
-            continue
-        mu = mul[ui]
-        for j in range(3):
-            if v[j]:
-                pos = quad_pos[i][j]
-                acc[pos] = add[acc[pos]][mu[v[j]]]
+def minor_idx(u, v, s, t, sf: ScalarField):
+    """The 6 coefficient indices of the quadratic u*v - s*t, for linear forms
+    given as coefficient index triples."""
+    add, sub, mul = sf.add, sf.sub, sf.mul
+    u0, u1, u2 = mul[u[0]], mul[u[1]], mul[u[2]]
+    s0, s1, s2 = mul[s[0]], mul[s[1]], mul[s[2]]
+    (v0, v1, v2), (t0, t1, t2) = v, t
+    return (sub[u0[v0]][s0[t0]], sub[add[u0[v1]][u1[v0]]][add[s0[t1]][s1[t0]]],
+            sub[add[u0[v2]][u2[v0]]][add[s0[t2]][s2[t0]]], sub[u1[v1]][s1[t1]],
+            sub[add[u1[v2]][u2[v1]]][add[s1[t2]][s2[t1]]], sub[u2[v2]][s2[t2]])
 
 
-def add_quad_lin(acc, quad, w, sf: ScalarField) -> None:
-    """acc += quad*w in place, for a quadratic quad (6 coefficients), a
-    linear form w and a cubic acc (10-list), all element indices."""
+def quad_lin_idx(quad, w, sf: ScalarField):
+    """The 10 coefficient indices of quad*w, for a quadratic quad (6
+    coefficients) and a linear form w, all element indices."""
     add, mul = sf.add, sf.mul
-    cubic_pos = _forms.CUBIC_POS3
-    for qv, (i, j) in zip(quad, _QUAD_IJ):
-        if not qv:
-            continue
-        mq = mul[qv]
-        for k in range(3):
-            if w[k]:
-                cp = cubic_pos[i][j][k]
-                acc[cp] = add[acc[cp]][mq[w[k]]]
+    q00, q01, q02, q11, q12, q22 = quad
+    w0, w1, w2 = mul[w[0]], mul[w[1]], mul[w[2]]
+    return (w0[q00], add[w1[q00]][w0[q01]], add[w2[q00]][w0[q02]],
+            add[w1[q01]][w0[q11]], add[add[w2[q01]][w1[q02]]][w0[q12]],
+            add[w2[q02]][w0[q22]], w1[q11], add[w2[q11]][w1[q12]],
+            add[w2[q12]][w1[q22]], w2[q22])
 
 
 def det_cubic_idx(m_idx, sf: ScalarField):
     """10 coefficient indices of det(X m0 + Y m1 + Z m2).
 
     m_idx[i][j] is the entry's coefficient triple (index-encoded).  The
-    expansion runs along row 0: each 2x2 minor of rows 1 and 2 is a
-    quadratic u*v - u'*v', multiplied by its signed row-0 entry.
+    expansion runs along row 0: each 2x2 minor of rows 1 and 2 is one
+    minor_idx quadratic u*v - s*t, the sign of its cofactor folded into
+    the order of the two products, and one quad_lin_idx multiplies it by
+    its row-0 entry.  A zero row-0 entry drops its term; entry (0, 0) of
+    every all_reps representation is zero, so that saves a third there.
     """
-    neg = sf.neg
+    add = sf.add
     (a, b, c), (d, e, f), (g, h, i) = m_idx
-    acc = [0] * 10
-    for top, u, v, u2, v2 in ((a, e, i, f, h), ([neg[x] for x in b], d, i, f, g),
-                              (c, d, h, e, g)):
-        if any(top):
-            minor = [0] * 6
-            add_lin_lin(minor, u, v, sf)
-            add_lin_lin(minor, [neg[x] for x in u2], v2, sf)
-            add_quad_lin(acc, minor, top, sf)
-    return acc
+    ca = quad_lin_idx(minor_idx(e, i, f, h, sf), a, sf) if any(a) else (0,) * 10
+    cb = quad_lin_idx(minor_idx(f, g, d, i, sf), b, sf) if any(b) else (0,) * 10
+    cc = quad_lin_idx(minor_idx(d, h, e, g, sf), c, sf) if any(c) else (0,) * 10
+    return [add[add[x][y]][z] for x, y, z in zip(ca, cb, cc)]
 
 
 def act_idx(t, f, sf: ScalarField):
     """Coefficient indices of the cubic f with (X, Y, Z) -> t (X, Y, Z)^t
-    substituted, for a 3x3 index matrix t."""
-    mul = sf.mul
-    quads = []
-    for i, j in _QUAD_IJ:
-        quad = [0] * 6
-        add_lin_lin(quad, t[i], t[j], sf)
-        quads.append(quad)
+    substituted, for a 3x3 index matrix t: each monomial X_i X_j X_k becomes
+    (t_i t_j) t_k, with t_i t_j from minor_idx and a zero second product."""
+    add, mul = sf.add, sf.mul
+    zero = (0, 0, 0)
+    quads = [minor_idx(t[i], t[j], zero, zero, sf) for i, j in _QUAD_IJ]
     acc = [0] * 10
     for c, (i, j, k) in zip(f, _CUBIC_IJK):
-        if c:
-            mc = mul[c]
-            add_quad_lin(acc, quads[_forms.QUAD_POS2[i][j]], [mc[x] for x in t[k]], sf)
+        mc = mul[c]
+        term = quad_lin_idx(quads[_forms.QUAD_POS2[i][j]], [mc[x] for x in t[k]], sf)
+        acc = [add[x][y] for x, y in zip(acc, term)]
     return acc
 
 

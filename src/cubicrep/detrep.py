@@ -19,9 +19,12 @@ point's representation there and pulls it back.  On every field that whole
 construction runs on the element indices of _tables, with the points read
 from PlaneTables.zeros, and only the returned points and scalars are field
 element objects; mp_case1 and mp_case2 encode their input and call the
-same index formula.  Every representation is checked twice,
-det(rep_n) = lam_n * Fn in normal form and det(rep) = lam * F after the
-pullback, the second through the cached _det_idx.
+same index formula.  The pullback maps each entry by one 3-term expression
+on the mul rows of the inverse coordinate change, read once per curve, and
+row 0 of every normal-form matrix, (0, Z, -Y), is pulled back once per
+curve.  Every representation is checked twice, det(rep_n) = lam_n * Fn in
+normal form and det(rep) = lam * F after the pullback, the second through
+the cached _det_idx.
 symmetrize and the completion of a candidate B into a witness run on
 indices as well.  EquivalenceWitness.verify and transform_rep run on the
 coefficient tuples of gf, each output entry summed in Z[x] and reduced once,
@@ -449,24 +452,33 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     f = sf.encode_all(F.coeffs)
     t, fn = _normalize_idx(pt, f, sf.encode_all(p0.coords))
     ti = _tables.inv3_idx(t, sf)
-    cols = [(mul[c0], mul[c1], mul[c2]) for c0, c1, c2 in zip(*ti)]
+    # pull back through w = t_inv * v, on the mul rows of t_inv: coefficient j
+    # of an entry is sum_i t_inv[i][j] * (coefficient i of the normal-form entry)
+    rows = [[mul[c] for c in row] for row in ti]
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+
+    def pull(entry):
+        e0, e1, e2 = entry
+        return (add[add[r00[e0]][r10[e1]]][r20[e2]],
+                add[add[r01[e0]][r11[e1]]][r21[e2]],
+                add[add[r02[e0]][r12[e1]]][r22[e2]])
+
+    # row 0 of every normal-form matrix is (0, Z, -Y): pulled back once per curve
+    row0 = tuple(map(pull, ((0, 0, 0), (0, 0, 1), (0, sf.neg[1], 0))))
     out = []
     for k, i in enumerate(pt.zeros(f)):
         if k == skip:
             continue
         # Pn = t_inv * P in canonical scaling, which must lie on Fn
         x, y, z = pt.point(i)
-        v = [add[add[mul[r0][x]][mul[r1][y]]][mul[r2][z]] for r0, r1, r2 in ti]
+        v = [add[add[r0[x]][r1[y]]][r2[z]] for r0, r1, r2 in rows]
         scale = mul[inv[next(c for c in v if c)]]
         pn = [scale[c] for c in v]
         if pt.value(fn, pn):
             Pn = ProjPoint(F.spec, [sf.decode(c) for c in pn])
             raise NotOnCurve(f"{Pn!r} is not on the curve")
         m_n = _mp_idx(fn, *pn, sf)
-        # pull back through w = t_inv * v: coefficient j of an entry is
-        # sum_i t_inv[i][j] * (coefficient i of the normal-form entry)
-        m_idx = tuple(tuple(tuple(add[add[c0[e0]][c1[e1]]][c2[e2]] for c0, c1, c2 in cols)
-                            for e0, e1, e2 in row) for row in m_n)
+        m_idx = (row0, tuple(map(pull, m_n[1])), tuple(map(pull, m_n[2])))
         lam = _ratio_idx(_det_idx(F.spec, m_idx), f, sf)
         if not lam:
             raise BrokenInvariant("pullback lost the determinant identity")

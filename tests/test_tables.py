@@ -1,8 +1,9 @@
-"""The O(q) field rules of _tables.ScalarField, the symbolic determinant
-and the kernel by row reduction of _tables against FieldElement
-arithmetic."""
+"""The O(q) field rules of _tables.ScalarField, the symbolic determinant,
+the substitution into a cubic and the kernel by row reduction of _tables
+against FieldElement arithmetic."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import object_reference
 from cubicrep import _tables
 from cubicrep.detrep import LinearMatrixRep
 from cubicrep.gf import mk_field
+from cubicrep.plane import TernaryCubic
 
 # prime, binary and odd extension fields on both sides of MAX_TABLE_Q, up
 # to the size cap
@@ -110,6 +112,36 @@ def test_det_cubic_idx_matches_the_permutation_expansion(data):
     assert got == ([0] * 10 if want is None else sf.encode_all(want.coeffs))
     if dependent != "none":
         assert want is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_act_idx_matches_the_object_substitution(data):
+    spec = data.draw(st.sampled_from(_DET_FIELDS))
+    sf = _tables.scalar_field(spec)
+    coeff = st.integers(0, spec.q - 1)
+    nonzero = st.integers(1, spec.q - 1)
+    # zero entries come up often, so zero rows and columns do too
+    entry = st.one_of(st.just(0), coeff)
+    t = [data.draw(st.lists(entry, min_size=3, max_size=3)) for _ in range(3)]
+    if data.draw(st.booleans()):
+        # singular T: the last row becomes c0 * the first + c1 * the second
+        c0, c1 = data.draw(coeff), data.draw(coeff)
+        t[2] = [sf.add[sf.mul[c0][x]][sf.mul[c1][y]] for x, y in zip(t[0], t[1])]
+    shape = data.draw(st.sampled_from(("dense", "sparse", "one term")))
+    f = [0] * 10
+    if shape != "one term":
+        f = data.draw(st.lists(coeff if shape == "dense" else entry, min_size=10, max_size=10))
+    f[data.draw(st.integers(0, 9))] = data.draw(nonzero)
+    # the reference reads only T.rows, so T may be singular here
+    T = SimpleNamespace(rows=[[sf.decode(c) for c in row] for row in t])
+    F = TernaryCubic(spec, [sf.decode(c) for c in f])
+    got = _tables.act_idx(t, f, sf)
+    if any(got):
+        assert got == sf.encode_all(object_reference.act(T, F).coeffs)
+    else:
+        with pytest.raises(ValueError, match="zero form"):
+            object_reference.act(T, F)
 
 
 def _check_kernel(rows, sf):
