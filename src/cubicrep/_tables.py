@@ -14,8 +14,9 @@ stays O(q) up to the field size cap of 2^14.
 PlaneTables enumerates P^2 in the public order and finds the zeros of a
 cubic line by line through [0:0:1], one cached scan per form up to
 scalars.  The singular zeros, where the gradient vanishes too, are a
-second cache on the same key, filled by one gradient pass over the cached
-zeros; only is_smooth and the rank profile ask for them.  The kernels
+second cache on the same key, filled by one pass over the cached zeros that
+stops at the first nonzero partial of each; only is_smooth and the rank
+profile ask for them.  The kernels
 below it cover the rest of the per-curve work: kernels by row reduction,
 ranks, determinants, products and inverses of small index matrices, and
 two straight-line products of forms on pre-fetched mul rows, minor_idx
@@ -238,9 +239,30 @@ class PlaneTables:
         return self._zero_sets(self._key(coeff_idx))
 
     def _scan_zero_sets(self, key):
+        """The cached zeros and those among them where the gradient vanishes.
+
+        Each zero is tested partial by partial, on the terms of the form with a
+        nonzero coefficient, and the first nonzero partial shows it smooth, so
+        a smooth curve mostly pays for one partial per zero.
+        """
         zeros = self._zeros(key)
-        point, gradient = self.point, self.gradient
-        return zeros, tuple(i for i in zeros if not any(gradient(key, point(i))))
+        add, mul, int_mul = self.sf.add, self.sf.mul, self.sf.int_mul
+        partials = [[(mul[int_mul[k][key[cpos]]], qpos) for cpos, qpos, k in plan
+                     if int_mul[k][key[cpos]]] for plan in _forms.DERIVATIVE_PLAN]
+        singular = []
+        for i in zeros:
+            x, y, z = self.point(i)
+            mx, mz = mul[x], mul[z]
+            quad = (mx[x], mx[y], mx[z], mul[y][y], mul[y][z], mz[z])
+            for terms in partials:
+                acc = 0
+                for mc, qpos in terms:
+                    acc = add[acc][mc[quad[qpos]]]
+                if acc:
+                    break
+            else:
+                singular.append(i)
+        return zeros, tuple(singular)
 
     def _scan_zeros(self, coeff_idx):
         """F restricted to each line through [0:0:1] is a cubic in z, which

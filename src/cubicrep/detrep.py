@@ -19,12 +19,17 @@ point's representation there and pulls it back.  On every field that whole
 construction runs on the element indices of _tables, with the points read
 from PlaneTables.zeros, and only the returned points and scalars are field
 element objects; mp_case1 and mp_case2 encode their input and call the
-same index formula.  The pullback maps each entry by one 3-term expression
-on the mul rows of the inverse coordinate change, read once per curve, and
-row 0 of every normal-form matrix, (0, Z, -Y), is pulled back once per
-curve.  Every representation is checked twice, det(rep_n) = lam_n * Fn in
-normal form and det(rep) = lam * F after the pullback, the second through
-the cached _det_idx.
+same index formula, _mp_idx.  The pullback maps each entry by one
+expression on the mul rows of the inverse coordinate change, read once per
+curve, over the nonzero slots of the entry only: a point off the tangent
+line (case 1) has a fixed zero pattern, and row 0 of every normal-form
+matrix, (0, Z, -Y), is pulled back once per curve.  Every representation is
+checked twice.  _mp_idx checks det(rep_n) = lam_n * Fn in normal form, for
+case 1 on _det_case1_idx, which expands det(rep_n) = Z (f g - d i) - Y d h
+on the nonzero slots, and for the one case-2 point per curve on the
+cofactor kernel _tables.det_cubic_idx.  all_reps checks det(rep) = lam * F
+after the pullback on det_cubic_idx through the cached _det_idx, so the two
+checks of a case-1 representation run on independent kernels.
 symmetrize and the completion of a candidate B into a witness run on
 indices as well.  EquivalenceWitness.verify and transform_rep run on the
 coefficient tuples of gf, each output entry summed in Z[x] and reduced once,
@@ -311,11 +316,10 @@ def det_cubic(rep: LinearMatrixRep) -> Optional[TernaryCubic]:
 
 def _ratio_idx(d, f, sf) -> int:
     """The index of lam != 0 with d = lam * f for the nonzero cubic f, or 0
-    when there is none."""
+    when there is none; d is a tuple, as _det_idx returns it."""
     lead = next(k for k, c in enumerate(f) if c)
     lam = sf.mul[d[lead]][sf.inv[f[lead]]]
-    scale = sf.mul[lam]
-    return lam if lam and all(a == scale[c] for a, c in zip(d, f)) else 0
+    return lam if lam and tuple(map(sf.mul[lam].__getitem__, f)) == d else 0
 
 
 def is_ldr_of(rep: LinearMatrixRep, F: TernaryCubic) -> Optional[FieldElement]:
@@ -384,8 +388,9 @@ def _mp_idx(f, s, t, u, sf):
     with coefficients f, all as element indices, entry (i, j) = [i][j].
 
     [s:t:u] must be a canonically scaled curve point other than [1:0:0].
-    Case 1 (u != 0) has det = -u^3 * Fn and case 2 (u = 0) det = a011 * Fn;
-    the identity is checked and BrokenInvariant raised when it fails.
+    Case 1 (u != 0) has det = -u^3 * Fn, checked on _det_case1_idx, and case 2
+    (u = 0) det = a011 * Fn, checked on _tables.det_cubic_idx; BrokenInvariant
+    is raised when the identity fails.
     """
     add, sub, mul, neg = sf.add, sf.sub, sf.mul, sf.neg
     a011, a012, a022, a111, a112, a122, a222 = f[3:]
@@ -398,7 +403,7 @@ def _mp_idx(f, s, t, u, sf):
         l2 = (mul[u][add[mul[a011][t]][mul[a012][u]]], 0,
               add[add[mul[a111][tt]][mul[a112][tu]]][mul[a122][uu]])
         row2 = ((u, 0, neg[s]), l1, l2)
-        lam, identity = neg[mul[uu][u]], "det = -u^3 * F"
+        det, lam, identity = _det_case1_idx, neg[mul[uu][u]], "det = -u^3 * F"
     else:
         if not a011:
             raise BrokenInvariant("a011 = 0 cannot happen for a curve point with u = 0")
@@ -406,11 +411,27 @@ def _mp_idx(f, s, t, u, sf):
         lt1 = (a111, sub[mul[a012][a111]][mul[a011][a112]], 0)
         lt2 = (0, sub[mul[a022][a111]][mul[a011][a122]], neg[mul[a011][a222]])
         row2 = ((a011, a111, 0), lt1, lt2)
-        lam, identity = a011, "det = a011 * F"
+        det, lam, identity = _tables.det_cubic_idx, a011, "det = a011 * F"
     m_idx = (row0, row1, row2)
-    if _tables.det_cubic_idx(m_idx, sf) != [mul[lam][c] for c in f]:
+    if det(m_idx, sf) != list(map(mul[lam].__getitem__, f)):
         raise BrokenInvariant(f"determinant identity {identity} failed")
     return m_idx
+
+
+def _det_case1_idx(m_idx, sf):
+    """The 10 coefficient indices of det(m_idx) for a case-1 matrix of _mp_idx,
+    read on its nonzero slots only.
+
+    Row 0 is (0, Z, -Y) and entry (1, 1) is the zero form, so with d, f = the
+    entries (1, 0), (1, 2) and g, h, i = row 2, det = Z (f g - d i) - Y d h;
+    the X slot of d and the Y slots of f, g and i are zero too.
+    """
+    add, sub, mul, neg = sf.add, sf.sub, sf.mul, sf.neg
+    _, ((_, d1, d2), _, (f0, _, f2)), ((g0, _, g2), (h0, h1, h2), (i0, _, i2)) = m_idx
+    md1, md2, mf0, mf2 = mul[d1], mul[d2], mul[f0], mul[f2]
+    return [0, 0, mf0[g0], neg[md1[h0]], neg[add[md1[i0]][md2[h0]]],
+            sub[add[mf0[g2]][mf2[g0]]][md2[i0]], neg[md1[h1]],
+            neg[add[md1[h2]][md2[h1]]], neg[add[md1[i2]][md2[h2]]], sub[mf2[g2]][md2[i2]]]
 
 
 def _rep_from_idx(spec, m_idx) -> LinearMatrixRep:
@@ -429,11 +450,12 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     bijection between representation classes and C(F_q) \\ {p0}.
 
     F is moved to the normal form Fn of plane.normalize(F, p0) once; each point is
-    mapped there, given its representation by mp_case1/mp_case2 and pulled
-    back.  Both identities, det(rep_n) = lam_n * Fn and det(rep) = lam * F,
-    are checked for every representation (BrokenInvariant when one fails),
-    the second through the cached _det_idx, which then serves the callers'
-    own is_ldr_of(rep, F).  The points come from PlaneTables.zeros and the
+    mapped there, given its representation by _mp_idx and pulled back, a
+    case-1 entry on its nonzero slots only.  Both identities,
+    det(rep_n) = lam_n * Fn (in _mp_idx) and det(rep) = lam * F, are checked
+    for every representation (BrokenInvariant when one fails), the second
+    through the cached _det_idx, which then serves the callers' own
+    is_ldr_of(rep, F).  The points come from PlaneTables.zeros and the
     construction runs on element indices; only the output is decoded.
     """
     if not is_smooth(F):
@@ -463,8 +485,18 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
                 add[add[r01[e0]][r11[e1]]][r21[e2]],
                 add[add[r02[e0]][r12[e1]]][r22[e2]])
 
+    # the case-1 entries with a zero X slot or a zero Y slot (see _det_case1_idx)
+    def pull_yz(entry):
+        _, e1, e2 = entry
+        return (add[r10[e1]][r20[e2]], add[r11[e1]][r21[e2]], add[r12[e1]][r22[e2]])
+
+    def pull_xz(entry):
+        e0, _, e2 = entry
+        return (add[r00[e0]][r20[e2]], add[r01[e0]][r21[e2]], add[r02[e0]][r22[e2]])
+
     # row 0 of every normal-form matrix is (0, Z, -Y): pulled back once per curve
     row0 = tuple(map(pull, ((0, 0, 0), (0, 0, 1), (0, sf.neg[1], 0))))
+    zero = (0, 0, 0)
     out = []
     for k, i in enumerate(pt.zeros(f)):
         if k == skip:
@@ -478,7 +510,12 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
             Pn = ProjPoint(F.spec, [sf.decode(c) for c in pn])
             raise NotOnCurve(f"{Pn!r} is not on the curve")
         m_n = _mp_idx(fn, *pn, sf)
-        m_idx = (row0, tuple(map(pull, m_n[1])), tuple(map(pull, m_n[2])))
+        if pn[2]:
+            (m10, _, m12), (m20, m21, m22) = m_n[1:]
+            m_idx = (row0, (pull_yz(m10), zero, pull_xz(m12)),
+                     (pull_xz(m20), pull(m21), pull_xz(m22)))
+        else:
+            m_idx = (row0, tuple(map(pull, m_n[1])), tuple(map(pull, m_n[2])))
         lam = _ratio_idx(_det_idx(F.spec, m_idx), f, sf)
         if not lam:
             raise BrokenInvariant("pullback lost the determinant identity")

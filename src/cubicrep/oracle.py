@@ -87,7 +87,6 @@ def census(q: int, slow: bool = False) -> OrbitCensus:
     sf = _tables.scalar_field(spec)
     forms = _bulk.forms_up_to_scalar(spec)
     smooth = _bulk.smooth_mask(spec, forms)
-    counts = _bulk.point_counts(spec, forms)
 
     encodings = _bulk.encode_forms(q, forms)
     visited = np.zeros(q ** 10, dtype=bool)
@@ -101,7 +100,9 @@ def census(q: int, slow: bool = False) -> OrbitCensus:
         visited[orbit] = True
         rep_digits = _bulk.decode_form(q, int(orbit.min()))
         rep = TernaryCubic(spec, [sf.decode(d) for d in rep_digits])
-        n_points = int(counts[fi])
+        # an orbit invariant: folded for one form per orbit, not for the
+        # whole space again after smooth_mask
+        n_points = int(_bulk.point_counts(spec, forms[fi:fi + 1])[0])
         orbits.append(OrbitEntry(rep, len(orbit), n_points))
         histogram[n_points] += 1
 

@@ -266,7 +266,9 @@ def _point_at(pt, i: int) -> ProjPoint:
     in canonical scaling."""
     P = object.__new__(ProjPoint)
     P.spec = pt.sf.spec
-    P.coords = tuple(pt.sf.elems[c] for c in pt.point(i))
+    el = pt.sf.elems
+    x, y, z = pt.point(i)
+    P.coords = (el[x], el[y], el[z])
     return P
 
 

@@ -409,55 +409,101 @@ def test_mp_cases_match_objects_on_seeded_curves():
                     assert object_reference.is_ldr_of(rep, Fn) == Fn.coeff("011")
 
 
-@pytest.mark.parametrize("bad_call, message", [
-    (1, "determinant identity det = (-u\\^3|a011) \\* F failed"),
-    (2, "pullback lost the determinant identity"),
+@pytest.mark.parametrize("kernel, message", [
+    ("_det_case1_idx", "determinant identity det = -u\\^3 \\* F failed"),
+    ("det_cubic_idx", "pullback lost the determinant identity"),
 ], ids=["normal-form", "pullback"])
-def test_all_reps_checks_both_identities(monkeypatch, bad_call, message):
-    # call 1 of det_cubic_idx checks det(rep_n) = lam_n * Fn for the first
-    # point, call 2 (through _det_idx) det(rep) = lam * F for its pullback
+def test_all_reps_checks_both_identities(monkeypatch, kernel, message):
+    # the first point all_reps builds lies off the tangent line (case 1):
+    # _det_case1_idx checks det(rep_n) = -u^3 * Fn for it, and the first call
+    # of det_cubic_idx (through _det_idx) det(rep) = lam * F for its pullback
+    from cubicrep import detrep
     from cubicrep.detrep import BrokenInvariant
+    from cubicrep.plane import normalize
 
     F = _random_smooth_curves(F7, random.Random(7200), 1)[0]
+    pts = rational_points(F)
+    T, _ = normalize(F, pts[0])
+    assert ProjPoint(F7, T.inverse().apply_coords(pts[1].coords)).z
     sf = _tables.scalar_field(F7)
-    real = _tables.det_cubic_idx
+    module = detrep if kernel == "_det_case1_idx" else _tables
+    real = getattr(module, kernel)
     calls = []
 
     def perturbed(m_idx, sf_):
         out = list(real(m_idx, sf_))
         calls.append(m_idx)
-        if len(calls) == bad_call:
+        if len(calls) == 1:
             out[0] = sf.add[out[0]][1]
         return out
 
     _det_idx.cache_clear()
-    monkeypatch.setattr(_tables, "det_cubic_idx", perturbed)
+    monkeypatch.setattr(module, kernel, perturbed)
     try:
         with pytest.raises(BrokenInvariant, match=message):
             all_reps(F)
     finally:
         _det_idx.cache_clear()  # drop the determinant computed wrongly
-    assert len(calls) == bad_call
+    assert len(calls) == 1
 
 
 def test_mp_cases_check_the_identity_on_tables(monkeypatch):
+    # case 1 checks its identity on _det_case1_idx, case 2 on det_cubic_idx
+    from cubicrep import detrep
     from cubicrep.detrep import BrokenInvariant
 
-    real = _tables.det_cubic_idx
     sf = _tables.scalar_field(F5)
 
-    def perturbed(m_idx, sf_):
-        out = list(real(m_idx, sf_))
-        out[9] = sf.add[out[9]][1]
-        return out
+    def perturb(module, kernel):
+        real = getattr(module, kernel)
 
-    monkeypatch.setattr(_tables, "det_cubic_idx", perturbed)
+        def perturbed(m_idx, sf_):
+            out = list(real(m_idx, sf_))
+            out[9] = sf.add[out[9]][1]
+            return out
+
+        monkeypatch.setattr(module, kernel, perturbed)
+
     row = golden.TWO_REP_ROWS[5][0]
     Fn = golden.row_curve(row)
+    P2 = golden.point(5, (0, 1, 0))
+    P1 = next(P for P in rational_points(Fn) if P.z)
+    perturb(_tables, "det_cubic_idx")
     with pytest.raises(BrokenInvariant, match="a011"):
-        mp_case2(Fn, golden.point(5, (0, 1, 0)))
+        mp_case2(Fn, P2)
+    mp_case1(Fn, P1)
+    perturb(detrep, "_det_case1_idx")
     with pytest.raises(BrokenInvariant, match="-u\\^3"):
-        mp_case1(Fn, next(P for P in rational_points(Fn) if P.z))
+        mp_case1(Fn, P1)
+
+
+@pytest.mark.parametrize("p, m, count", [(2, 1, 6), (3, 1, 6), (2, 2, 6), (5, 1, 6),
+                                         (3, 2, 4), (31, 1, 3), (2, 6, 2), (101, 1, 2),
+                                         (257, 1, 1), (3, 6, 1)])
+def test_case1_determinant_matches_the_cofactor_kernel(p, m, count):
+    # _det_case1_idx reads only the slots _mp_idx fills for a point with u != 0;
+    # det_cubic_idx expands the whole matrix.  F_257 and F_729 lie past
+    # MAX_TABLE_Q, and F_729 adds by Zech logarithms
+    from cubicrep.detrep import _det_case1_idx, _mp_idx
+    from cubicrep.plane import _normalize_idx
+
+    spec = mk_field(p, m)
+    rng = random.Random(7500 + spec.q)
+    pt = _tables.plane_tables(spec)
+    sf = pt.sf
+    checked = 0
+    for F in _random_smooth_curves(spec, rng, count):
+        f = sf.encode_all(F.coeffs)
+        zeros = pt.zeros(f)
+        p0 = pt.point(zeros[rng.randrange(len(zeros))])
+        _, fn = _normalize_idx(pt, f, p0)
+        for s, t, u in map(pt.point, pt.zeros(fn)):
+            if u:
+                m_idx = _mp_idx(fn, s, t, u, sf)
+                assert _det_case1_idx(m_idx, sf) == _tables.det_cubic_idx(m_idx, sf), \
+                    (F, p0, (s, t, u))
+                checked += 1
+    assert checked
 
 
 def test_exhaustive_scan_agrees_with_certificate():

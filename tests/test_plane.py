@@ -263,6 +263,16 @@ def test_zero_points_past_the_table_cap_share_one_scan():
             assert pt._zeros.cache_info().misses <= scans + 1
 
 
+def _random_transform(spec, rng):
+    elems = list(spec.elements())
+    while True:
+        try:
+            return LinearTransform(spec, [[rng.choice(elems) for _ in range(3)]
+                                          for _ in range(3)])
+        except ValueError:
+            continue
+
+
 def _special_forms(spec, rng):
     """A line times a conic, nodal and cuspidal cubics, a triangle of lines
     and a double line times a line, each moved by a random transform."""
@@ -274,14 +284,7 @@ def _special_forms(spec, rng):
                   {"112": 1, "000": -1},  # Y^2 Z = X^3
                   {"012": 1},  # XYZ
                   {"001": 1}):  # X^2 Y
-        while True:
-            try:
-                T = LinearTransform(spec, [[rng.choice(elems) for _ in range(3)]
-                                           for _ in range(3)])
-                break
-            except ValueError:
-                continue
-        forms.append(act(T, cubic(spec, shape)).coeffs)
+        forms.append(act(_random_transform(spec, rng), cubic(spec, shape)).coeffs)
     return [TernaryCubic(spec, f) for f in forms if any(f)]
 
 
@@ -326,6 +329,27 @@ def test_singular_zeros_past_the_table_cap():
     # every shape but the line times a conic has a rational singular point
     pt = _tables.plane_tables(spec)
     assert all(pt.zero_sets(pt.sf.encode_all(F.coeffs))[1] for F in forms[1:])
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                  (13, 1), (5, 2), (31, 1), (2, 6), (101, 1), (257, 1)])
+def test_singular_zeros_match_the_table_gradient(p, m):
+    # the early-exit pass of _scan_zero_sets against PlaneTables.gradient at
+    # every zero, on seeded cubics and on singular ones: a line times a conic,
+    # nodal, cuspidal, a triangle, a double line times a line and three
+    # concurrent lines XY(X + Y), each moved by a random transform
+    spec = mk_field(p, m)
+    rng = random.Random(1500 + spec.q)
+    pt = _tables.plane_tables(spec)
+    special = _special_forms(spec, rng) + [
+        act(_random_transform(spec, rng), cubic(spec, {"001": 1, "011": 1}))]
+    rows = [[rng.randrange(spec.q) for _ in range(10)] for _ in range(4)]
+    rows = [r for r in rows if any(r)] + [pt.sf.encode_all(F.coeffs) for F in special]
+    for row in rows:
+        zeros, singular = pt.zero_sets(row)
+        assert singular == tuple(i for i in zeros if not any(pt.gradient(row, pt.point(i)))), row
+    # the five moved shapes have a rational singular point
+    assert all(pt.zero_sets(pt.sf.encode_all(F.coeffs))[1] for F in special[-5:])
 
 
 @pytest.mark.slow
