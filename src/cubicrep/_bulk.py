@@ -116,14 +116,14 @@ def smooth_mask(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
 # matrix groups and their action on cubic coefficients
 
 
-def _all_matrices_blocks(q: int, chunk_digits: int = 7):
-    """Yield all 3x3 index matrices over F_q in lexicographic blocks."""
-    lead_digits = 9 - chunk_digits
-    tail = np.indices((q,) * chunk_digits, dtype=np.uint8).reshape(chunk_digits, -1).T
-    for lead in np.ndindex(*(q,) * lead_digits):
+def _all_matrices_blocks(q: int):
+    """Yield all 3x3 index matrices over F_q in lexicographic blocks, one per
+    value of the first two entries."""
+    tail = np.indices((q,) * 7, dtype=np.uint8).reshape(7, -1).T
+    for lead in np.ndindex(q, q):
         block = np.empty((tail.shape[0], 9), dtype=np.uint8)
-        block[:, :lead_digits] = np.array(lead, dtype=np.uint8)
-        block[:, lead_digits:] = tail
+        block[:, :2] = np.array(lead, dtype=np.uint8)
+        block[:, 2:] = tail
         yield block.reshape(-1, 3, 3)
 
 

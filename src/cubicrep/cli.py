@@ -36,9 +36,7 @@ def element_to_obj(e):
 
 
 def element_from_obj(spec: FieldSpec, obj):
-    if isinstance(obj, int):
-        return spec.element(obj)
-    if isinstance(obj, list):
+    if isinstance(obj, (int, list)):
         return spec.element(obj)
     raise ParseFailure(f"cannot read field element from {obj!r}")
 
@@ -307,7 +305,7 @@ def cmd_count(args) -> int:
 
 def cmd_classify(args) -> int:
     try:
-        cen = oracle.census(args.q, slow=args.slow)
+        cen = oracle.census(args.q)
     except oracle.TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -315,15 +313,18 @@ def cmd_classify(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2)
+    check = oracle.crosscheck(args.q, cen)
+    verdict = "ok" if check.ok else f"MISMATCH {check.mismatches}"
     if args.json:
         print(json.dumps(obj))
-        return EXIT_OK
-    print(f"q = {cen.q}: {cen.class_count} classes, "
-          f"{cen.smooth_form_count} smooth forms up to scalar")
-    for n in sorted(cen.histogram):
-        print(f"  {cen.histogram[n]} class(es) with {n} point(s)")
-    check = oracle.crosscheck(args.q, cen)
-    print("formula crosscheck:", "ok" if check.ok else f"MISMATCH {check.mismatches}")
+        if not check.ok:
+            print("formula crosscheck:", verdict, file=sys.stderr)
+    else:
+        print(f"q = {cen.q}: {cen.class_count} classes, "
+              f"{cen.smooth_form_count} smooth forms up to scalar")
+        for n in sorted(cen.histogram):
+            print(f"  {cen.histogram[n]} class(es) with {n} point(s)")
+        print("formula crosscheck:", verdict)
     return EXIT_OK if check.ok else EXIT_VERIFY
 
 
@@ -371,16 +372,15 @@ def _grid_csv(grid) -> str:
     return "\n".join(",".join(row) for row in grid)
 
 
-def _curve_table_rows(curves_by_q, with_reps: bool):
+def _curve_table_rows(curves_by_q):
     """Recompute every displayed quantity for the given representative curves."""
     rows = []
     for q, curves in curves_by_q:
         for F in curves:
             pts = plane.rational_points(F)
             marked = [(P, plane.is_flex(F, P)) for P in pts]
-            reps = detrep.all_reps(F) if with_reps else []
             rows.append({"q": q, "curve": F, "points": marked,
-                         "reps": [(P, rep, lam) for P, rep, lam in reps]})
+                         "reps": detrep.all_reps(F)})
     return rows
 
 
@@ -408,16 +408,14 @@ _TWO_REP_TABLE_IDS = {"7": 2, "2ldr-2": 2, "2ldr-3": 3, "8": 4, "2ldr-4": 4,
 def _curve_rows_for_selector(selector: str):
     if selector in ("5", "0ldr"):
         return _curve_table_rows([(q, [F]) for q, F in
-                                  sorted(gallery.no_rep_curves().items())],
-                                 with_reps=True)
+                                  sorted(gallery.no_rep_curves().items())])
     if selector in ("6", "1ldr"):
         return _curve_table_rows([(q, [F]) for q, F in
-                                  sorted(gallery.unique_rep_curves().items())],
-                                 with_reps=True)
+                                  sorted(gallery.unique_rep_curves().items())])
     if selector == "sym":
         return _sym_table_rows()
     q = _TWO_REP_TABLE_IDS[selector]
-    return _curve_table_rows([(q, gallery.two_rep_curves()[q])], with_reps=True)
+    return _curve_table_rows([(q, gallery.two_rep_curves()[q])])
 
 
 def _curve_table_text(rows) -> str:
@@ -515,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--csv", action="store_true", help="CSV output where supported")
+    with_csv = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_csv.add_argument("--csv", action="store_true", help="CSV output of a table")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", parents=[common], help="describe a finite field")
@@ -545,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("delta", type=int)
     p.set_defaults(func=cmd_classnum)
 
-    p = sub.add_parser("count", parents=[common], help="counting-formula report")
+    p = sub.add_parser("count", parents=[with_csv], help="counting-formula report")
     p.add_argument("--q", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--table", type=int, choices=(1, 2, 3),
@@ -555,11 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[common],
                        help="census of smooth cubics by projective equivalence")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--slow", action="store_true", help="allow the q = 4 run")
     p.add_argument("--out", help="write census JSON here")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("tables", parents=[common], help="render a summary table")
+    p = sub.add_parser("tables", parents=[with_csv], help="render a summary table")
     p.add_argument("selector",
                    choices=sorted({"1", "2", "3", "5", "6", "7", "8", "9", "10",
                                    "sym", "0ldr", "1ldr", "2ldr-2", "2ldr-3",

@@ -85,7 +85,8 @@ from .plane import (
     rational_points,
 )
 
-#: lines of a solution space _sweep may try before equivalent gives up
+#: candidates that _sweep (for equivalent) or symmetrize may try before
+#: giving up with BudgetExceeded
 SWEEP_BUDGET = 10**5
 
 
@@ -826,6 +827,7 @@ def symmetrize(rep: LinearMatrixRep) -> Optional[tuple[EquivalenceWitness, Linea
 
     Solves the linear system (A M)^t = A M for A and returns the first
     invertible solution in a deterministic sweep of the solution space.
+    Raises BudgetExceeded before the candidate after the first SWEEP_BUDGET.
     """
     spec = rep.spec
     sf = _tables.scalar_field(spec)
@@ -846,6 +848,10 @@ def symmetrize(rep: LinearMatrixRep) -> Optional[tuple[EquivalenceWitness, Linea
     q, dim = spec.q, len(basis)
     ident = LinearTransform.identity(spec)
     for combo in range(1, q ** dim):
+        if combo > SWEEP_BUDGET:
+            raise BudgetExceeded(f"no symmetric shape after {SWEEP_BUDGET} of the "
+                                 f"{q ** dim - 1} nonzero vectors of a "
+                                 f"{dim}-dimensional solution space")
         # the base-q digits of combo, lowest first, are the coefficients
         vec = [0] * 9
         c = combo

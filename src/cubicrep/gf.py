@@ -8,8 +8,8 @@ its generator g satisfies g^2 = g + 1.
 
 Elements are stored as reduced coefficient tuples (low degree first) and are
 immutable value objects; all operations are pure and exact.  Fields are
-capped at q <= 2^14 by default, which keeps irreducibility testing and
-root searches exhaustive and cheap.
+capped at q <= SIZE_CAP = 2^14, which keeps irreducibility testing and
+root searches exhaustive and cheap; a larger q raises UnsupportedSize.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-DEFAULT_SIZE_CAP = 1 << 14
+SIZE_CAP = 1 << 14
 
 
 class FieldError(Exception):
@@ -155,14 +155,13 @@ class FieldSpec:
 
     __slots__ = ("p", "m", "q", "modulus", "_hash")
 
-    def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None,
-                 size_cap: int = DEFAULT_SIZE_CAP):
+    def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
             raise NonPrime(f"p = {p} is not prime")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"m = {m} must be a positive integer")
-        if p ** m > size_cap:
-            raise UnsupportedSize(f"q = {p}^{m} exceeds the size cap {size_cap}")
+        if p ** m > SIZE_CAP:
+            raise UnsupportedSize(f"q = {p}^{m} exceeds the size cap {SIZE_CAP}")
         if modulus is None:
             modulus = default_modulus(p, m)
         else:
@@ -225,13 +224,6 @@ class FieldSpec:
                 coeffs.append(k % self.p)
                 k //= self.p
             yield FieldElement(self, tuple(coeffs))
-
-    def index(self, a: "FieldElement") -> int:
-        """Position of a in the canonical enumeration."""
-        n = 0
-        for c in reversed(a.coeffs):
-            n = n * self.p + c
-        return n
 
     # -- tuple-level arithmetic ----------------------------------------------
 
@@ -373,10 +365,9 @@ class FieldElement:
 # operations
 
 
-def mk_field(p: int, m: int, modulus: Sequence[int] | None = None,
-             size_cap: int = DEFAULT_SIZE_CAP) -> FieldSpec:
+def mk_field(p: int, m: int, modulus: Sequence[int] | None = None) -> FieldSpec:
     """Build a validated FieldSpec; omit modulus for the deterministic default."""
-    return FieldSpec(p, m, modulus, size_cap)
+    return FieldSpec(p, m, modulus)
 
 
 def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
@@ -438,13 +429,13 @@ def embed(a: FieldElement, target: FieldSpec) -> FieldElement:
     return acc
 
 
-def parse_field_literal(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> FieldSpec:
+def parse_field_literal(text: str) -> FieldSpec:
     """Parse a field literal "p" or "p^m" into a FieldSpec with the default modulus."""
     text = text.strip()
     if "^" in text:
         ps, ms = text.split("^", 1)
-        return mk_field(int(ps), int(ms), size_cap=size_cap)
-    return mk_field(int(text), 1, size_cap=size_cap)
+        return mk_field(int(ps), int(ms))
+    return mk_field(int(text), 1)
 
 
 def field_literal(spec: FieldSpec) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -243,3 +244,82 @@ def test_tables_output_unchanged_under_optimize_flag(selector):
                            env=env, capture_output=True, check=True, timeout=300).stdout
             for flags in ([], ["-O"])]
     assert outs[0] and outs[0] == outs[1]
+
+
+_CSV_INGREDIENTS = """\
+,#E_q(1),#E_q(2),#E_q(3),#E_q3(1),#E_q3(2),#E_q3(3)
+F_2,1,1,1,0,0,1
+F_3,1,1,1,0,0,1
+F_4,1,1,2,0,0,2
+F_5,0,1,1,0,0,1
+F_7,0,0,1,0,0,1
+
+,#E_q33(1),#E_q33(2),#E_q33(3),t0,t1,eps_q(q),eps_q(q-1),eps_q(q-2)
+F_2,0,0,0,∞,∞,0,0,0
+F_3,0,0,0,∞,∞,0,0,0
+F_4,0,0,0,-4,-4,0,0,0
+F_5,0,0,0,∞,∞,0,0,0
+F_7,0,0,0,-1,∞,0,0,0
+"""
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["tables", "1"], """\
+,F_2,F_3,F_4,F_5,F_7,F_q (q >= 8)
+Cub_q(0),1,1,1,0,0,0
+Cub_q(1),1,1,1,1,0,0
+Cub_q(2),2,2,4,2,2,0
+"""),
+    (["tables", "3"], _CSV_INGREDIENTS),
+    (["count", "--table", "3"], _CSV_INGREDIENTS),
+    (["tables", "7"], """\
+q,curve,points,n_reps,matrices
+2,"X^2*Z + X*Y^2 + Y*Z^2","[1:0:0] [0:1:0] [0:0:1]",2,"0, Z, Y; Z, Y, X; X, 0, Y | 0, Z, Y; Y, 0, X; X, X, Z"
+2,"X^2*Z + X*Z^2 + Y^3","[1:0:0](flex) [1:0:1](flex) [0:0:1](flex)",2,"0, Z, Y; Y, 0, X; X + Z, Y, 0 | 0, Z, Y; Y, 0, X + Z; X, Y, 0"
+"""),
+    (["tables", "sym"], """\
+q,curve,points,n_reps,matrices
+2,"X^2*Z + X*Y*Z + Y^3 + Y^2*Z + Y*Z^2","",1,"Y, 0, X; 0, Z, Y; X, Y, X + Y + Z"
+3,"X^2*Z + 2*Y^3 + Y^2*Z + Y*Z^2","",1,"2Y, 0, X; 0, Z, 2Y; X, 2Y, Y + Z"
+4,"X^2*Z + g*X*Y*Z + Y^3 + Y^2*Z + g*Y*Z^2","",1,"Y, 0, X; 0, Z, Y; X, Y, gX + Y + gZ"
+5,"X^2*Z + Y^3 + 2*Y*Z^2","",1,"4Y, 0, X; 0, 4Z, Y; X, Y, 2Z"
+"""),
+])
+def test_csv_output_pinned(argv, expected, capsys):
+    assert cli.main([*argv, "--csv"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_csv_only_where_it_is_read(tmp_path, capsys):
+    path = write_curve(tmp_path, golden.UNIQUE_REP_ROWS[0])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["points", path, "--csv"])
+    assert exc.value.code == 2
+    assert "--csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_classify_reports_a_formula_mismatch(monkeypatch, capsys, json_flag):
+    from cubicrep import counting
+
+    real = counting.cubics_with_points
+
+    def off_by_one_at_3(q, n):
+        report = real(q, n)
+        if n != 3:
+            return report
+        return dataclasses.replace(report, e=report.e + 1, total=report.total + 1)
+
+    assert cli.main(["classify", "--q", "2", *json_flag]) == 0
+    good = capsys.readouterr().out
+    monkeypatch.setattr(counting, "cubics_with_points", off_by_one_at_3)
+    assert cli.main(["classify", "--q", "2", *json_flag]) == 1
+    captured = capsys.readouterr()
+    assert "MISMATCH" in (captured.err if json_flag else captured.out)
+    if json_flag:
+        assert captured.out == good
+
+
+def test_field_past_the_size_cap_exit_2(capsys):
+    assert cli.main(["field", "2^15"]) == 2
+    assert "size cap 16384" in capsys.readouterr().err

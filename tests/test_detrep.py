@@ -590,6 +590,17 @@ def test_budget_exceeded_on_degenerate_input(monkeypatch):
         equivalent(diag, moved)
 
 
+def test_symmetrize_gives_up_past_the_budget(monkeypatch):
+    from cubicrep import detrep
+    from cubicrep.detrep import BudgetExceeded
+
+    # every A solves the system for the zero pencil: a 9-dimensional space,
+    # whose first invertible vector (the anti-diagonal) comes at 7^2+7^4+7^6
+    monkeypatch.setattr(detrep, "SWEEP_BUDGET", 1000)
+    with pytest.raises(BudgetExceeded, match="after 1000 "):
+        symmetrize(zero_rep(F7))
+
+
 def test_witness_inverses_on_golden_classification():
     for row in golden.UNIQUE_REP_ROWS:
         F = golden.row_curve(row)

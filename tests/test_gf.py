@@ -8,6 +8,7 @@ from cubicrep.gf import (
     NonPrime,
     NotAnExtension,
     Reducible,
+    SIZE_CAP,
     UnsupportedSize,
     arith,
     embed,
@@ -45,9 +46,12 @@ def test_nonprime_rejected():
 
 
 def test_size_cap():
+    assert SIZE_CAP == 2 ** 14
     with pytest.raises(UnsupportedSize):
         mk_field(2, 15)
-    mk_field(2, 14)  # exactly at the cap
+    with pytest.raises(UnsupportedSize):
+        parse_field_literal("2^15")
+    assert mk_field(2, 14).q == SIZE_CAP  # exactly at the cap
 
 
 def test_mismatched_modulus_degree_rejected():

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from cubicrep import _bulk, _tables, gallery
+from cubicrep import _bulk, _tables, cli, gallery
 from cubicrep.counting import cubics_with_points
 from cubicrep.gf import mk_field
 from cubicrep.oracle import TooLarge, census, crosscheck
@@ -10,8 +12,6 @@ from cubicrep.plane import LinearTransform, act, rational_points
 def test_census_requires_opt_in():
     with pytest.raises(TooLarge):
         census(5)
-    with pytest.raises(TooLarge):
-        census(4)  # needs slow=True
 
 
 def test_census_rejects_orbits_that_miss_forms(monkeypatch):
@@ -108,9 +108,12 @@ def test_histograms_match_formula_cellwise(census2, census3):
 
 
 @pytest.mark.slow
-def test_census4_matches_formulas():
-    cen = census(4, slow=True)
-    assert crosscheck(4, cen).ok
-    assert cen.histogram[1] == 1
-    assert cen.histogram[2] == 1
-    assert cen.histogram[3] == 4
+def test_census4_matches_formulas(tmp_path, capsys):
+    # the F_4 census through the CLI, which runs the formula crosscheck
+    out = tmp_path / "census4.json"
+    assert cli.main(["classify", "--q", "4", "--out", str(out)]) == 0
+    assert "formula crosscheck: ok" in capsys.readouterr().out
+    histogram = json.loads(out.read_text())["histogram"]
+    assert histogram["1"] == 1
+    assert histogram["2"] == 1
+    assert histogram["3"] == 4
