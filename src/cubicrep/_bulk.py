@@ -1,9 +1,10 @@
 """Vectorized sweeps over whole coefficient spaces and matrix groups.
 
 Field elements are encoded as their position in the field's canonical
-enumeration and all arithmetic goes through the uint8 views of
-_tables.ScalarField, which exist for q <= _tables.MAX_TABLE_Q, so the same
-code drives prime and extension fields.  Used by the census machinery;
+enumeration and all arithmetic goes through uint8 arrays, copied once per
+field from the list tables of _tables.ScalarField (q <= _tables.MAX_TABLE_Q)
+by _arrays, so the same code drives prime and extension fields.  This is the
+only module that builds or reads them.  Used by the census machinery;
 nothing here is part of the public surface.
 """
 
@@ -14,16 +15,25 @@ from functools import lru_cache
 import numpy as np
 
 from . import _forms
-from ._tables import ScalarField, plane_tables, scalar_field
+from ._tables import plane_tables, scalar_field
 from .gf import FieldSpec
+
+
+@lru_cache(maxsize=None)
+def _arrays(spec: FieldSpec):
+    """ADD, SUB, MUL, INV, INTMUL: the tables add, sub, mul, inv and int_mul
+    of _tables.ScalarField as uint8 arrays."""
+    sf = scalar_field(spec)
+    return tuple(np.array(t, dtype=np.uint8)
+                 for t in (sf.add, sf.sub, sf.mul, sf.inv, sf.int_mul))
 
 
 # ---------------------------------------------------------------------------
 # batched 3x3 linear algebra
 
 
-def det3(sf: ScalarField, m):
-    MUL, ADD, SUB = sf.MUL, sf.ADD, sf.SUB
+def det3(spec: FieldSpec, m):
+    ADD, SUB, MUL = _arrays(spec)[:3]
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
     d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
     g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
@@ -37,7 +47,7 @@ def det3(sf: ScalarField, m):
 def _plane_arrays(spec: FieldSpec):
     """Cubic and quadratic monomial values at every point of P^2, one row per
     point in enumeration order; q^2 rows, so only for the census fields."""
-    sf, pt = scalar_field(spec), plane_tables(spec)
+    MUL, pt = _arrays(spec)[2], plane_tables(spec)
     coords = np.array([pt.point(i) for i in range(pt.n_points)], dtype=np.uint8)
 
     def monomials(exponents):
@@ -45,7 +55,7 @@ def _plane_arrays(spec: FieldSpec):
         for k, exps in enumerate(exponents):
             for v, e in enumerate(exps):
                 for _ in range(e):
-                    out[:, k] = sf.MUL[out[:, k], coords[:, v]]
+                    out[:, k] = MUL[out[:, k], coords[:, v]]
         return out
 
     return monomials(_forms.CUBIC_EXPONENTS), monomials(_forms.QUAD_EXPONENTS)
@@ -72,24 +82,20 @@ def forms_up_to_scalar(spec: FieldSpec) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def _fold_values(sf, A, table):
+def _fold_values(spec, A, table):
     """sum_k A[:, k] * table[:, k] over points: returns (n_forms, n_points)."""
-    add = sf.ADD.ravel().astype(np.intp)
+    ADD, _, MUL = _arrays(spec)[:3]
+    add = ADD.ravel().astype(np.intp)
     acc = np.zeros((A.shape[0], table.shape[0]), dtype=np.intp)
     for k in range(A.shape[1]):
         # row A[f, k] of the products with column k, added through the flat table
-        acc = add[acc * sf.q + sf.MUL[:, table[:, k]][A[:, k]]]
+        acc = add[acc * spec.q + MUL[:, table[:, k]][A[:, k]]]
     return acc.astype(np.uint8)
 
 
-def curve_values(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
-    """(n_forms, n_points) values of each form at each point of P^2."""
-    cubic_mono = _plane_arrays(spec)[0]
-    return _fold_values(scalar_field(spec), A, cubic_mono)
-
-
 def point_counts(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
-    return (curve_values(spec, A) == 0).sum(axis=1)
+    """The number of points of P^2 where each form among the rows of A vanishes."""
+    return (_fold_values(spec, A, _plane_arrays(spec)[0]) == 0).sum(axis=1)
 
 
 def smooth_mask(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
@@ -99,15 +105,15 @@ def smooth_mask(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
     has neither 0 nor 2q+2 rational points and none of them is singular;
     the docstring there gives the case analysis that makes this complete.
     """
-    sf = scalar_field(spec)
+    INTMUL = _arrays(spec)[4]
     cubic_mono, quad_mono = _plane_arrays(spec)
-    on_curve = _fold_values(sf, A, cubic_mono) == 0
+    on_curve = _fold_values(spec, A, cubic_mono) == 0
     n_points = on_curve.sum(axis=1)
 
     sing = on_curve.copy()
     for plan in _forms.DERIVATIVE_PLAN:
         cpos, qpos, mult = (list(col) for col in zip(*plan))
-        sing &= _fold_values(sf, sf.INTMUL[mult, A[:, cpos]], quad_mono[:, qpos]) == 0
+        sing &= _fold_values(spec, INTMUL[mult, A[:, cpos]], quad_mono[:, qpos]) == 0
     has_singular = sing.any(axis=1)
     return (n_points != 0) & (n_points != 2 * spec.q + 2) & ~has_singular
 
@@ -130,8 +136,7 @@ def _all_matrices_blocks(q: int):
 @lru_cache(maxsize=None)
 def gl3_array(spec: FieldSpec) -> np.ndarray:
     """All of GL_3 as (G, 3, 3) index matrices, lexicographic order."""
-    sf = scalar_field(spec)
-    blocks = [block[det3(sf, block) != 0] for block in _all_matrices_blocks(spec.q)]
+    blocks = [block[det3(spec, block) != 0] for block in _all_matrices_blocks(spec.q)]
     return np.concatenate(blocks, axis=0)
 
 
@@ -147,7 +152,7 @@ def pgl3_array(spec: FieldSpec) -> np.ndarray:
 @lru_cache(maxsize=None)
 def pgl3_cubic_action(spec: FieldSpec) -> np.ndarray:
     """(G, 10, 10) index tensors: coefficients of act(T, basis monomial)."""
-    sf = scalar_field(spec)
+    ADD, _, MUL = _arrays(spec)[:3]
     group = pgl3_array(spec)
     G = group.shape[0]
     cube = np.zeros((G, 10, 10), dtype=np.uint8)
@@ -157,30 +162,30 @@ def pgl3_cubic_action(spec: FieldSpec) -> np.ndarray:
         for a in range(3):
             for b in range(3):
                 qpos = _forms.QUAD_POS2[a][b]
-                term = sf.MUL[group[:, i, a], group[:, j, b]]
-                quad[:, qpos] = sf.ADD[quad[:, qpos], term]
+                term = MUL[group[:, i, a], group[:, j, b]]
+                quad[:, qpos] = ADD[quad[:, qpos], term]
         for qpos, qidx in enumerate(_forms.QUAD_INDICES):
             a, b = int(qidx[0]), int(qidx[1])
             for c in range(3):
                 cpos = _forms.CUBIC_POS3[a][b][c]
-                term = sf.MUL[quad[:, qpos], group[:, k, c]]
-                cube[:, cpos, in_pos] = sf.ADD[cube[:, cpos, in_pos], term]
+                term = MUL[quad[:, qpos], group[:, k, c]]
+                cube[:, cpos, in_pos] = ADD[cube[:, cpos, in_pos], term]
     return cube
 
 
 def orbit_of(spec: FieldSpec, form_row: np.ndarray) -> np.ndarray:
     """Encodings of the full projective-group orbit of one coefficient row."""
-    sf = scalar_field(spec)
+    ADD, _, MUL, INV, _ = _arrays(spec)
     cube = pgl3_cubic_action(spec)
     G = cube.shape[0]
     images = np.zeros((G, 10), dtype=np.uint8)
     for in_pos in range(10):
         c = int(form_row[in_pos])
         if c:
-            images = sf.ADD[images, sf.MUL[cube[:, :, in_pos], np.uint8(c)]]
+            images = ADD[images, MUL[cube[:, :, in_pos], np.uint8(c)]]
     lead_pos = (images != 0).argmax(axis=1)
     lead = images[np.arange(G), lead_pos]
-    images = sf.MUL[images, sf.INV[lead][:, None]]
+    images = MUL[images, INV[lead][:, None]]
     # np.unique would import numpy.ma on its first call in a process
     enc = np.sort(encode_forms(spec.q, images))
     return enc[np.concatenate(([True], enc[1:] != enc[:-1]))]

@@ -7,16 +7,15 @@ log/antilog pair of a fixed primitive element for multiplication, and
 addition by integers mod p (prime fields), XOR (q = 2^m) or Zech logarithms
 (other extension fields).  The tables keep the subscript interface
 add[a][b], sub[a][b], mul[a][b].  For q <= MAX_TABLE_Q they are
-materialised as q x q lists, plus uint8 array views for the batched
-kernels in _bulk; past that each row is computed on subscript, so memory
-stays O(q) up to the field size cap of 2^14.
+materialised as q x q lists; past that each row is computed on subscript,
+so memory stays O(q) up to the field size cap of 2^14.  The batched kernels
+of _bulk copy the lists into uint8 arrays of their own.
 
 PlaneTables enumerates P^2 in the public order and finds the zeros of a
-cubic line by line through [0:0:1], one cached scan per form up to
-scalars.  The singular zeros, where the gradient vanishes too, are a
-second cache on the same key, filled by one pass over the cached zeros that
-stops at the first nonzero partial of each; only is_smooth and the rank
-profile ask for them.  The kernels
+cubic line by line through [0:0:1], together with its singular zeros, where
+the gradient vanishes too: one cached entry per form up to scalars, the
+singular zeros filled by one pass over the zeros that stops at the first
+nonzero partial of each.  The kernels
 below it cover the rest of the per-curve work: kernels by row reduction,
 ranks, determinants, products and inverses of small index matrices, and
 two straight-line products of forms on pre-fetched mul rows, minor_idx
@@ -31,12 +30,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from . import _forms
 from .gf import FieldSpec
 
-#: largest field whose tables are materialised as lists and uint8 arrays
+#: largest field whose tables are materialised as lists
 MAX_TABLE_Q = 256
 
 
@@ -140,10 +137,6 @@ class ScalarField:
         if q <= MAX_TABLE_Q:
             self.add, self.sub, self.mul = ([[op(a, b) for b in range(q)] for a in range(q)]
                                             for op in (add, sub, mul))
-            # the same tables as uint8 arrays, for the batched kernels in _bulk
-            self.ADD, self.SUB, self.MUL, self.INV, self.INTMUL = (
-                np.array(t, dtype=np.uint8)
-                for t in (self.add, self.sub, self.mul, self.inv, self.int_mul))
         else:
             self.add, self.sub, self.mul = _Rows(add), _Rows(sub), _Rows(mul)
 
@@ -173,9 +166,7 @@ class PlaneTables:
     def __init__(self, sf: ScalarField):
         self.sf = sf
         self.n_points = sf.q * sf.q + sf.q + 1
-        # one cache per field; an entry holds about q point indices, and a
-        # _zero_sets entry shares the zero tuple of its _zeros entry
-        self._zeros = lru_cache(maxsize=1 << 10)(self._scan_zeros)
+        # one cache per field; an entry holds about q point indices
         self._zero_sets = lru_cache(maxsize=1 << 10)(self._scan_zero_sets)
 
     def point(self, i: int) -> tuple[int, int, int]:
@@ -218,7 +209,7 @@ class PlaneTables:
         return out
 
     def _key(self, coeff_idx) -> tuple[int, ...]:
-        """The coefficients scaled to lead with 1, the key of both caches."""
+        """The coefficients scaled to lead with 1, the key of the cache."""
         lead = next((c for c in coeff_idx if c), 1)
         if lead == 1:
             return tuple(coeff_idx)
@@ -227,25 +218,29 @@ class PlaneTables:
     def zeros(self, coeff_idx) -> tuple[int, ...]:
         """Indices of the points where the cubic vanishes, in enumeration order.
 
-        Nonzero multiples of a form vanish at the same points, so the scan is
-        cached on the coefficients scaled to lead with 1: F, det(rep) = lam*F
-        and det(A*rep*B) share one scan.  The zero form vanishes everywhere.
+        The first half of zero_sets, cached with it.  The zero form vanishes
+        everywhere.
         """
-        return self._zeros(self._key(coeff_idx))
+        return self._zero_sets(self._key(coeff_idx))[0]
 
     def zero_sets(self, coeff_idx) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(zeros, singular zeros) of the cubic: the second are the zeros
-        where the gradient vanishes too, cached up to scalars like the first."""
+        where the gradient vanishes too.
+
+        Nonzero multiples of a form have the same zeros and singular zeros,
+        so both are cached on the coefficients scaled to lead with 1: F,
+        det(rep) = lam*F and det(A*rep*B) share one entry.
+        """
         return self._zero_sets(self._key(coeff_idx))
 
     def _scan_zero_sets(self, key):
-        """The cached zeros and those among them where the gradient vanishes.
+        """The zeros and those among them where the gradient vanishes.
 
         Each zero is tested partial by partial, on the terms of the form with a
         nonzero coefficient, and the first nonzero partial shows it smooth, so
         a smooth curve mostly pays for one partial per zero.
         """
-        zeros = self._zeros(key)
+        zeros = self._scan_zeros(key)
         add, mul, int_mul = self.sf.add, self.sf.mul, self.sf.int_mul
         partials = [[(mul[int_mul[k][key[cpos]]], qpos) for cpos, qpos, k in plan
                      if int_mul[k][key[cpos]]] for plan in _forms.DERIVATIVE_PLAN]

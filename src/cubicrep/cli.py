@@ -14,7 +14,7 @@ import sys
 
 from . import counting, detrep, gallery, oracle, plane
 from .counting import INFINITY
-from .gf import FieldError, FieldSpec, field_literal, parse_field_literal
+from .gf import FieldError, FieldSpec, field_literal, parse_field_literal, poly_string
 from .plane import PlaneError, ProjPoint, TernaryCubic
 
 EXIT_OK = 0
@@ -127,19 +127,6 @@ def format_matrix(rep: detrep.LinearMatrixRep, indent: str = "  ") -> str:
     return "\n".join(lines)
 
 
-def poly_string(modulus) -> str:
-    terms = []
-    for i, c in enumerate(modulus):
-        if not c:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            x = "x" if i == 1 else f"x^{i}"
-            terms.append(x if c == 1 else f"{c}{x}")
-    return " + ".join(terms) if terms else "0"
-
-
 def _ext(v):
     return "∞" if v is INFINITY else str(v)
 
@@ -159,7 +146,7 @@ def cmd_field(args) -> int:
         print(json.dumps(obj))
         return EXIT_OK
     print(f"field F_{spec.q} = F_{spec.p}^{spec.m}")
-    print(f"modulus: {poly_string(spec.modulus)}")
+    print(f"modulus: {poly_string(spec.modulus, 'x')}")
     print("elements:", ", ".join(repr(e) for e in spec.elements()))
     return EXIT_OK
 
@@ -291,6 +278,9 @@ def cmd_count(args) -> int:
                                              json=args.json, csv=args.csv))
     if args.q is None or args.n is None:
         print("error: need --q and --n (or --table)", file=sys.stderr)
+        return EXIT_PARSE
+    if args.csv:
+        print("error: --csv needs --table", file=sys.stderr)
         return EXIT_PARSE
     report = counting.cubics_with_points(args.q, args.n)
     if args.json:
@@ -490,17 +480,15 @@ def cmd_tables(args) -> int:
             print()
             print(_grid_text(g2))
         return EXIT_OK
-    if sel in ("5", "6", "sym", "0ldr", "1ldr") or sel in _TWO_REP_TABLE_IDS:
-        rows = _curve_rows_for_selector(sel)
-        if args.json:
-            print(json.dumps(_curve_table_obj(rows)))
-        elif args.csv:
-            print(_curve_table_csv(rows))
-        else:
-            print(_curve_table_text(rows))
-        return EXIT_OK
-    print(f"error: unknown table selector {sel!r}", file=sys.stderr)
-    return EXIT_PARSE
+    # the parser's choices leave only the curve tables
+    rows = _curve_rows_for_selector(sel)
+    if args.json:
+        print(json.dumps(_curve_table_obj(rows)))
+    elif args.csv:
+        print(_curve_table_csv(rows))
+    else:
+        print(_curve_table_text(rows))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

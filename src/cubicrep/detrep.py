@@ -30,11 +30,11 @@ on the nonzero slots, and for the one case-2 point per curve on the
 cofactor kernel _tables.det_cubic_idx.  all_reps checks det(rep) = lam * F
 after the pullback on det_cubic_idx through the cached _det_idx, so the two
 checks of a case-1 representation run on independent kernels.
-symmetrize and the completion of a candidate B into a witness run on
-indices as well.  EquivalenceWitness.verify and transform_rep run on the
-coefficient tuples of gf, each output entry summed in Z[x] and reduced once,
-off the tables of _tables: they are the independent check of every witness
-returned.
+symmetrize runs on _sweep, the sweep of equivalent, and it and the
+completion of a candidate B into a witness run on indices as well.
+EquivalenceWitness.verify and transform_rep run on the coefficient tuples
+of gf, each output entry summed in Z[x] and reduced once, off the tables of
+_tables: they are the independent check of every witness returned.
 
 equivalent decides a pair in stages: det ratio -> rank profile -> traces ->
 sweep.  Equivalence needs proportional determinants, so both
@@ -85,8 +85,8 @@ from .plane import (
     rational_points,
 )
 
-#: candidates that _sweep (for equivalent) or symmetrize may try before
-#: giving up with BudgetExceeded
+#: lines that _sweep (for equivalent and symmetrize) may try before giving
+#: up with BudgetExceeded
 SWEEP_BUDGET = 10**5
 
 
@@ -139,8 +139,8 @@ class LinearMatrixRep:
 
     Its identity is (spec, idx): idx[i][j] = (cX, cY, cZ) holds the element
     indices of entry (i, j) in _tables, and equality, hashing and every cache
-    of this module key on that pair.  The constant matrices m0, m1, m2 are
-    decoded from idx on first access and kept.
+    of this module key on that pair.  The constant matrices m0, m1, m2 of
+    coefficient_matrices() are decoded from idx on first access and kept.
     """
 
     __slots__ = ("spec", "idx", "_hash", "_mats")
@@ -173,10 +173,6 @@ class LinearMatrixRep:
             self._mats = tuple(tuple(tuple(el[e[v]] for e in row) for row in self.idx)
                                for v in range(3))
         return self._mats
-
-    m0 = property(lambda self: self.coefficient_matrices()[0])
-    m1 = property(lambda self: self.coefficient_matrices()[1])
-    m2 = property(lambda self: self.coefficient_matrices()[2])
 
     def entry(self, i: int, j: int):
         """The (i, j) entry as a coefficient triple (cX, cY, cZ)."""
@@ -351,17 +347,7 @@ def mp_case1(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
     output satisfies det = -u^3 * Fn exactly, with u read from the
     canonical scaling of P.
     """
-    spec = Fn.spec
-    _require_normalized(Fn)
-    if Fn.evaluate(P):
-        raise NotOnCurve(f"{P!r} is not on the curve")
-    if P == ProjPoint(spec, (1, 0, 0)):
-        raise IsBasePoint("no representation is attached to the base point")
-    if not P.z:
-        raise WrongCase("third coordinate is zero; use mp_case2")
-    sf = _tables.scalar_field(spec)
-    m_idx = _mp_idx(sf.encode_all(Fn.coeffs), *sf.encode_all(P.coords), sf)
-    return _rep_from_idx(spec, m_idx)
+    return _mp_checked(Fn, P, case2=False)
 
 
 def mp_case2(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
@@ -371,17 +357,24 @@ def mp_case2(Fn: TernaryCubic, P: ProjPoint) -> LinearMatrixRep:
     [a111 : -a011 : 0], which forces a011 != 0.  The output satisfies
     det = a011 * Fn exactly.
     """
+    return _mp_checked(Fn, P, case2=True)
+
+
+def _mp_checked(Fn, P, case2: bool):
+    """The representation of _mp_idx at P, after the checks of mp_case1 and
+    mp_case2 in this order: Fn normalized, P on it, P not the base point,
+    and last the case asked for, case 2 when P.z = 0."""
     spec = Fn.spec
     _require_normalized(Fn)
     if Fn.evaluate(P):
         raise NotOnCurve(f"{P!r} is not on the curve")
-    if P.z:
-        raise WrongCase("third coordinate is nonzero; use mp_case1")
     if P == ProjPoint(spec, (1, 0, 0)):
         raise IsBasePoint("no representation is attached to the base point")
+    if bool(P.z) == case2:
+        raise WrongCase("third coordinate is "
+                        + ("nonzero; use mp_case1" if case2 else "zero; use mp_case2"))
     sf = _tables.scalar_field(spec)
-    m_idx = _mp_idx(sf.encode_all(Fn.coeffs), *sf.encode_all(P.coords), sf)
-    return _rep_from_idx(spec, m_idx)
+    return _rep_from_idx(spec, _mp_idx(sf.encode_all(Fn.coeffs), *sf.encode_all(P.coords), sf))
 
 
 def _mp_idx(f, s, t, u, sf):
@@ -596,11 +589,13 @@ def _off_curve_point(pt, d_idx):
     return pt.point(i) if i < pt.n_points else None
 
 
-def _witness_from_b(m1: LinearMatrixRep, m2: LinearMatrixRep, b):
-    """Complete a candidate B, given as index rows, into a verified witness,
-    or return None."""
+def _witness_from_b(m1: LinearMatrixRep, m2: LinearMatrixRep, vec):
+    """Complete a candidate B, given as 9 indices row by row and scaled here
+    to lead with 1, into a verified witness, or return None."""
     pt = _tables.plane_tables(m1.spec)
     sf = pt.sf
+    s = sf.mul[sf.inv[next(v for v in vec if v)]]
+    b = [[s[v] for v in vec[k:k + 3]] for k in (0, 3, 6)]
     if not _tables.det3_idx(b, sf):
         return None
     at = _off_curve_point(pt, _det_idx(m1.spec, m1.idx))
@@ -666,13 +661,15 @@ def _kernel_certificate(m1, m2):
                     row[3 * l + j] = sub[row[3 * l + j]][n[i][l]]
                 rows.append(row)
     return _sweep(_tables.right_kernel_idx(rows, sf), sf,
-                  lambda vec: _witness_from_b(m1, m2, [vec[0:3], vec[3:6], vec[6:9]]))
+                  lambda vec: _witness_from_b(m1, m2, vec))
 
 
 def _witness_from_cb(m1, m2, vec, sf):
-    """Complete a solution (C, B) of C m2 = m1 B, given as 18 indices, into
-    the verified witness (C^-1, B), or return None."""
-    c, b = [vec[0:3], vec[3:6], vec[6:9]], [vec[9:12], vec[12:15], vec[15:18]]
+    """Complete a solution (C, B) of C m2 = m1 B, given as 18 indices and
+    scaled here to lead with 1, into the verified witness (C^-1, B), or
+    return None."""
+    s = sf.mul[sf.inv[next(v for v in vec if v)]]
+    c, b = ([[s[v] for v in vec[k:k + 3]] for k in (j, j + 3, j + 6)] for j in (0, 9))
     if not (_tables.det3_idx(c, sf) and _tables.det3_idx(b, sf)):
         return None
     w = EquivalenceWitness(LinearTransform._from_idx(sf, _tables.inv3_idx(c, sf)),
@@ -686,8 +683,9 @@ def _sweep(basis, sf, complete):
 
     The lines are taken in a fixed order: the coefficient vectors c with
     first nonzero entry 1, ascending lexicographically on element indices,
-    and vec = sum_k c_k basis[k] scaled to lead with 1.  Raises
-    BudgetExceeded before the line after the first SWEEP_BUDGET.
+    and vec = sum_k c_k basis[k] is passed on unscaled.  This is the one
+    count of candidates against SWEEP_BUDGET: BudgetExceeded is raised
+    before the line after the first SWEEP_BUDGET.
     """
     add, mul = sf.add, sf.mul
     tried = 0
@@ -701,8 +699,7 @@ def _sweep(basis, sf, complete):
             for c, bs in zip(tail, basis[lead + 1:]):
                 if c:
                     vec = [add[x][mul[c][y]] for x, y in zip(vec, bs)]
-            scale = mul[sf.inv[next(v for v in vec if v)]]
-            found = complete([scale[v] for v in vec])
+            found = complete(vec)
             if found is not None:
                 return found
     return None
@@ -814,24 +811,23 @@ def moore_rep(h: FieldElement, P: ProjPoint) -> LinearMatrixRep:
 
 
 def is_symmetric(rep: LinearMatrixRep) -> bool:
-    for m in rep.coefficient_matrices():
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if m[i][j] != m[j][i]:
-                    return False
-    return True
+    idx = rep.idx
+    return idx[0][1] == idx[1][0] and idx[0][2] == idx[2][0] and idx[1][2] == idx[2][1]
 
 
 def symmetrize(rep: LinearMatrixRep) -> Optional[tuple[EquivalenceWitness, LinearMatrixRep]]:
     """A symmetric representation A * rep equivalent to rep, if row moves suffice.
 
     Solves the linear system (A M)^t = A M for A and returns the first
-    invertible solution in a deterministic sweep of the solution space.
-    Raises BudgetExceeded before the candidate after the first SWEEP_BUDGET.
+    invertible solution that _sweep reaches on the kernel basis in reverse
+    order, so the lines come by their coefficients on the last basis vector
+    first.  A multiple of a rejected A is rejected too (it is singular or
+    A M is not symmetric), so one candidate per line decides as much as
+    every vector would.  Raises BudgetExceeded from _sweep.
     """
     spec = rep.spec
     sf = _tables.scalar_field(spec)
-    add, mul, neg = sf.add, sf.mul, sf.neg
+    neg = sf.neg
     m_idx = rep.idx
     rows = []
     for v in range(3):
@@ -842,27 +838,14 @@ def symmetrize(rep: LinearMatrixRep) -> Optional[tuple[EquivalenceWitness, Linea
                     row[3 * i + k] = m_idx[k][j][v]
                     row[3 * j + k] = neg[m_idx[k][i][v]]
                 rows.append(row)
-    basis = _tables.right_kernel_idx(rows, sf)
-    if not basis:
-        return None
-    q, dim = spec.q, len(basis)
     ident = LinearTransform.identity(spec)
-    for combo in range(1, q ** dim):
-        if combo > SWEEP_BUDGET:
-            raise BudgetExceeded(f"no symmetric shape after {SWEEP_BUDGET} of the "
-                                 f"{q ** dim - 1} nonzero vectors of a "
-                                 f"{dim}-dimensional solution space")
-        # the base-q digits of combo, lowest first, are the coefficients
-        vec = [0] * 9
-        c = combo
-        for bs in basis:
-            cf, c = c % q, c // q
-            if cf:
-                vec = [add[x][mul[cf][y]] for x, y in zip(vec, bs)]
+
+    def complete(vec):
         rows_a = [vec[0:3], vec[3:6], vec[6:9]]
-        if _tables.det3_idx(rows_a, sf):
-            a = LinearTransform._from_idx(sf, rows_a)
-            sym = transform_rep(a, rep, ident)
-            if is_symmetric(sym):
-                return EquivalenceWitness(a, ident), sym
-    return None
+        if not _tables.det3_idx(rows_a, sf):
+            return None
+        a = LinearTransform._from_idx(sf, rows_a)
+        sym = transform_rep(a, rep, ident)
+        return (EquivalenceWitness(a, ident), sym) if is_symmetric(sym) else None
+
+    return _sweep(_tables.right_kernel_idx(rows, sf)[::-1], sf, complete)

@@ -109,6 +109,21 @@ def _poly_divmod(a, b, p):
     return _trim(q), _trim(a[:db])
 
 
+def poly_string(coeffs, var: str) -> str:
+    """The polynomial with these coefficients in var, e.g. '1 + 2x^2' for
+    var = 'x'; '0' when every coefficient is zero."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            v = var if i == 1 else f"{var}^{i}"
+            terms.append(v if c == 1 else f"{c}{v}")
+    return " + ".join(terms) if terms else "0"
+
+
 def _poly_invmod(a, mod, p):
     """Inverse of a modulo the monic irreducible mod, via extended Euclid."""
     r0, r1 = tuple(mod), _trim(a)
@@ -347,18 +362,7 @@ class FieldElement:
         return any(self.coeffs)
 
     def __repr__(self):
-        if self.spec.m == 1:
-            return str(self.coeffs[0])
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                g = "g" if i == 1 else f"g^{i}"
-                terms.append(g if c == 1 else f"{c}{g}")
-        return " + ".join(terms) if terms else "0"
+        return poly_string(self.coeffs, "g")
 
 
 # ---------------------------------------------------------------------------

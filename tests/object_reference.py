@@ -26,8 +26,9 @@ the reference for plane.is_smooth, which decides from the rational points.
 
 exhaustive_scan decides equivalence by brute force over GL_3(F_q), the
 plain reference for the sweep of detrep.equivalent: scan_equivalence and
-its helpers run on the uint8 tables of _tables.ScalarField with numpy, so
-they need q <= _tables.MAX_TABLE_Q and are practical up to q = 4 or so.
+its helpers run with numpy on the uint8 tables that _bulk._arrays copies
+from _tables.ScalarField, so they need q <= _tables.MAX_TABLE_Q and are
+practical up to q = 4 or so.
 """
 
 from __future__ import annotations
@@ -450,16 +451,17 @@ def exhaustive_scan(m1: LinearMatrixRep, m2: LinearMatrixRep):
 
 def matmul3(sf: ScalarField, a, b):
     """(..., 3, 3) @ (..., 3, 3) under table arithmetic."""
-    acc = sf.MUL[a[..., :, 0:1], b[..., 0:1, :]]
+    ADD, _, MUL = _bulk._arrays(sf.spec)[:3]
+    acc = MUL[a[..., :, 0:1], b[..., 0:1, :]]
     for k in range(1, 3):
-        term = sf.MUL[a[..., :, k:k + 1], b[..., k:k + 1, :]]
-        acc = sf.ADD[acc, term]
+        term = MUL[a[..., :, k:k + 1], b[..., k:k + 1, :]]
+        acc = ADD[acc, term]
     return acc
 
 
 def inv3(sf: ScalarField, m):
     """Inverses of a batch of invertible 3x3 matrices."""
-    MUL, SUB = sf.MUL, sf.SUB
+    _, SUB, MUL, INV, _ = _bulk._arrays(sf.spec)
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
     d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
     g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
@@ -471,7 +473,7 @@ def inv3(sf: ScalarField, m):
         np.stack([SUB[MUL[d, h], MUL[e, g]], SUB[MUL[b, g], MUL[a, h]],
                   SUB[MUL[a, e], MUL[b, d]]], axis=-1),
     ], axis=-2)
-    det_inv = sf.INV[_bulk.det3(sf, m)]
+    det_inv = INV[_bulk.det3(sf.spec, m)]
     return MUL[adj, det_inv[..., None, None]]
 
 
@@ -480,7 +482,7 @@ def _gl3_blocks(sf: ScalarField):
     ident = np.eye(3, dtype=np.uint8)
     yield ident[None]
     for block in _bulk._all_matrices_blocks(sf.q):
-        keep = (_bulk.det3(sf, block) != 0) & (block != ident).any(axis=(1, 2))
+        keep = (_bulk.det3(sf.spec, block) != 0) & (block != ident).any(axis=(1, 2))
         if keep.any():
             yield block[keep]
 
@@ -488,14 +490,15 @@ def _gl3_blocks(sf: ScalarField):
 def _sandwich(sf: ScalarField, a, mc, b):
     """a @ M @ b for the linear-form matrix mc[row, col, var]; a and b are
     (..., 3, 3) batches that broadcast against each other."""
+    ADD, _, MUL = _bulk._arrays(sf.spec)[:3]
     # t[..., i, k, v] = sum_j a[..., i, j] * mc[j, k, v]
-    t = sf.MUL[a[..., :, 0, None, None], mc[0]]
+    t = MUL[a[..., :, 0, None, None], mc[0]]
     for j in range(1, 3):
-        t = sf.ADD[t, sf.MUL[a[..., :, j, None, None], mc[j]]]
+        t = ADD[t, MUL[a[..., :, j, None, None], mc[j]]]
     # u[..., i, l, v] = sum_k t[..., i, k, v] * b[..., k, l]
-    u = sf.MUL[t[..., :, 0, None, :], b[..., None, 0, :, None]]
+    u = MUL[t[..., :, 0, None, :], b[..., None, 0, :, None]]
     for k in range(1, 3):
-        u = sf.ADD[u, sf.MUL[t[..., :, k, None, :], b[..., None, k, :, None]]]
+        u = ADD[u, MUL[t[..., :, k, None, :], b[..., None, k, :, None]]]
     return u
 
 

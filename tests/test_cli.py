@@ -298,6 +298,13 @@ def test_csv_only_where_it_is_read(tmp_path, capsys):
     assert "--csv" in capsys.readouterr().err
 
 
+def test_count_csv_needs_a_table(capsys):
+    # the report of --q/--n has no CSV form; --csv without --table is an error
+    assert cli.main(["count", "--q", "2", "--n", "3", "--csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--csv needs --table" in captured.err
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_classify_reports_a_formula_mismatch(monkeypatch, capsys, json_flag):
     from cubicrep import counting

@@ -595,10 +595,27 @@ def test_symmetrize_gives_up_past_the_budget(monkeypatch):
     from cubicrep.detrep import BudgetExceeded
 
     # every A solves the system for the zero pencil: a 9-dimensional space,
-    # whose first invertible vector (the anti-diagonal) comes at 7^2+7^4+7^6
+    # whose first invertible line (the anti-diagonal) is candidate 22 059
     monkeypatch.setattr(detrep, "SWEEP_BUDGET", 1000)
     with pytest.raises(BudgetExceeded, match="after 1000 "):
         symmetrize(zero_rep(F7))
+
+
+def test_symmetrize_tries_one_candidate_per_line(monkeypatch):
+    from cubicrep import detrep
+    from cubicrep.detrep import BudgetExceeded
+
+    # on the zero pencil over F_7 the lines come by their coefficients on the
+    # last basis vector first, one candidate each: the anti-diagonal, the
+    # first invertible A, is line 22 059
+    monkeypatch.setattr(detrep, "SWEEP_BUDGET", 22058)
+    with pytest.raises(BudgetExceeded, match="after 22058 "):
+        symmetrize(zero_rep(F7))
+    monkeypatch.setattr(detrep, "SWEEP_BUDGET", 22059)
+    w, sym = symmetrize(zero_rep(F7))
+    anti = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert w.a == LinearTransform(F7, anti) and w.b == LinearTransform.identity(F7)
+    assert sym == zero_rep(F7)
 
 
 def test_witness_inverses_on_golden_classification():

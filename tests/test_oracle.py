@@ -9,7 +9,7 @@ from cubicrep.oracle import TooLarge, census, crosscheck
 from cubicrep.plane import LinearTransform, act, rational_points
 
 
-def test_census_requires_opt_in():
+def test_census_rejects_q_past_4():
     with pytest.raises(TooLarge):
         census(5)
 

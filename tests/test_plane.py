@@ -205,20 +205,20 @@ _ZERO_SET_FIELDS = tuple(mk_field(p, m) for p, m in
 @given(st.data())
 def test_zero_set_cache_matches_form_values(data):
     # PlaneTables.zeros scans line by line and caches one scan per form up
-    # to scalars; check it against TernaryCubic.evaluate at every point, for
-    # every multiple
+    # to scalars, with the singular zeros; check it against
+    # TernaryCubic.evaluate at every point, for every multiple
     spec = data.draw(st.sampled_from(_ZERO_SET_FIELDS))
     pt = _tables.plane_tables(spec)
     row = data.draw(st.lists(st.integers(0, spec.q - 1), min_size=10, max_size=10)
                     .filter(any))
     F = TernaryCubic(spec, [pt.sf.decode(d) for d in row])
-    scans = pt._zeros.cache_info().misses
+    scans = pt._zero_sets.cache_info().misses
     zeros = pt.zeros(row)
     assert zeros == tuple(i for i, P in enumerate(projective_points(spec))
                           if not F.evaluate(P))
     for c in range(1, spec.q):
         assert pt.zeros([pt.sf.mul[c][d] for d in row]) == zeros
-    assert pt._zeros.cache_info().misses <= scans + 1
+    assert pt._zero_sets.cache_info().misses <= scans + 1
 
 
 @pytest.mark.parametrize("p, m", [(257, 1), (2, 9), (3, 6)])
@@ -253,14 +253,14 @@ def test_zero_points_past_the_table_cap_share_one_scan():
         pt = _tables.plane_tables(spec)
         rows = [[rng.randrange(q) for _ in range(10)] for _ in range(n_forms)]
         for F in (TernaryCubic(spec, row) for row in rows if any(row)):
-            scans = pt._zeros.cache_info().misses
+            scans = pt._zero_sets.cache_info().misses
             expected = (rational_points(F), is_smooth(F))
             assert all(not F.evaluate(P) for P in expected[0])
             multiples = range(2, q) if q < 256 else rng.sample(range(2, q), 6)
             for c in multiples:
                 G = F.scaled(c)
                 assert (rational_points(G), is_smooth(G)) == expected
-            assert pt._zeros.cache_info().misses <= scans + 1
+            assert pt._zero_sets.cache_info().misses <= scans + 1
 
 
 def _random_transform(spec, rng):

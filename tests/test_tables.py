@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import object_reference
-from cubicrep import _tables
+from cubicrep import _bulk, _tables
 from cubicrep.detrep import LinearMatrixRep
 from cubicrep.gf import mk_field
 from cubicrep.plane import TernaryCubic
@@ -51,9 +51,11 @@ def _check_rows(sf, rows):
         assert [elems[v] for v in sf.add[a]] == [x + y for y in elems]
         assert [elems[v] for v in sf.sub[a]] == [x - y for y in elems]
         assert [elems[v] for v in sf.mul[a]] == [x * y for y in elems]
-    for name in ("add", "sub", "mul", "inv", "int_mul"):
-        view = getattr(sf, name.upper().replace("_", ""))
-        assert (view == np.array(getattr(sf, name))).all()
+    # the uint8 copies of the batched kernels live in _bulk only
+    assert not any(isinstance(v, np.ndarray) for v in vars(sf).values())
+    arrays = _bulk._arrays(sf.spec)
+    for name, array in zip(("add", "sub", "mul", "inv", "int_mul"), arrays):
+        assert array.dtype == np.uint8 and (array == np.array(getattr(sf, name))).all()
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
