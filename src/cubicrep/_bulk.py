@@ -65,21 +65,25 @@ def _plane_arrays(spec: FieldSpec):
 # whole-space form sweeps
 
 
+def _lead_with_one(q: int, n: int) -> np.ndarray:
+    """All nonzero n-vectors over F_q with first nonzero entry 1, as (N, n)
+    element-index rows in ascending lexicographic order."""
+    blocks = []
+    for pivot in range(n - 1, -1, -1):
+        free = n - 1 - pivot
+        tail = np.indices((q,) * free, dtype=np.uint8).reshape(free, -1).T \
+            if free else np.zeros((1, 0), dtype=np.uint8)
+        block = np.zeros((tail.shape[0], n), dtype=np.uint8)
+        block[:, pivot] = 1
+        block[:, pivot + 1:] = tail
+        blocks.append(block)
+    return np.concatenate(blocks, axis=0)
+
+
 def forms_up_to_scalar(spec: FieldSpec) -> np.ndarray:
     """All nonzero cubic coefficient vectors with first nonzero entry 1,
     as (N, 10) element-index rows in ascending lexicographic order."""
-    q = spec.q
-    blocks = []
-    for pivot in range(9, -1, -1):
-        free = 9 - pivot
-        tail = np.indices((q,) * free, dtype=np.uint8).reshape(free, -1).T \
-            if free else np.zeros((1, 0), dtype=np.uint8)
-        block = np.zeros((tail.shape[0], 10), dtype=np.uint8)
-        block[:, pivot] = 1
-        if free:
-            block[:, pivot + 1:] = tail
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
+    return _lead_with_one(spec.q, 10)
 
 
 def _fold_values(spec, A, table):
@@ -122,31 +126,12 @@ def smooth_mask(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
 # matrix groups and their action on cubic coefficients
 
 
-def _all_matrices_blocks(q: int):
-    """Yield all 3x3 index matrices over F_q in lexicographic blocks, one per
-    value of the first two entries."""
-    tail = np.indices((q,) * 7, dtype=np.uint8).reshape(7, -1).T
-    for lead in np.ndindex(q, q):
-        block = np.empty((tail.shape[0], 9), dtype=np.uint8)
-        block[:, :2] = np.array(lead, dtype=np.uint8)
-        block[:, 2:] = tail
-        yield block.reshape(-1, 3, 3)
-
-
-@lru_cache(maxsize=None)
-def gl3_array(spec: FieldSpec) -> np.ndarray:
-    """All of GL_3 as (G, 3, 3) index matrices, lexicographic order."""
-    blocks = [block[det3(spec, block) != 0] for block in _all_matrices_blocks(spec.q)]
-    return np.concatenate(blocks, axis=0)
-
-
 @lru_cache(maxsize=None)
 def pgl3_array(spec: FieldSpec) -> np.ndarray:
     """One representative per scalar class of GL_3, the one whose first
     nonzero entry is 1, in lexicographic order."""
-    g = gl3_array(spec).reshape(-1, 9)
-    lead = g[np.arange(len(g)), (g != 0).argmax(axis=1)]
-    return g[lead == 1].reshape(-1, 3, 3)
+    m = _lead_with_one(spec.q, 9).reshape(-1, 3, 3)
+    return m[det3(spec, m) != 0]
 
 
 @lru_cache(maxsize=None)

@@ -5,11 +5,11 @@ enumeration of gf, so 0 and 1 keep their values.  ScalarField derives all
 arithmetic from rules of size O(q): negation and inverse lists, the
 log/antilog pair of a fixed primitive element for multiplication, and
 addition by integers mod p (prime fields), XOR (q = 2^m) or Zech logarithms
-(other extension fields).  The tables keep the subscript interface
-add[a][b], sub[a][b], mul[a][b].  For q <= MAX_TABLE_Q they are
-materialised as q x q lists; past that each row is computed on subscript,
-so memory stays O(q) up to the field size cap of 2^14.  The batched kernels
-of _bulk copy the lists into uint8 arrays of their own.
+(other extension fields).  The tables add, sub and mul are lists of q rows
+on every field, read as add[a][b].  For q <= MAX_TABLE_Q a row is a list;
+past that it is a _Row that computes its entries on subscript, so memory
+stays O(q) up to the field size cap of 2^14.  The batched kernels of _bulk
+copy the lists into uint8 arrays of their own.
 
 PlaneTables enumerates P^2 in the public order and finds the zeros of a
 cubic line by line through [0:0:1], together with its singular zeros, where
@@ -33,7 +33,7 @@ from functools import lru_cache
 from . import _forms
 from .gf import FieldSpec
 
-#: largest field whose tables are materialised as lists
+#: largest field whose table rows are materialised as lists
 MAX_TABLE_Q = 256
 
 
@@ -57,19 +57,9 @@ def _primitive_element(spec: FieldSpec):
     raise AssertionError("F_q^* is cyclic")  # unreachable
 
 
-class _Rows:
-    """A q x q operation table whose row a is computed on subscript."""
-
-    __slots__ = ("op",)
-
-    def __init__(self, op):
-        self.op = op
-
-    def __getitem__(self, a):
-        return _Row(self.op, a)
-
-
 class _Row:
+    """Row a of an operation table, computed on subscript."""
+
     __slots__ = ("op", "a")
 
     def __init__(self, op, a):
@@ -134,11 +124,9 @@ class ScalarField:
             return add(a, neg[b])
 
         self.int_mul = [[mul(k % p, a) for a in range(q)] for k in range(4)]
-        if q <= MAX_TABLE_Q:
-            self.add, self.sub, self.mul = ([[op(a, b) for b in range(q)] for a in range(q)]
-                                            for op in (add, sub, mul))
-        else:
-            self.add, self.sub, self.mul = _Rows(add), _Rows(sub), _Rows(mul)
+        row = _Row if q > MAX_TABLE_Q else lambda op, a: [op(a, b) for b in range(q)]
+        self.add, self.sub, self.mul = ([row(op, a) for a in range(q)]
+                                        for op in (add, sub, mul))
 
     def encode(self, element) -> int:
         return self.index[element.coeffs]

@@ -151,15 +151,20 @@ def cmd_field(args) -> int:
     return EXIT_OK
 
 
-def cmd_points(args) -> int:
+def _smooth_curve_and_p0(args):
+    """The curve of args.curve and the point --p0 (None without it), after
+    checking that the curve is smooth and the point on it."""
     F = curve_from_obj(_load_json(args.curve))
     if not plane.is_smooth(F):
-        print("error: the curve is singular", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise plane.SingularInput("the curve is singular")
     p0 = parse_point(F.spec, args.p0) if args.p0 else None
     if p0 is not None and F.evaluate(p0):
-        print("error: --p0 is not on the curve", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise plane.NotOnCurve("--p0 is not on the curve")
+    return F, p0
+
+
+def cmd_points(args) -> int:
+    F, p0 = _smooth_curve_and_p0(args)
     pts = plane.rational_points(F)
     annotated = []
     for P in pts:
@@ -183,16 +188,8 @@ def cmd_points(args) -> int:
 
 
 def cmd_detrep(args) -> int:
-    F = curve_from_obj(_load_json(args.curve))
-    if not plane.is_smooth(F):
-        print("error: the curve is singular", file=sys.stderr)
-        return EXIT_PRECONDITION
-    p0 = parse_point(F.spec, args.p0) if args.p0 else None
-    try:
-        reps = detrep.all_reps(F, p0)
-    except plane.NotOnCurve:
-        print("error: --p0 is not on the curve", file=sys.stderr)
-        return EXIT_PRECONDITION
+    F, p0 = _smooth_curve_and_p0(args)
+    reps = detrep.all_reps(F, p0)
     for _, rep, lam in reps:
         if detrep.is_ldr_of(rep, F) != lam:
             raise detrep.BrokenInvariant("self-verification failed before printing")
@@ -458,27 +455,12 @@ def _curve_table_csv(rows) -> str:
 
 def cmd_tables(args) -> int:
     sel = args.selector
-    if sel in ("1", "2"):
-        grid = _cub_grid()
+    if sel in ("1", "2", "3"):
+        grids = list(_ingredient_grids()) if sel == "3" else [_cub_grid()]
         if args.json:
-            print(json.dumps(grid))
-        elif args.csv:
-            print(_grid_csv(grid))
+            print(json.dumps(grids if sel == "3" else grids[0]))
         else:
-            print(_grid_text(grid))
-        return EXIT_OK
-    if sel == "3":
-        g1, g2 = _ingredient_grids()
-        if args.json:
-            print(json.dumps([g1, g2]))
-        elif args.csv:
-            print(_grid_csv(g1))
-            print()
-            print(_grid_csv(g2))
-        else:
-            print(_grid_text(g1))
-            print()
-            print(_grid_text(g2))
+            print("\n\n".join(map(_grid_csv if args.csv else _grid_text, grids)))
         return EXIT_OK
     # the parser's choices leave only the curve tables
     rows = _curve_rows_for_selector(sel)

@@ -599,12 +599,11 @@ def _witness_from_b(m1: LinearMatrixRep, m2: LinearMatrixRep, vec):
     if not _tables.det3_idx(b, sf):
         return None
     at = _off_curve_point(pt, _det_idx(m1.spec, m1.idx))
-    # m1(P) is invertible where det m1 does not vanish, so A = m2(P) (m1(P) B)^-1
+    # m1(P) is invertible where det m1 does not vanish, and so is m2(P), det m2
+    # being a nonzero multiple of det m1; so A = m2(P) (m1(P) B)^-1 is too
     m1b = _tables.matmul3_idx(_matrix_at_point(m1.idx, at, sf), b, sf)
     a = _tables.matmul3_idx(_matrix_at_point(m2.idx, at, sf),
                             _tables.inv3_idx(m1b, sf), sf)
-    if not _tables.det3_idx(a, sf):
-        return None
     w = EquivalenceWitness(LinearTransform._from_idx(sf, a), LinearTransform._from_idx(sf, b))
     return w if w.verify(m1, m2) else None
 

@@ -1,22 +1,25 @@
 """Exact arithmetic in small finite fields F_{p^m}.
 
-A field is an explicit quotient F_p[x]/(f) for a monic irreducible f.  The
-default modulus for each (p, m) is deterministic: the lexicographically
-smallest monic irreducible of degree m, comparing coefficient tuples
-constant term first.  With that convention F_4 is built on x^2 + x + 1, so
-its generator g satisfies g^2 = g + 1.
+A field is an explicit quotient F_p[x]/(f) for a monic irreducible f, and f
+is always the default modulus of (p, m): the lexicographically smallest
+monic irreducible of degree m, comparing coefficient tuples constant term
+first.  With that convention F_4 is built on x^2 + x + 1, so its generator g
+satisfies g^2 = g + 1.
 
 Elements are stored as reduced coefficient tuples (low degree first) and are
-immutable value objects; all operations are pure and exact.  Fields are
-capped at q <= SIZE_CAP = 2^14, which keeps irreducibility testing and
-root searches exhaustive and cheap; a larger q raises UnsupportedSize.
+immutable value objects; all operations are pure and exact.  There is one
+polynomial reduction, by a monic polynomial, behind multiplication and the
+irreducibility test, and one square-and-multiply, FieldSpec._pow, behind
+powers and inverses: a nonzero a has inverse a^(q-2).  Fields are capped at
+q <= SIZE_CAP = 2^14, which keeps irreducibility testing and root searches
+exhaustive and cheap; a larger q raises UnsupportedSize.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 SIZE_CAP = 1 << 14
 
@@ -26,10 +29,6 @@ class FieldError(Exception):
 
 
 class NonPrime(FieldError):
-    pass
-
-
-class Reducible(FieldError):
     pass
 
 
@@ -93,22 +92,6 @@ def _poly_mod(a, mod, p):
     return _trim(a[:dm])
 
 
-def _poly_divmod(a, b, p):
-    """Quotient and remainder for b not necessarily monic (b != 0)."""
-    a = [x % p for x in a]
-    b = _trim([x % p for x in b])
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = (a[i] * inv_lead) % p
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return _trim(q), _trim(a[:db])
-
-
 def poly_string(coeffs, var: str) -> str:
     """The polynomial with these coefficients in var, e.g. '1 + 2x^2' for
     var = 'x'; '0' when every coefficient is zero."""
@@ -124,20 +107,6 @@ def poly_string(coeffs, var: str) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _poly_invmod(a, mod, p):
-    """Inverse of a modulo the monic irreducible mod, via extended Euclid."""
-    r0, r1 = tuple(mod), _trim(a)
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _trim([(x - y) % p for x, y in
-                            itertools.zip_longest(s0, _poly_mul(q, s1, p), fillvalue=0)])
-    # r0 is now a nonzero constant gcd
-    c = pow(r0[0], p - 2, p)
-    return _trim([(x * c) % p for x in s0])
-
-
 def _is_irreducible(coeffs, p) -> bool:
     """Trial division by all monic polynomials of degree <= deg/2."""
     m = len(coeffs) - 1
@@ -145,9 +114,7 @@ def _is_irreducible(coeffs, p) -> bool:
         return True
     for d in range(1, m // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
-            div = tail + (1,)
-            _, r = _poly_divmod(coeffs, div, p)
-            if not r:
+            if not _poly_mod(coeffs, tail + (1,), p):
                 return False
     return True
 
@@ -170,30 +137,21 @@ class FieldSpec:
 
     __slots__ = ("p", "m", "q", "modulus", "_hash")
 
-    def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, m: int):
         if not isinstance(p, int) or not is_prime(p):
             raise NonPrime(f"p = {p} is not prime")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"m = {m} must be a positive integer")
         if p ** m > SIZE_CAP:
             raise UnsupportedSize(f"q = {p}^{m} exceeds the size cap {SIZE_CAP}")
-        if modulus is None:
-            modulus = default_modulus(p, m)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {m}")
-            if not _is_irreducible(modulus, p):
-                raise Reducible(f"modulus {list(modulus)} is reducible over F_{p}")
         self.p = p
         self.m = m
         self.q = p ** m
-        self.modulus = modulus
-        self._hash = hash((p, m, modulus))
+        self.modulus = default_modulus(p, m)
+        self._hash = hash((p, m))
 
     def __eq__(self, other):
-        return (isinstance(other, FieldSpec) and self.p == other.p
-                and self.m == other.m and self.modulus == other.modulus)
+        return isinstance(other, FieldSpec) and self.p == other.p and self.m == other.m
 
     def __hash__(self):
         return self._hash
@@ -258,14 +216,23 @@ class FieldSpec:
         red = _poly_mod(prod, self.modulus, p)
         return red + (0,) * (self.m - len(red))
 
+    def _pow(self, a, n: int):
+        """a^n for n >= 0, by square-and-multiply; the builtin pow on prime fields."""
+        if self.m == 1:
+            return (pow(a[0], n, self.p),)
+        out = (1,) + (0,) * (self.m - 1)
+        while n:
+            if n & 1:
+                out = self._mul(out, a)
+            a = self._mul(a, a)
+            n >>= 1
+        return out
+
     def _inv(self, a):
+        """a^(q-2), the inverse of a nonzero a by Fermat's little theorem."""
         if not any(a):
             raise DivisionByZero("division by zero field element")
-        p = self.p
-        if self.m == 1:
-            return (pow(a[0], p - 2, p),)
-        inv = _poly_invmod(a, self.modulus, p)
-        return inv + (0,) * (self.m - len(inv))
+        return self._pow(a, self.q - 2)
 
 
 class FieldElement:
@@ -331,18 +298,8 @@ class FieldElement:
         return FieldElement(self.spec, tuple((-c) % p for c in self.coeffs))
 
     def __pow__(self, n: int):
-        if n < 0:
-            base = FieldElement(self.spec, self.spec._inv(self.coeffs))
-            n = -n
-        else:
-            base = self
-        out = self.spec.one()
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        base = self.spec._inv(self.coeffs) if n < 0 else self.coeffs
+        return FieldElement(self.spec, self.spec._pow(base, abs(n)))
 
     def inverse(self) -> "FieldElement":
         return FieldElement(self.spec, self.spec._inv(self.coeffs))
@@ -369,9 +326,9 @@ class FieldElement:
 # operations
 
 
-def mk_field(p: int, m: int, modulus: Sequence[int] | None = None) -> FieldSpec:
-    """Build a validated FieldSpec; omit modulus for the deterministic default."""
-    return FieldSpec(p, m, modulus)
+def mk_field(p: int, m: int) -> FieldSpec:
+    """Build a validated FieldSpec on the default modulus of (p, m)."""
+    return FieldSpec(p, m)
 
 
 def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:

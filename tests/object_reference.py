@@ -33,6 +33,8 @@ practical up to q = 4 or so.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from cubicrep import _bulk, _tables
@@ -477,11 +479,29 @@ def inv3(sf: ScalarField, m):
     return MUL[adj, det_inv[..., None, None]]
 
 
+def _all_matrices_blocks(q: int):
+    """Yield all 3x3 index matrices over F_q in lexicographic blocks, one per
+    value of the first two entries."""
+    tail = np.indices((q,) * 7, dtype=np.uint8).reshape(7, -1).T
+    for lead in np.ndindex(q, q):
+        block = np.empty((tail.shape[0], 9), dtype=np.uint8)
+        block[:, :2] = np.array(lead, dtype=np.uint8)
+        block[:, 2:] = tail
+        yield block.reshape(-1, 3, 3)
+
+
+@lru_cache(maxsize=None)
+def gl3_array(spec) -> np.ndarray:
+    """All of GL_3 as (G, 3, 3) index matrices, lexicographic order."""
+    blocks = [block[_bulk.det3(spec, block) != 0] for block in _all_matrices_blocks(spec.q)]
+    return np.concatenate(blocks, axis=0)
+
+
 def _gl3_blocks(sf: ScalarField):
     """GL_3 in blocks: the identity first, then the rest in lexicographic order."""
     ident = np.eye(3, dtype=np.uint8)
     yield ident[None]
-    for block in _bulk._all_matrices_blocks(sf.q):
+    for block in _all_matrices_blocks(sf.q):
         keep = (_bulk.det3(sf.spec, block) != 0) & (block != ident).any(axis=(1, 2))
         if keep.any():
             yield block[keep]
@@ -518,7 +538,7 @@ def scan_equivalence(sf: ScalarField, m1_idx, m2_idx, at_point=None):
         m1pt, m2pt = (np.array(m, dtype=np.uint8)[None] for m in at_point)
     for a in _gl3_blocks(sf):
         if at_point is None:
-            a, b = a[:, None], _bulk.gl3_array(sf.spec)[None]
+            a, b = a[:, None], gl3_array(sf.spec)[None]
         else:
             b = matmul3(sf, inv3(sf, matmul3(sf, a, m1pt)), m2pt)
         ok = (_sandwich(sf, a, m1c, b) == m2c).all(axis=(-3, -2, -1))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -7,13 +8,14 @@ from cubicrep.gf import (
     FieldMismatch,
     NonPrime,
     NotAnExtension,
-    Reducible,
     SIZE_CAP,
     UnsupportedSize,
     arith,
+    default_modulus,
     embed,
     enumerate_field,
     frobenius,
+    is_prime,
     mk_field,
     parse_field_literal,
 )
@@ -35,9 +37,14 @@ def test_prime_field_modulus_convention():
     assert f7.q == 7
 
 
-def test_reducible_modulus_rejected():
-    with pytest.raises(Reducible):
-        mk_field(2, 2, modulus=[1, 0, 1])  # (x+1)^2
+def test_default_moduli_are_pinned():
+    # every prime power p^m <= 2^14 with m >= 2, p and then m ascending; the
+    # digest pins each field's model, hence the element order of every table
+    lines = [f"{p},{m}:{default_modulus(p, m)}" for p in range(2, 129) if is_prime(p)
+             for m in range(2, 15) if p ** m <= SIZE_CAP]
+    assert len(lines) == 61
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "c00f7418f2d1cf2effdd381efb15bb8ea56ff869f1ab0c938a4f3011ce506789")
 
 
 def test_nonprime_rejected():
@@ -52,11 +59,6 @@ def test_size_cap():
     with pytest.raises(UnsupportedSize):
         parse_field_literal("2^15")
     assert mk_field(2, 14).q == SIZE_CAP  # exactly at the cap
-
-
-def test_mismatched_modulus_degree_rejected():
-    with pytest.raises(ValueError):
-        mk_field(2, 2, modulus=[1, 1])
 
 
 def test_arith_examples():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import object_reference
 from cubicrep import _bulk, _tables
 from cubicrep.detrep import LinearMatrixRep
-from cubicrep.gf import mk_field
+from cubicrep.gf import DivisionByZero, mk_field
 from cubicrep.plane import TernaryCubic
 
 # prime, binary and odd extension fields on both sides of MAX_TABLE_Q, up
@@ -78,9 +78,36 @@ def test_list_tables_sampled_rows_up_to_256(p, m):
 
 
 def test_tables_past_256_are_rows_on_subscript():
-    sf = _tables.scalar_field(mk_field(257, 1))
-    assert not isinstance(sf.add, list) and not hasattr(sf, "ADD")
-    assert len(sf.neg) == len(sf.inv) == len(sf.elems) == 257
+    # add, sub and mul are lists of q rows on every field: list rows up to
+    # MAX_TABLE_Q, rows computed on subscript past it, so that no structure
+    # holds q^2 entries there; F_512 adds by XOR and F_729 by Zech logarithms
+    for p, m in ((251, 1), (2, 8), (257, 1), (2, 9), (3, 6)):
+        sf = _tables.scalar_field(mk_field(p, m))
+        assert not hasattr(sf, "ADD")
+        assert len(sf.neg) == len(sf.inv) == len(sf.elems) == sf.q
+        for table in (sf.add, sf.sub, sf.mul):
+            assert isinstance(table, list) and len(table) == sf.q
+            if sf.q <= _tables.MAX_TABLE_Q:
+                assert all(isinstance(row, list) and len(row) == sf.q for row in table)
+            else:
+                assert not any(isinstance(row, list) for row in table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_powers_and_inverses_on_extension_fields(data):
+    spec = data.draw(st.sampled_from([s for s in _RULE_FIELDS if s.m > 1]))
+    coeffs = data.draw(st.lists(st.integers(0, spec.p - 1), min_size=spec.m,
+                                max_size=spec.m).filter(any))
+    x = spec.element(coeffs)
+    n = data.draw(st.integers(0, 2 * spec.q))
+    assert x ** (spec.q - 1) == 1
+    assert x ** -n == (x ** n).inverse()
+    assert x * x.inverse() == 1
+    with pytest.raises(DivisionByZero):
+        spec.zero().inverse()
+    with pytest.raises(DivisionByZero):
+        spec.zero() ** -1
 
 
 # prime and extension fields from F_2 to F_257, on both sides of MAX_TABLE_Q
