@@ -4,8 +4,11 @@ Field elements are encoded as their position in the field's canonical
 enumeration and all arithmetic goes through uint8 arrays, copied once per
 field from the list tables of _tables.ScalarField (q <= _tables.MAX_TABLE_Q)
 by _arrays, so the same code drives prime and extension fields.  This is the
-only module that builds or reads them.  Used by the census machinery;
-nothing here is part of the public surface.
+only module that builds or reads them.  The group kernels, pgl3_cubic_action
+and orbit_of, gather two-operand sums and products from the flattened
+tables as flat[a * q + b], on uint16 indices, and keep the images of each
+basis monomial under the whole group in one contiguous block.  Used by the
+census machinery; nothing here is part of the public surface.
 """
 
 from __future__ import annotations
@@ -86,6 +89,17 @@ def forms_up_to_scalar(spec: FieldSpec) -> np.ndarray:
     return _lead_with_one(spec.q, 10)
 
 
+def normal_forms(spec: FieldSpec) -> np.ndarray:
+    """The cubic coefficient rows with a000 = a001 = 0 and a002 = 1, as
+    (q^7, 10) element-index rows in ascending lexicographic order: the forms
+    through [1:0:0] with tangent Z = 0 there."""
+    q = spec.q
+    rows = np.zeros((q ** 7, 10), dtype=np.uint8)
+    rows[:, 2] = 1
+    rows[:, 3:] = np.indices((q,) * 7, dtype=np.uint8).reshape(7, -1).T
+    return rows
+
+
 def _fold_values(spec, A, table):
     """sum_k A[:, k] * table[:, k] over points: returns (n_forms, n_points)."""
     ADD, _, MUL = _arrays(spec)[:3]
@@ -136,41 +150,49 @@ def pgl3_array(spec: FieldSpec) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def pgl3_cubic_action(spec: FieldSpec) -> np.ndarray:
-    """(G, 10, 10) index tensors: coefficients of act(T, basis monomial)."""
+    """(10, G, 10) index tensor: cube[m, g] holds the coefficients of
+    act(T_g, basis monomial m), so the images of one input monomial are one
+    contiguous (G, 10) block.  The image of X_i X_j is built once per pair
+    i <= j and shared by every monomial X_i X_j X_k."""
     ADD, _, MUL = _arrays(spec)[:3]
+    add, mul, w = ADD.ravel(), MUL.ravel(), np.uint16(spec.q)
     group = pgl3_array(spec)
     G = group.shape[0]
-    cube = np.zeros((G, 10, 10), dtype=np.uint8)
+    col = [[np.ascontiguousarray(group[:, i, a]) for a in range(3)] for i in range(3)]
+    quads = {}
+    for i in range(3):
+        for j in range(i, 3):
+            quad = quads[i, j] = np.zeros((6, G), dtype=np.uint8)
+            for a in range(3):
+                for b in range(3):
+                    pos = _forms.QUAD_POS2[a][b]
+                    quad[pos] = add[quad[pos] * w + mul[col[i][a] * w + col[j][b]]]
+    cube = np.empty((10, G, 10), dtype=np.uint8)
     for in_pos, idx in enumerate(_forms.CUBIC_INDICES):
         i, j, k = (int(ch) for ch in idx)
-        quad = np.zeros((G, 6), dtype=np.uint8)
-        for a in range(3):
-            for b in range(3):
-                qpos = _forms.QUAD_POS2[a][b]
-                term = MUL[group[:, i, a], group[:, j, b]]
-                quad[:, qpos] = ADD[quad[:, qpos], term]
+        quad = quads[i, j]
+        out = np.zeros((10, G), dtype=np.uint8)
         for qpos, qidx in enumerate(_forms.QUAD_INDICES):
             a, b = int(qidx[0]), int(qidx[1])
             for c in range(3):
-                cpos = _forms.CUBIC_POS3[a][b][c]
-                term = MUL[quad[:, qpos], group[:, k, c]]
-                cube[:, cpos, in_pos] = ADD[cube[:, cpos, in_pos], term]
+                pos = _forms.CUBIC_POS3[a][b][c]
+                out[pos] = add[out[pos] * w + mul[quad[qpos] * w + col[k][c]]]
+        cube[in_pos] = out.T
     return cube
 
 
 def orbit_of(spec: FieldSpec, form_row: np.ndarray) -> np.ndarray:
     """Encodings of the full projective-group orbit of one coefficient row."""
     ADD, _, MUL, INV, _ = _arrays(spec)
+    add, mul, w = ADD.ravel(), MUL.ravel(), np.uint16(spec.q)
     cube = pgl3_cubic_action(spec)
-    G = cube.shape[0]
-    images = np.zeros((G, 10), dtype=np.uint8)
+    images = np.zeros(cube.shape[1:], dtype=np.uint8)
     for in_pos in range(10):
         c = int(form_row[in_pos])
         if c:
-            images = ADD[images, MUL[cube[:, :, in_pos], np.uint8(c)]]
-    lead_pos = (images != 0).argmax(axis=1)
-    lead = images[np.arange(G), lead_pos]
-    images = MUL[images, INV[lead][:, None]]
+            images = add[images * w + MUL[c][cube[in_pos]]]
+    lead = np.take_along_axis(images, (images != 0).argmax(axis=1)[:, None], axis=1)
+    images = mul[INV[lead] * w + images]
     # np.unique would import numpy.ma on its first call in a process
     enc = np.sort(encode_forms(spec.q, images))
     return enc[np.concatenate(([True], enc[1:] != enc[:-1]))]

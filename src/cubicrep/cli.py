@@ -136,7 +136,10 @@ def _ext(v):
 
 
 def cmd_field(args) -> int:
-    spec = parse_field_literal(args.field)
+    try:
+        spec = parse_field_literal(args.field)
+    except ValueError as exc:
+        raise ParseFailure(f"cannot read field literal {args.field!r}: {exc}") from exc
     if args.json:
         obj = {
             "p": spec.p, "m": spec.m, "q": spec.q,

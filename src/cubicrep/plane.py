@@ -60,8 +60,9 @@ class ProjPoint:
             raise ValueError("a projective point needs three coordinates")
         for c in coords:
             if c:
-                inv = c.inverse()
-                coords = tuple(x * inv for x in coords)
+                if c != 1:
+                    inv = c.inverse()
+                    coords = tuple(x * inv for x in coords)
                 break
         else:
             raise ValueError("all coordinates are zero")

@@ -205,7 +205,7 @@ def test_classify_summary(capsys):
 
 
 def test_classify_too_large(capsys):
-    assert cli.main(["classify", "--q", "5"]) == 2
+    assert cli.main(["classify", "--q", "7"]) == 2
 
 
 def test_field_command(capsys):
@@ -330,3 +330,9 @@ def test_classify_reports_a_formula_mismatch(monkeypatch, capsys, json_flag):
 def test_field_past_the_size_cap_exit_2(capsys):
     assert cli.main(["field", "2^15"]) == 2
     assert "size cap 16384" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["x", "2^x"])
+def test_field_malformed_literal_exit_3(literal, capsys):
+    assert cli.main(["field", literal]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot read field literal '{literal}'")

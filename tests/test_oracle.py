@@ -1,17 +1,123 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cubicrep
 from cubicrep import _bulk, _tables, cli, gallery
 from cubicrep.counting import cubics_with_points
 from cubicrep.gf import mk_field
 from cubicrep.oracle import TooLarge, census, crosscheck
-from cubicrep.plane import LinearTransform, act, rational_points
+from cubicrep.plane import LinearTransform, TernaryCubic, act, rational_points
+from object_reference import census_by_full_sweep
 
 
-def test_census_rejects_q_past_4():
+def test_census_rejects_q_past_5():
     with pytest.raises(TooLarge):
-        census(5)
+        census(7)
+
+
+@pytest.mark.parametrize("q", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_census_matches_the_full_sweep(q):
+    # the reference sweeps every form; at q = 4 it costs about 4 s and 230 MB
+    assert census(q).to_obj() == census_by_full_sweep(q).to_obj()
+
+
+def _group_transforms(spec):
+    sf = _tables.scalar_field(spec)
+    return [LinearTransform(spec, [[sf.decode(d) for d in row] for row in T])
+            for T in _bulk.pgl3_array(spec)]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_cubic_action_holds_act_on_each_monomial(q):
+    spec = mk_field(q, 1)
+    sf = _tables.scalar_field(spec)
+    cube = _bulk.pgl3_cubic_action(spec)
+    transforms = _group_transforms(spec)
+    assert cube.shape == (10, len(transforms), 10)
+    assert all(cube[m].flags.c_contiguous for m in range(10))
+    for m in range(10):
+        monomial = TernaryCubic(spec, [int(k == m) for k in range(10)])
+        for g in range(0, len(transforms), 1 if q == 2 else 13):
+            assert cube[m, g].tolist() == sf.encode_all(act(transforms[g], monomial).coeffs)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_orbit_of_matches_act_over_the_group(q):
+    spec = mk_field(q, 1)
+    sf = _tables.scalar_field(spec)
+    transforms = _group_transforms(spec)
+    rng = np.random.default_rng(2000 + q)
+    for _ in range(3):
+        row = rng.integers(0, q, 10, dtype=np.uint8)
+        row[rng.integers(10)] = rng.integers(1, q)
+        F = TernaryCubic(spec, [sf.decode(d) for d in row])
+        expected = set()
+        for T in transforms:
+            image = act(T, F).coeffs
+            lead = next(c for c in image if c)
+            digits = sf.encode_all(c / lead for c in image)
+            expected.add(int("".join(map(str, digits)), q))
+        assert _bulk.orbit_of(spec, row).tolist() == sorted(expected)
+
+
+_CLASSIFY_5 = """
+import resource, sys
+from cubicrep import cli
+code = cli.main(["classify", "--q", "5", "--out", sys.argv[1]])
+print("exit", code, "maxrss_kb", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.fixture(scope="module")
+def classify5(tmp_path_factory):
+    """classify --q 5 --out in a fresh process, which reports its own peak RSS
+    (about 5 s and 130 MB): its stdout and the census JSON."""
+    out = tmp_path_factory.mktemp("census5") / "census5.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(cubicrep.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _CLASSIFY_5, str(out)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, json.loads(out.read_text())
+
+
+@pytest.mark.slow
+def test_census5_matches_formulas_in_under_1_gb(classify5):
+    stdout, obj = classify5
+    assert "formula crosscheck: ok" in stdout
+    _, code, _, rss_kb = stdout.split()[-4:]
+    assert code == "0"
+    assert obj["class_count"] == 16
+    assert obj["smooth_form_count"] == 1_860_000
+    assert obj["histogram"] == {"2": 1, "3": 2, "4": 2, "5": 1, "6": 4, "7": 1,
+                                "8": 2, "9": 2, "10": 1}
+    assert int(rss_kb) < 1024 * 1024
+
+
+@pytest.mark.slow
+def test_gallery_rows_land_in_distinct_census5_orbits(classify5):
+    # the F_5 curves of tables 9: one class with a unique representation,
+    # two with two representation classes
+    _, obj = classify5
+    spec = mk_field(5, 1)
+    sf = _tables.scalar_field(spec)
+
+    def encode(F):
+        return int(_bulk.encode_forms(5, np.array([sf.encode_all(F.coeffs)], dtype=np.uint8))[0])
+
+    # each representative is the least form of its orbit
+    points = {encode(cli.curve_from_obj({"field": "5", "coeffs": o["representative"]})):
+              o["point_count"] for o in obj["orbits"]}
+    curves = [gallery.unique_rep_curves()[5], *gallery.two_rep_curves()[5]]
+    least = [int(_bulk.orbit_of(spec, np.array(sf.encode_all(F.coeffs), dtype=np.uint8)).min())
+             for F in curves]
+    assert len(set(least)) == 3
+    assert [points[e] for e in least] == [2, 3, 3]
 
 
 def test_census_rejects_orbits_that_miss_forms(monkeypatch):

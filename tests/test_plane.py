@@ -46,6 +46,23 @@ def test_projpoint_canonical_scaling():
         ProjPoint(F5, (0, 0, 0))
 
 
+@pytest.mark.parametrize("p, m", [(5, 1), (7, 1), (3, 2), (2, 4), (3, 5), (2, 14)])
+def test_projpoint_keeps_coordinates_that_lead_with_1(p, m):
+    spec = mk_field(p, m)
+    rng = random.Random(100 * p + m)
+
+    def element():
+        return spec.element([rng.randrange(p) for _ in range(m)])
+
+    for lead in range(3):
+        for _ in range(5):
+            coords = (spec.zero(),) * lead + (spec.one(),) + tuple(element() for _ in range(2 - lead))
+            assert ProjPoint(spec, coords).coords == coords
+            scale = element()
+            if scale:
+                assert ProjPoint(spec, [scale * c for c in coords]).coords == coords
+
+
 def test_evaluate_examples():
     F = golden.curve(2, {"002": 1, "022": 1, "111": 1, "112": 1, "222": 1})
     assert not F.evaluate(ProjPoint(F2, (1, 0, 0)))
