@@ -15,8 +15,13 @@ PlaneTables enumerates P^2 in the public order and finds the zeros of a
 cubic line by line through [0:0:1], together with its singular zeros, where
 the gradient vanishes too: one cached entry per form up to scalars, the
 singular zeros filled by one pass over the zeros that stops at the first
-nonzero partial of each.  The kernels
-below it cover the rest of the per-curve work: kernels by row reduction,
+nonzero partial of each.  On a prime field from ARRAY_Q up, where element
+indices are the integers mod p and int64 arrays need no tables, the scan
+is _bulk.prime_zero_sets instead, and detrep.all_reps builds on arrays too;
+ScalarField.on_arrays is the one predicate both read.  This module does not
+import numpy.  Below ARRAY_Q and on extension fields the tables are the only
+path, and on every field they are the tests' reference for the arrays.  The
+kernels below it cover the rest of the per-curve work: kernels by row reduction,
 ranks, determinants, products and inverses of small index matrices, and
 two straight-line products of forms on pre-fetched mul rows, minor_idx
 (u*v - s*t for linear forms) and quad_lin_idx (quadratic by linear),
@@ -35,6 +40,10 @@ from .gf import FieldSpec
 
 #: largest field whose table rows are materialised as lists
 MAX_TABLE_Q = 256
+
+#: smallest prime field whose zero scan and all_reps run on the int64 array
+#: kernels of _bulk; below it, and on extension fields, the tables do
+ARRAY_Q = 37
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -77,6 +86,8 @@ class ScalarField:
         p, q = spec.p, spec.q
         self.spec = spec
         self.q = q
+        #: whether the zero scan and all_reps take the int64 kernels of _bulk
+        self.on_arrays = spec.m == 1 and q >= ARRAY_Q
         self.elems = list(spec.elements())
         self.index = {e.coeffs: i for i, e in enumerate(self.elems)}
         # exp[k] = g^k for the primitive element g, stored twice over so that
@@ -148,7 +159,9 @@ class PlaneTables:
     """The points of P^2 over one field and the zero sets of cubics there.
 
     Point i is [1:y:z] for i = y*q + z, then [0:1:z] for i = q^2 + z, then
-    [0:0:1]; point() gives its coordinate indices.
+    [0:0:1]; point() gives its coordinate indices.  The zero sets are
+    scanned on the tables, or on int64 arrays where sf.on_arrays holds
+    (prime fields from ARRAY_Q up); both give the same tuples.
     """
 
     def __init__(self, sf: ScalarField):
@@ -226,8 +239,12 @@ class PlaneTables:
 
         Each zero is tested partial by partial, on the terms of the form with a
         nonzero coefficient, and the first nonzero partial shows it smooth, so
-        a smooth curve mostly pays for one partial per zero.
+        a smooth curve mostly pays for one partial per zero.  On prime fields
+        from ARRAY_Q up, _bulk.prime_zero_sets gives the same two tuples.
         """
+        if self.sf.on_arrays:
+            from . import _bulk  # _bulk imports this module
+            return _bulk.prime_zero_sets(self.sf.q, key)
         zeros = self._scan_zeros(key)
         add, mul, int_mul = self.sf.add, self.sf.mul, self.sf.int_mul
         partials = [[(mul[int_mul[k][key[cpos]]], qpos) for cpos, qpos, k in plan

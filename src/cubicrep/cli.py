@@ -36,7 +36,10 @@ def element_to_obj(e):
 
 
 def element_from_obj(spec: FieldSpec, obj):
-    if isinstance(obj, (int, list)):
+    """An element from an int or a list of int coefficients; JSON true and
+    false are no ints here, though Python's bool is one."""
+    entries = obj if isinstance(obj, list) else [obj]
+    if all(isinstance(c, int) and not isinstance(c, bool) for c in entries):
         return spec.element(obj)
     raise ParseFailure(f"cannot read field element from {obj!r}")
 

@@ -29,7 +29,14 @@ case 1 on _det_case1_idx, which expands det(rep_n) = Z (f g - d i) - Y d h
 on the nonzero slots, and for the one case-2 point per curve on the
 cofactor kernel _tables.det_cubic_idx.  all_reps checks det(rep) = lam * F
 after the pullback on det_cubic_idx through the cached _det_idx, so the two
-checks of a case-1 representation run on independent kernels.
+checks of a case-1 representation run on independent kernels.  On prime
+fields from _tables.ARRAY_Q up, _bulk.case1_reps builds every case-1
+representation of a curve at once on int64 arrays, with the same three
+checks in the same order and on the same two independent expansions: the
+normal-form one on the nonzero slots, as _det_case1_idx, and the pullback
+one along row 0 with full 2x2 minors, as det_cubic_idx.  all_reps puts each
+determinant it computed into the cache of _det_idx, and the case-2 point
+stays on _mp_idx.
 symmetrize runs on _sweep, the sweep of equivalent, and it and the
 completion of a candidate B into a witness run on indices as well.
 EquivalenceWitness.verify and transform_rep run on the coefficient tuples
@@ -71,7 +78,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional
 
-from . import _tables
+from . import _bulk, _tables
 from .gf import FieldElement, FieldMismatch, FieldSpec, _poly_mod
 from .plane import (
     LinearTransform,
@@ -292,10 +299,16 @@ def _product_coeffs(a, rep, b):
 # determinant and validity
 
 
+#: determinants that all_reps computed on arrays, each held only while
+#: all_reps reads it through _det_idx into that cache
+_computed: dict = {}
+
+
 @lru_cache(maxsize=1 << 14)
 def _det_idx(spec: FieldSpec, idx) -> tuple[int, ...]:
     """The 10 coefficient indices of the determinant of the entries idx."""
-    return tuple(_tables.det_cubic_idx(idx, _tables.scalar_field(spec)))
+    d = _computed.get((spec, idx))
+    return d if d is not None else tuple(_tables.det_cubic_idx(idx, _tables.scalar_field(spec)))
 
 
 def det_cubic(rep: LinearMatrixRep) -> Optional[TernaryCubic]:
@@ -444,13 +457,17 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     bijection between representation classes and C(F_q) \\ {p0}.
 
     F is moved to the normal form Fn of plane.normalize(F, p0) once; each point is
-    mapped there, given its representation by _mp_idx and pulled back, a
-    case-1 entry on its nonzero slots only.  Both identities,
-    det(rep_n) = lam_n * Fn (in _mp_idx) and det(rep) = lam * F, are checked
-    for every representation (BrokenInvariant when one fails), the second
-    through the cached _det_idx, which then serves the callers' own
-    is_ldr_of(rep, F).  The points come from PlaneTables.zeros and the
-    construction runs on element indices; only the output is decoded.
+    mapped there, checked to lie on Fn, given its representation by _mp_idx
+    and pulled back, a case-1 entry on its nonzero slots only.  Both
+    identities, det(rep_n) = lam_n * Fn (in _mp_idx) and det(rep) = lam * F,
+    are checked for every representation (BrokenInvariant when one fails),
+    the second through the cached _det_idx, which then serves the callers'
+    own is_ldr_of(rep, F).  The points come from PlaneTables.zeros and the
+    construction runs on element indices; only the output is decoded.  On
+    prime fields from _tables.ARRAY_Q up, _bulk.case1_reps builds and checks
+    every case-1 representation at once, the same three checks in the same
+    order, and all_reps puts each determinant it computed into the cache of
+    _det_idx; the one case-2 point, if any, stays on _mp_idx.
     """
     if not is_smooth(F):
         raise SingularInput("the form is singular")
@@ -462,7 +479,8 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     elif F.evaluate(p0):
         raise NotOnCurve(f"{p0!r} is not on the curve")
     skip = pts.index(p0)
-    pt = _tables.plane_tables(F.spec)
+    spec = F.spec
+    pt = _tables.plane_tables(spec)
     sf = pt.sf
     add, mul, inv = sf.add, sf.mul, sf.inv
     f = sf.encode_all(F.coeffs)
@@ -491,18 +509,15 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     # row 0 of every normal-form matrix is (0, Z, -Y): pulled back once per curve
     row0 = tuple(map(pull, ((0, 0, 0), (0, 0, 1), (0, sf.neg[1], 0))))
     zero = (0, 0, 0)
-    out = []
-    for k, i in enumerate(pt.zeros(f)):
-        if k == skip:
-            continue
+
+    def on_tables(i):
         # Pn = t_inv * P in canonical scaling, which must lie on Fn
         x, y, z = pt.point(i)
         v = [add[add[r0[x]][r1[y]]][r2[z]] for r0, r1, r2 in rows]
         scale = mul[inv[next(c for c in v if c)]]
         pn = [scale[c] for c in v]
         if pt.value(fn, pn):
-            Pn = ProjPoint(F.spec, [sf.decode(c) for c in pn])
-            raise NotOnCurve(f"{Pn!r} is not on the curve")
+            raise _failed_check(1, spec, pn)
         m_n = _mp_idx(fn, *pn, sf)
         if pn[2]:
             (m10, _, m12), (m20, m21, m22) = m_n[1:]
@@ -510,11 +525,40 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
                      (pull_xz(m20), pull(m21), pull_xz(m22)))
         else:
             m_idx = (row0, tuple(map(pull, m_n[1])), tuple(map(pull, m_n[2])))
-        lam = _ratio_idx(_det_idx(F.spec, m_idx), f, sf)
+        lam = _ratio_idx(_det_idx(spec, m_idx), f, sf)
         if not lam:
-            raise BrokenInvariant("pullback lost the determinant identity")
-        out.append((pts[k], _rep_from_idx(F.spec, m_idx), sf.decode(lam)))
+            raise _failed_check(3, spec, pn)
+        return m_idx, lam
+
+    zeros = pt.zeros(f)
+    zeros = zeros[:skip] + zeros[skip + 1:]
+    built = (_bulk.case1_reps(sf, f, fn, ti, zeros) if sf.on_arrays
+             else [None] * len(zeros))
+    out = []
+    for P, i, b in zip(pts[:skip] + pts[skip + 1:], zeros, built):
+        if b is None:
+            m_idx, lam = on_tables(i)
+        else:
+            pn, check, m_idx, d, lam = b
+            if check:
+                raise _failed_check(check, spec, pn)
+            # _det_idx takes the determinant from _computed, or has it cached
+            _computed[spec, m_idx] = d
+            _det_idx(spec, m_idx)
+            del _computed[spec, m_idx]
+        out.append((P, _rep_from_idx(spec, m_idx), sf.decode(lam)))
     return out
+
+
+def _failed_check(check: int, spec, pn) -> Exception:
+    """The error of all_reps when check 1 (Pn on Fn), 2 (det(rep_n) = lam_n * Fn)
+    or 3 (det(rep) = lam * F) fails at the point with normal-form coordinates pn."""
+    if check == 1:
+        el = _tables.scalar_field(spec).elems
+        return NotOnCurve(f"{ProjPoint(spec, [el[c] for c in pn])!r} is not on the curve")
+    if check == 2:
+        return BrokenInvariant("determinant identity det = -u^3 * F failed")
+    return BrokenInvariant("pullback lost the determinant identity")
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,30 @@ def test_verify_failure_exit_1(tmp_path, capsys):
     assert cli.main(["verify", cpath, rpath]) == 1
 
 
+@pytest.mark.parametrize("value", [True, [True]], ids=["bare", "in-list"])
+def test_points_boolean_coefficient_exit_3(tmp_path, capsys, value):
+    # JSON true is no field element, bare or as a coefficient, as 1.0 is not
+    obj = cli.curve_to_obj(golden.row_curve(golden.UNIQUE_REP_ROWS[0]))
+    obj["coeffs"][next(iter(obj["coeffs"]))] = value  # in place of [1]
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["points", str(path)]) == 3
+    assert "cannot read field element" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, [True]], ids=["bare", "in-list"])
+def test_verify_boolean_entry_exit_3(tmp_path, capsys, value):
+    row = golden.UNIQUE_REP_ROWS[0]
+    cpath = write_curve(tmp_path, row)
+    obj = cli.rep_to_obj(golden.row_matrices(row)[0])
+    r = next(r for name in ("m0", "m1", "m2") for r in obj[name] if [1] in r)
+    r[r.index([1])] = value  # in place of [1]
+    rpath = tmp_path / "bool-rep.json"
+    rpath.write_text(json.dumps(obj))
+    assert cli.main(["verify", cpath, str(rpath)]) == 3
+    assert "cannot read field element" in capsys.readouterr().err
+
+
 def test_verify_f7_second_matrix(tmp_path, capsys):
     row = golden.TWO_REP_ROWS[7][0]
     cpath = write_curve(tmp_path, row)

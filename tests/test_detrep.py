@@ -39,8 +39,10 @@ from cubicrep.plane import (
     ProjPoint,
     SingularInput,
     TernaryCubic,
+    is_flex,
     is_normalized,
     is_smooth,
+    normalize,
     rational_points,
 )
 
@@ -445,6 +447,78 @@ def test_all_reps_checks_both_identities(monkeypatch, kernel, message):
     finally:
         _det_idx.cache_clear()  # drop the determinant computed wrongly
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [_tables.ARRAY_Q, 67, 101, 251, 257, 1021])
+def test_array_all_reps_matches_the_table_path(monkeypatch, p):
+    # from ARRAY_Q up, all_reps builds the case-1 reps of a prime field on
+    # int64 arrays; the table path is the reference, with the default p0
+    # and with a later one that is no flex, so that the third point of its
+    # tangent is a case-2 point among the rest.  Under 1 s in all
+    spec = mk_field(p, 1)
+    sf = _tables.scalar_field(spec)
+    assert sf.on_arrays
+    for F in _random_smooth_curves(spec, random.Random(7400 + p), 2):
+        p0 = next(P for P in rational_points(F)[1:] if not is_flex(F, P))
+        for base in (None, p0):
+            _det_idx.cache_clear()
+            got = all_reps(F, base)
+            with monkeypatch.context() as m:
+                m.setattr(sf, "on_arrays", False)
+                _det_idx.cache_clear()
+                assert all_reps(F, base) == got
+            assert all(type(c) is int for _, rep, _ in got
+                       for row in rep.idx for entry in row for c in entry)
+    _det_idx.cache_clear()
+
+
+@pytest.mark.parametrize("check, message", [
+    (1, "is not on the curve"),
+    (2, "determinant identity det = -u\\^3 \\* F failed"),
+    (3, "pullback lost the determinant identity"),
+])
+def test_array_all_reps_checks_raise_todays_errors(monkeypatch, check, message):
+    # each check of a case-1 rep on arrays fails with the error of the table
+    # path when its input is perturbed: 1, the normal form the points are
+    # tested on; 2, the normal-form determinant; 3, the pulled-back one.  The
+    # first point after the base point lies off the tangent line (case 1)
+    from cubicrep import _bulk, detrep
+    from cubicrep.detrep import BrokenInvariant
+
+    spec = mk_field(101, 1)
+    F = _random_smooth_curves(spec, random.Random(7500), 1)[0]
+    pts = rational_points(F)
+    T, _ = normalize(F, pts[0])
+    assert ProjPoint(spec, T.inverse().apply_coords(pts[1].coords)).z
+    if check == 1:
+        real = detrep._normalize_idx
+
+        def perturbed(pt, f, p0):
+            t, fn = real(pt, f, p0)
+            return t, fn[:9] + [(fn[9] + 1) % 101]
+
+        monkeypatch.setattr(detrep, "_normalize_idx", perturbed)
+    else:
+        real = getattr(_bulk, ("_det_case1", "_det_cubic")[check - 2])
+
+        def perturbed(p, m):
+            out = real(p, m)
+            out[:, 9] = (out[:, 9] + 1) % p
+            return out
+
+        monkeypatch.setattr(_bulk, real.__name__, perturbed)
+    error = NotOnCurve if check == 1 else BrokenInvariant
+    _det_idx.cache_clear()
+    try:
+        with pytest.raises(error, match=message) as on_arrays:
+            all_reps(F)
+        if check == 1:
+            monkeypatch.setattr(_tables.scalar_field(spec), "on_arrays", False)
+            with pytest.raises(error) as on_tables:
+                all_reps(F)
+            assert str(on_arrays.value) == str(on_tables.value)
+    finally:
+        _det_idx.cache_clear()
 
 
 def test_mp_cases_check_the_identity_on_tables(monkeypatch):
@@ -1220,7 +1294,8 @@ def test_equivalence_past_the_table_cap():
 
 
 def test_lazy_and_constructed_reps_share_identity_and_cache():
-    for spec in (F5, mk_field(2, 3), mk_field(13, 1)):
+    # F_101 takes the array path of all_reps, which fills the same cache
+    for spec in (F5, mk_field(2, 3), mk_field(13, 1), mk_field(101, 1)):
         F = _random_smooth_curves(spec, random.Random(7300 + spec.q), 1)[0]
         for (_, lazy, _), (_, built, _) in zip(all_reps(F), object_reference.all_reps(F)):
             assert lazy == built and hash(lazy) == hash(built)

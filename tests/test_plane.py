@@ -9,7 +9,7 @@ import golden
 import object_reference
 from object_reference import is_smooth_by_search, mul_quad_lin
 from cubicrep import _bulk, _tables
-from cubicrep.gf import FieldMismatch, mk_field
+from cubicrep.gf import FieldMismatch, is_prime, mk_field
 from cubicrep.plane import (
     LinearTransform,
     NotOnCurve,
@@ -278,6 +278,47 @@ def test_zero_points_past_the_table_cap_share_one_scan():
                 G = F.scaled(c)
                 assert (rational_points(G), is_smooth(G)) == expected
             assert pt._zero_sets.cache_info().misses <= scans + 1
+
+
+def _array_scan_forms(p, rng):
+    """Seeded coefficient index rows over F_p: two random forms, one
+    singular at a random point, one with a222 = 0, a random line times a
+    conic and X times a conic (the line X = 0 of the scan in the zero set)."""
+    sf = _tables.scalar_field(mk_field(p, 1))
+
+    def rand(n):
+        return [rng.randrange(p) for _ in range(n)]
+
+    while True:
+        t = [rand(3) for _ in range(3)]
+        if _tables.det3_idx(t, sf):
+            break
+    # a000 = a001 = a002 = 0: singular at [1:0:0], then moved by t
+    singular = _tables.act_idx(t, [0, 0, 0] + rand(7), sf)
+    return [rand(10), rand(10), singular, rand(9) + [0],
+            list(_tables.quad_lin_idx(rand(6), rand(3), sf)),
+            list(_tables.quad_lin_idx(rand(6), [1, 0, 0], sf))]
+
+
+_ARRAY_SCAN_PRIMES = [p for p in range(_tables.ARRAY_Q, 258) if is_prime(p)] + [509, 1021]
+
+
+@pytest.mark.parametrize("p", _ARRAY_SCAN_PRIMES)
+def test_array_zero_scan_matches_the_table_scan(monkeypatch, p):
+    # on prime fields from ARRAY_Q up PlaneTables scans on int64 arrays; the
+    # table scan is the reference, on seeded forms, singular ones among them,
+    # and on the zero form up to 257.  About 15 s in all, nearly all of it in
+    # the table scans at 509 and 1021
+    pt = _tables.plane_tables(mk_field(p, 1))
+    assert pt.sf.on_arrays
+    keys = _array_scan_forms(p, random.Random(3300 + p)) + ([[0] * 10] if p < 258 else [])
+    got = [_bulk.prime_zero_sets(p, key) for key in keys]
+    monkeypatch.setattr(pt.sf, "on_arrays", False)
+    assert got == [pt._scan_zero_sets(key) for key in keys]
+    assert got[2][1]  # the singular form
+    if p < 258:
+        assert got[-1] == (tuple(range(pt.n_points)),) * 2  # the zero form
+    assert all(type(i) is int for zeros, singular in got for i in zeros + singular)
 
 
 def _random_transform(spec, rng):
