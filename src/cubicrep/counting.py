@@ -33,6 +33,10 @@ class BadDiscriminant(CountingError):
     pass
 
 
+class NotPrimePower(CountingError, ValueError):
+    """There is no field F_q: q is not a prime power."""
+
+
 class AmbiguousT(CountingError):
     """More than one trace satisfied a condition asserted to be unique."""
 
@@ -67,9 +71,10 @@ ExtInt = Union[int, _Infinity]
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """(p, m) with q = p^m, or ValueError if q is not a prime power."""
+    """(p, m) with q = p^m, or NotPrimePower, a ValueError, if q is not a
+    prime power."""
     if q < 2:
-        raise ValueError(f"{q} is not a prime power")
+        raise NotPrimePower(f"q = {q} is not a prime power")
     for p in range(2, q + 1):
         if q % p == 0:
             m = 0
@@ -78,9 +83,9 @@ def factor_prime_power(q: int) -> tuple[int, int]:
                 r //= p
                 m += 1
             if r != 1:
-                raise ValueError(f"{q} is not a prime power")
+                raise NotPrimePower(f"q = {q} is not a prime power")
             return p, m
-    raise ValueError(f"{q} is not a prime power")
+    raise NotPrimePower(f"q = {q} is not a prime power")
 
 
 def kronecker_symbol(a: int, n: int) -> int:

@@ -8,11 +8,13 @@ constant matrices, and builds the classical alternative shapes for
 Weierstrass and Hesse models.
 
 A LinearMatrixRep is identified by its field and the element indices of
-its 27 coefficients in _tables: it compares and hashes on them, and the
-caches of this module (the determinant, the rank profile and the kernel
-data) are keyed on (spec, idx), never on the object.  The public
-constructor encodes its matrices once; a representation built on indices
-decodes its constant matrices only when they are first read.
+its 27 coefficients in _tables, and the caches of this module, the rank
+profile and the kernel data, are keyed on it.  It keeps its determinant:
+all_reps stores the one it has just computed and checked, and any other
+representation computes its own on first use.  The public constructor
+encodes its matrices once; a representation built on indices decodes its
+constant matrices only when they are first read.  is_ldr_of and all_reps
+read a form's indices off the TernaryCubic, which encoded them once.
 
 all_reps moves the curve to a normal form once per base point, builds each
 point's representation there and pulls it back.  On every field that whole
@@ -28,15 +30,15 @@ checked twice.  _mp_idx checks det(rep_n) = lam_n * Fn in normal form, for
 case 1 on _det_case1_idx, which expands det(rep_n) = Z (f g - d i) - Y d h
 on the nonzero slots, and for the one case-2 point per curve on the
 cofactor kernel _tables.det_cubic_idx.  all_reps checks det(rep) = lam * F
-after the pullback on det_cubic_idx through the cached _det_idx, so the two
-checks of a case-1 representation run on independent kernels.  On prime
-fields from _tables.ARRAY_Q up, _bulk.case1_reps builds every case-1
-representation of a curve at once on int64 arrays, with the same three
-checks in the same order and on the same two independent expansions: the
-normal-form one on the nonzero slots, as _det_case1_idx, and the pullback
-one along row 0 with full 2x2 minors, as det_cubic_idx.  all_reps puts each
-determinant it computed into the cache of _det_idx, and the case-2 point
-stays on _mp_idx.
+after the pullback on det_cubic_idx, so the two checks of a case-1
+representation run on independent kernels, and the representation keeps
+that determinant.  On prime fields from _tables.ARRAY_Q up,
+_bulk.case1_reps builds every case-1 representation of a curve at once on
+int64 arrays, with the same three checks in the same order and on the same
+two independent expansions: the normal-form one on the nonzero slots, as
+_det_case1_idx, and the pullback one along row 0 with full 2x2 minors, as
+det_cubic_idx.  Each representation keeps the determinant case1_reps
+checked, and the case-2 point stays on _mp_idx.
 symmetrize runs on _sweep, the sweep of equivalent, and it and the
 completion of a candidate B into a witness run on indices as well.
 EquivalenceWitness.verify and transform_rep run on the coefficient tuples
@@ -145,12 +147,13 @@ class LinearMatrixRep:
     """A 3x3 matrix of linear forms X*m0 + Y*m1 + Z*m2.
 
     Its identity is (spec, idx): idx[i][j] = (cX, cY, cZ) holds the element
-    indices of entry (i, j) in _tables, and equality, hashing and every cache
-    of this module key on that pair.  The constant matrices m0, m1, m2 of
-    coefficient_matrices() are decoded from idx on first access and kept.
+    indices of entry (i, j) in _tables, and equality and hashing compare that
+    pair, the hash computed once.  The constant matrices m0, m1, m2 of
+    coefficient_matrices() are decoded from idx on first access and kept,
+    and so is the determinant of _determinant(), unless all_reps set it.
     """
 
-    __slots__ = ("spec", "idx", "_hash", "_mats")
+    __slots__ = ("spec", "idx", "_hash", "_mats", "_det")
 
     def __init__(self, spec: FieldSpec, m0, m1, m2):
         mats = tuple(_const_matrix(spec, m) for m in (m0, m1, m2))
@@ -159,11 +162,18 @@ class LinearMatrixRep:
                                     for j in range(3)) for i in range(3)))
         self._mats = mats
 
-    def _set(self, spec, idx):
+    def _set(self, spec, idx, det=None):
         self.spec = spec
         self.idx = idx
         self._hash = hash((spec, idx))
         self._mats = None
+        self._det = det
+
+    def _determinant(self) -> tuple[int, ...]:
+        """The 10 coefficient indices of the determinant, computed once."""
+        if self._det is None:
+            self._det = tuple(_tables.det_cubic_idx(self.idx, _tables.scalar_field(self.spec)))
+        return self._det
 
     @classmethod
     def from_entries(cls, spec: FieldSpec, entries) -> "LinearMatrixRep":
@@ -299,34 +309,19 @@ def _product_coeffs(a, rep, b):
 # determinant and validity
 
 
-#: determinants that all_reps computed on arrays, each held only while
-#: all_reps reads it through _det_idx into that cache
-_computed: dict = {}
-
-
-@lru_cache(maxsize=1 << 14)
-def _det_idx(spec: FieldSpec, idx) -> tuple[int, ...]:
-    """The 10 coefficient indices of the determinant of the entries idx."""
-    d = _computed.get((spec, idx))
-    return d if d is not None else tuple(_tables.det_cubic_idx(idx, _tables.scalar_field(spec)))
-
-
 def det_cubic(rep: LinearMatrixRep) -> Optional[TernaryCubic]:
     """The symbolic determinant of X*m0 + Y*m1 + Z*m2 as a ternary cubic.
 
     Returns None when the determinant vanishes identically (no cubic form
     can represent it; such a matrix is not a representation of anything).
     """
-    d = _det_idx(rep.spec, rep.idx)
-    if not any(d):
-        return None
-    el = _tables.scalar_field(rep.spec).elems
-    return TernaryCubic(rep.spec, [el[c] for c in d])
+    d = rep._determinant()
+    return TernaryCubic._from_idx(_tables.scalar_field(rep.spec), d) if any(d) else None
 
 
 def _ratio_idx(d, f, sf) -> int:
     """The index of lam != 0 with d = lam * f for the nonzero cubic f, or 0
-    when there is none; d is a tuple, as _det_idx returns it."""
+    when there is none; d is a tuple, as _determinant returns it."""
     lead = next(k for k, c in enumerate(f) if c)
     lam = sf.mul[d[lead]][sf.inv[f[lead]]]
     return lam if lam and tuple(map(sf.mul[lam].__getitem__, f)) == d else 0
@@ -336,11 +331,11 @@ def is_ldr_of(rep: LinearMatrixRep, F: TernaryCubic) -> Optional[FieldElement]:
     """The scalar lam != 0 with det(rep) = lam * F, or None if there is none."""
     if rep.spec != F.spec:
         raise FieldMismatch("representation and form live in different fields")
-    sf = _tables.scalar_field(F.spec)
-    f = sf.encode_all(F.coeffs)
+    f = F.idx
     if not any(f):
         return None
-    lam = _ratio_idx(_det_idx(rep.spec, rep.idx), f, sf)
+    sf = _tables.scalar_field(F.spec)
+    lam = _ratio_idx(rep._determinant(), f, sf)
     return sf.decode(lam) if lam else None
 
 
@@ -387,7 +382,7 @@ def _mp_checked(Fn, P, case2: bool):
         raise WrongCase("third coordinate is "
                         + ("nonzero; use mp_case1" if case2 else "zero; use mp_case2"))
     sf = _tables.scalar_field(spec)
-    return _rep_from_idx(spec, _mp_idx(sf.encode_all(Fn.coeffs), *sf.encode_all(P.coords), sf))
+    return _rep_from_idx(spec, _mp_idx(Fn.idx, *sf.encode_all(P.coords), sf))
 
 
 def _mp_idx(f, s, t, u, sf):
@@ -441,11 +436,12 @@ def _det_case1_idx(m_idx, sf):
             neg[add[md1[h2]][md2[h1]]], neg[add[md1[i2]][md2[h2]]], sub[mf2[g2]][md2[i2]]]
 
 
-def _rep_from_idx(spec, m_idx) -> LinearMatrixRep:
+def _rep_from_idx(spec, m_idx, det=None) -> LinearMatrixRep:
     """The representation with entries m_idx, a nested tuple of coefficient
-    index triples, entry (i, j) = [i][j]; nothing is encoded or decoded."""
+    index triples, entry (i, j) = [i][j], and its determinant det if the
+    caller has it; nothing is encoded or decoded."""
     rep = object.__new__(LinearMatrixRep)
-    rep._set(spec, m_idx)
+    rep._set(spec, m_idx, det)
     return rep
 
 
@@ -461,13 +457,14 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     and pulled back, a case-1 entry on its nonzero slots only.  Both
     identities, det(rep_n) = lam_n * Fn (in _mp_idx) and det(rep) = lam * F,
     are checked for every representation (BrokenInvariant when one fails),
-    the second through the cached _det_idx, which then serves the callers'
-    own is_ldr_of(rep, F).  The points come from PlaneTables.zeros and the
-    construction runs on element indices; only the output is decoded.  On
-    prime fields from _tables.ARRAY_Q up, _bulk.case1_reps builds and checks
-    every case-1 representation at once, the same three checks in the same
-    order, and all_reps puts each determinant it computed into the cache of
-    _det_idx; the one case-2 point, if any, stays on _mp_idx.
+    the second on _tables.det_cubic_idx, and each representation keeps the
+    determinant of that check, which the callers' own is_ldr_of(rep, F)
+    reads.  The points come from PlaneTables.zeros and the construction runs
+    on element indices; only the output is decoded.  On prime fields from
+    _tables.ARRAY_Q up, _bulk.case1_reps builds and checks every case-1
+    representation at once, the same three checks in the same order, and
+    each keeps the determinant computed there; the one case-2 point, if
+    any, stays on _mp_idx.
     """
     if not is_smooth(F):
         raise SingularInput("the form is singular")
@@ -483,7 +480,7 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     pt = _tables.plane_tables(spec)
     sf = pt.sf
     add, mul, inv = sf.add, sf.mul, sf.inv
-    f = sf.encode_all(F.coeffs)
+    f = F.idx
     t, fn = _normalize_idx(pt, f, sf.encode_all(p0.coords))
     ti = _tables.inv3_idx(t, sf)
     # pull back through w = t_inv * v, on the mul rows of t_inv: coefficient j
@@ -525,10 +522,11 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
                      (pull_xz(m20), pull(m21), pull_xz(m22)))
         else:
             m_idx = (row0, tuple(map(pull, m_n[1])), tuple(map(pull, m_n[2])))
-        lam = _ratio_idx(_det_idx(spec, m_idx), f, sf)
+        d = tuple(_tables.det_cubic_idx(m_idx, sf))
+        lam = _ratio_idx(d, f, sf)
         if not lam:
             raise _failed_check(3, spec, pn)
-        return m_idx, lam
+        return m_idx, d, lam
 
     zeros = pt.zeros(f)
     zeros = zeros[:skip] + zeros[skip + 1:]
@@ -537,16 +535,12 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
     out = []
     for P, i, b in zip(pts[:skip] + pts[skip + 1:], zeros, built):
         if b is None:
-            m_idx, lam = on_tables(i)
+            m_idx, d, lam = on_tables(i)
         else:
             pn, check, m_idx, d, lam = b
             if check:
                 raise _failed_check(check, spec, pn)
-            # _det_idx takes the determinant from _computed, or has it cached
-            _computed[spec, m_idx] = d
-            _det_idx(spec, m_idx)
-            del _computed[spec, m_idx]
-        out.append((P, _rep_from_idx(spec, m_idx), sf.decode(lam)))
+        out.append((P, _rep_from_idx(spec, m_idx, d), sf.decode(lam)))
     return out
 
 
@@ -576,9 +570,9 @@ def _matrix_at_point(m_idx, coords, sf):
 
 
 @lru_cache(maxsize=1 << 12)
-def _rank_profile(spec: FieldSpec, idx):
+def _rank_profile(rep: LinearMatrixRep):
     """rank M(P) at the rational zeros of det M, in enumeration order, for
-    the representation M with entries idx over spec.
+    the representation M = rep.
 
     det M must not vanish identically.  Off its zeros M(P) has rank 3, so
     for two representations with proportional determinants, which share
@@ -588,31 +582,32 @@ def _rank_profile(spec: FieldSpec, idx):
     vanish at P.  The rank is therefore 2 at every smooth zero of D and is
     computed only at the singular ones, none for a smooth curve.
     """
-    pt = _tables.plane_tables(spec)
+    pt = _tables.plane_tables(rep.spec)
     sf = pt.sf
-    zeros, singular = pt.zero_sets(_det_idx(spec, idx))
+    zeros, singular = pt.zero_sets(rep._determinant())
     if not singular:
         return (2,) * len(zeros)
     singular = set(singular)
-    return tuple(_tables.rank3_idx(_matrix_at_point(idx, pt.point(i), sf), sf)
+    return tuple(_tables.rank3_idx(_matrix_at_point(rep.idx, pt.point(i), sf), sf)
                  if i in singular else 2 for i in zeros)
 
 
 @lru_cache(maxsize=1 << 12)
-def _kernel_data(spec: FieldSpec, idx):
-    """((N_v, N_w), traces) with N_u = M(P)^-1 M_u for the representation M
-    with entries idx over spec, or None when det M vanishes on all of
-    P^2(F_q); traces = (tr(N_v^2 N_w^2), tr(N_v^2 N_w^2 N_v N_w)).
+def _kernel_data(rep: LinearMatrixRep):
+    """((N_v, N_w), traces) with N_u = M(P)^-1 M_u for the representation
+    M = rep, or None when det M vanishes on all of P^2(F_q);
+    traces = (tr(N_v^2 N_w^2), tr(N_v^2 N_w^2 N_v N_w)).
 
     P is the first point off the curve det M = 0 (_off_curve_point), which
     representations with proportional determinants share, and v < w are
     the two coordinates other than the first nonzero one of P.
     """
-    pt = _tables.plane_tables(spec)
+    pt = _tables.plane_tables(rep.spec)
     sf = pt.sf
-    at = _off_curve_point(pt, _det_idx(spec, idx))
+    at = _off_curve_point(pt, rep._determinant())
     if at is None:
         return None
+    idx = rep.idx
     mm = _tables.matmul3_idx
     m_inv = _tables.inv3_idx(_matrix_at_point(idx, at, sf), sf)
     first = next(u for u in range(3) if at[u])
@@ -642,7 +637,7 @@ def _witness_from_b(m1: LinearMatrixRep, m2: LinearMatrixRep, vec):
     b = [[s[v] for v in vec[k:k + 3]] for k in (0, 3, 6)]
     if not _tables.det3_idx(b, sf):
         return None
-    at = _off_curve_point(pt, _det_idx(m1.spec, m1.idx))
+    at = _off_curve_point(pt, m1._determinant())
     # m1(P) is invertible where det m1 does not vanish, and so is m2(P), det m2
     # being a nonzero multiple of det m1; so A = m2(P) (m1(P) B)^-1 is too
     m1b = _tables.matmul3_idx(_matrix_at_point(m1.idx, at, sf), b, sf)
@@ -678,7 +673,7 @@ def _kernel_certificate(m1, m2):
     all of it only when q + 1 <= 3, over F_2.  There the sweep runs on the
     27 rows C m2_v = m1_v B in the 18 entries of (C, B), with A = C^-1.
     """
-    k1, k2 = _kernel_data(m1.spec, m1.idx), _kernel_data(m2.spec, m2.idx)
+    k1, k2 = _kernel_data(m1), _kernel_data(m2)
     sf = _tables.scalar_field(m1.spec)
     add, sub, neg = sf.add, sf.sub, sf.neg
     rows = []
@@ -764,14 +759,12 @@ def equivalent(m1: LinearMatrixRep, m2: LinearMatrixRep) -> Optional[Equivalence
     """
     if m1.spec != m2.spec:
         raise FieldMismatch("representations live in different fields")
-    spec = m1.spec
-    d1 = _det_idx(spec, m1.idx)
-    if not any(d1) or not _ratio_idx(_det_idx(spec, m2.idx), d1,
-                                     _tables.scalar_field(spec)):
+    d1 = m1._determinant()
+    if not any(d1) or not _ratio_idx(m2._determinant(), d1, _tables.scalar_field(m1.spec)):
         return None
-    if _rank_profile(spec, m1.idx) != _rank_profile(spec, m2.idx):
+    if _rank_profile(m1) != _rank_profile(m2):
         return None  # pointwise ranks are invariant under M -> A M B
-    k1, k2 = _kernel_data(spec, m1.idx), _kernel_data(spec, m2.idx)
+    k1, k2 = _kernel_data(m1), _kernel_data(m2)
     if k1 and k2 and k1[1] != k2[1]:
         return None  # so are the traces of words in the kernel pencil
     return _kernel_certificate(m1, m2)

@@ -11,10 +11,11 @@ rational_points decodes the cached zero scan of PlaneTables, and the
 smoothness test works from the rational points alone, their number and
 whether one of them is singular, as PlaneTables caches them (see is_smooth
 for why that suffices).
-normalize, act and the product and inverse of LinearTransform encode their
-inputs, run the index kernels of _tables and decode the result; all_reps
-calls _normalize_idx and stays on indices throughout, and is_flex reads its
-answer off the same normal form.
+A TernaryCubic and a LinearTransform keep the element indices of their
+coefficients (idx) from construction on, so normalize, act and the product
+and inverse of LinearTransform read idx, run the index kernels of _tables
+and decode only the result; all_reps calls _normalize_idx and stays on
+indices throughout, and is_flex reads its answer off the same normal form.
 The direct search for singular points over extension fields and the flex
 test by restriction to the tangent line live in the test suite, as the
 references these are checked against.
@@ -121,9 +122,14 @@ class TernaryQuadratic:
 
 
 class TernaryCubic:
-    """A nonzero ternary cubic form over a fixed field."""
+    """A nonzero ternary cubic form over a fixed field.
 
-    __slots__ = ("spec", "coeffs")
+    idx, the element indices in _tables of the coefficients, is encoded once
+    at construction and read by every index path; _from_idx builds a cubic
+    from indices and encodes nothing.
+    """
+
+    __slots__ = ("spec", "coeffs", "idx")
 
     def __init__(self, spec: FieldSpec, coeffs: Sequence):
         self.spec = spec
@@ -132,6 +138,15 @@ class TernaryCubic:
             raise ValueError("a ternary cubic has ten coefficients")
         if not any(self.coeffs):
             raise ValueError("the zero form does not define a cubic")
+        self.idx = tuple(_tables.scalar_field(spec).encode_all(self.coeffs))
+
+    @classmethod
+    def _from_idx(cls, sf, idx) -> "TernaryCubic":
+        """The nonzero cubic with coefficient indices idx over the field of sf."""
+        F = object.__new__(cls)
+        F.spec, F.idx = sf.spec, tuple(idx)
+        F.coeffs = tuple(map(sf.elems.__getitem__, F.idx))
+        return F
 
     @classmethod
     def from_dict(cls, spec: FieldSpec, coeffs: dict) -> "TernaryCubic":
@@ -165,7 +180,7 @@ class TernaryCubic:
 
     def __eq__(self, other):
         return (isinstance(other, TernaryCubic) and self.spec == other.spec
-                and self.coeffs == other.coeffs)
+                and self.idx == other.idx)
 
     def __hash__(self):
         return hash((self.spec, self.coeffs))
@@ -177,7 +192,7 @@ class TernaryCubic:
 class LinearTransform:
     """An invertible 3x3 matrix over a fixed field (an element of GL_3)."""
 
-    __slots__ = ("spec", "rows", "det")
+    __slots__ = ("spec", "rows", "idx", "det")
 
     def __init__(self, spec: FieldSpec, rows: Sequence[Sequence]):
         rows = tuple(tuple(spec.element(c) for c in row) for row in rows)
@@ -192,6 +207,7 @@ class LinearTransform:
             raise ValueError("transform is singular")
         self.spec = sf.spec
         self.rows = rows
+        self.idx = tuple(map(tuple, idx))
         self.det = sf.decode(det)
 
     @classmethod
@@ -205,19 +221,15 @@ class LinearTransform:
         t._set(sf, tuple(tuple(sf.elems[c] for c in row) for row in rows), rows)
         return t
 
-    def _idx(self, sf):
-        return [sf.encode_all(row) for row in self.rows]
-
     def __matmul__(self, other: "LinearTransform") -> "LinearTransform":
         if self.spec != other.spec:
             raise FieldMismatch("transforms live in different fields")
         sf = _tables.scalar_field(self.spec)
-        return LinearTransform._from_idx(
-            sf, _tables.matmul3_idx(self._idx(sf), other._idx(sf), sf))
+        return LinearTransform._from_idx(sf, _tables.matmul3_idx(self.idx, other.idx, sf))
 
     def inverse(self) -> "LinearTransform":
         sf = _tables.scalar_field(self.spec)
-        return LinearTransform._from_idx(sf, _tables.inv3_idx(self._idx(sf), sf))
+        return LinearTransform._from_idx(sf, _tables.inv3_idx(self.idx, sf))
 
     def apply_coords(self, coords):
         """Matrix-vector product on a coordinate triple."""
@@ -311,7 +323,7 @@ def gradient(F: TernaryCubic, P: ProjPoint):
 def rational_points(F: TernaryCubic) -> list[ProjPoint]:
     """All F_q-points of the curve, in the fixed enumeration order of P^2."""
     pt = _tables.plane_tables(F.spec)
-    return [_point_at(pt, i) for i in pt.zeros(pt.sf.encode_all(F.coeffs))]
+    return [_point_at(pt, i) for i in pt.zeros(F.idx)]
 
 
 def tangent_line(F: TernaryCubic, P: ProjPoint):
@@ -338,7 +350,7 @@ def is_flex(F: TernaryCubic, P: ProjPoint) -> bool:
     if P.spec != F.spec:
         raise FieldMismatch("point and form live in different fields")
     pt = _tables.plane_tables(F.spec)
-    f, p = pt.sf.encode_all(F.coeffs), pt.sf.encode_all(P.coords)
+    f, p = F.idx, pt.sf.encode_all(P.coords)
     if pt.value(f, p):
         raise NotOnCurve(f"{P!r} is not on the curve")
     if not any(pt.gradient(f, p)):
@@ -381,7 +393,7 @@ def is_smooth(F: TernaryCubic) -> bool:
     checks that exhaustively for small q.
     """
     pt = _tables.plane_tables(F.spec)
-    on_curve, singular = pt.zero_sets(pt.sf.encode_all(F.coeffs))
+    on_curve, singular = pt.zero_sets(F.idx)
     return not singular and len(on_curve) not in (0, 2 * F.spec.q + 2)
 
 
@@ -395,8 +407,7 @@ def act(T: LinearTransform, F: TernaryCubic) -> TernaryCubic:
     if T.spec != spec:
         raise FieldMismatch("transform and form live in different fields")
     sf = _tables.scalar_field(spec)
-    out = _tables.act_idx(T._idx(sf), sf.encode_all(F.coeffs), sf)
-    return TernaryCubic(spec, [sf.decode(c) for c in out])
+    return TernaryCubic._from_idx(sf, _tables.act_idx(T.idx, F.idx, sf))
 
 
 def normalize(F: TernaryCubic, P0: ProjPoint) -> tuple[LinearTransform, TernaryCubic]:
@@ -416,8 +427,8 @@ def normalize(F: TernaryCubic, P0: ProjPoint) -> tuple[LinearTransform, TernaryC
         raise NotOnCurve(f"{P0!r} is not on the curve")
     pt = _tables.plane_tables(spec)
     sf = pt.sf
-    t, fn = _normalize_idx(pt, sf.encode_all(F.coeffs), sf.encode_all(P0.coords))
-    return LinearTransform._from_idx(sf, t), TernaryCubic(spec, [sf.decode(c) for c in fn])
+    t, fn = _normalize_idx(pt, F.idx, sf.encode_all(P0.coords))
+    return LinearTransform._from_idx(sf, t), TernaryCubic._from_idx(sf, fn)
 
 
 def _normalize_idx(pt, f, p0):

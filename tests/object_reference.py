@@ -50,7 +50,6 @@ from cubicrep.detrep import (
     BrokenInvariant,
     EquivalenceWitness,
     LinearMatrixRep,
-    _det_idx,
     _matrix_at_point,
     _off_curve_point,
 )
@@ -309,7 +308,7 @@ def rank_profile(rep: LinearMatrixRep):
     pt = _tables.plane_tables(spec)
     sf = pt.sf
     return tuple(_tables.rank3_idx(_matrix_at_point(rep.idx, pt.point(i), sf), sf)
-                 for i in pt.zeros(_det_idx(spec, rep.idx)))
+                 for i in pt.zeros(_tables.det_cubic_idx(rep.idx, sf)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +446,7 @@ def exhaustive_scan(m1: LinearMatrixRep, m2: LinearMatrixRep):
     """The first witness of scan_equivalence for m2 = A m1 B, or None."""
     pt = _tables.plane_tables(m1.spec)
     sf = pt.sf
-    at = _off_curve_point(pt, _det_idx(m1.spec, m1.idx))
+    at = _off_curve_point(pt, _tables.det_cubic_idx(m1.idx, sf))
     # With no rational point where det m1 is nonzero, the scan also sweeps B.
     at_point = None if at is None else (_matrix_at_point(m1.idx, at, sf),
                                         _matrix_at_point(m2.idx, at, sf))

@@ -330,6 +330,16 @@ def test_count_csv_needs_a_table(capsys):
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("q", [6, 0, 1])
+def test_count_rejects_a_q_that_is_no_prime_power(capsys, q, json_flag):
+    # no field F_q: the mathematical-precondition code, as for `field 6`
+    assert cli.main(["count", "--q", str(q), "--n", "1"] + json_flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: q = {q} is not a prime power\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_classify_reports_a_formula_mismatch(monkeypatch, capsys, json_flag):
     from cubicrep import counting
 

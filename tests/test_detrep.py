@@ -17,7 +17,6 @@ from cubicrep.detrep import (
     SingularCurve,
     WrongCase,
     ZeroCoordinate,
-    _det_idx,
     all_reps,
     det_cubic,
     equivalent,
@@ -80,7 +79,7 @@ def test_is_ldr_of_examples():
     # the constructor refuses the zero form; one built around that check
     # still gets None, not an error
     zero_form = object.__new__(TernaryCubic)
-    zero_form.spec, zero_form.coeffs = F.spec, (F.spec.zero(),) * 10
+    zero_form.spec, zero_form.coeffs, zero_form.idx = F.spec, (F.spec.zero(),) * 10, (0,) * 10
     assert is_ldr_of(golden.row_matrices(row)[0], zero_form) is None
     assert is_ldr_of(zero_rep(F2), zero_form) is None
 
@@ -418,7 +417,7 @@ def test_mp_cases_match_objects_on_seeded_curves():
 def test_all_reps_checks_both_identities(monkeypatch, kernel, message):
     # the first point all_reps builds lies off the tangent line (case 1):
     # _det_case1_idx checks det(rep_n) = -u^3 * Fn for it, and the first call
-    # of det_cubic_idx (through _det_idx) det(rep) = lam * F for its pullback
+    # of det_cubic_idx det(rep) = lam * F for its pullback
     from cubicrep import detrep
     from cubicrep.detrep import BrokenInvariant
     from cubicrep.plane import normalize
@@ -439,13 +438,9 @@ def test_all_reps_checks_both_identities(monkeypatch, kernel, message):
             out[0] = sf.add[out[0]][1]
         return out
 
-    _det_idx.cache_clear()
     monkeypatch.setattr(module, kernel, perturbed)
-    try:
-        with pytest.raises(BrokenInvariant, match=message):
-            all_reps(F)
-    finally:
-        _det_idx.cache_clear()  # drop the determinant computed wrongly
+    with pytest.raises(BrokenInvariant, match=message):
+        all_reps(F)
     assert len(calls) == 1
 
 
@@ -461,15 +456,12 @@ def test_array_all_reps_matches_the_table_path(monkeypatch, p):
     for F in _random_smooth_curves(spec, random.Random(7400 + p), 2):
         p0 = next(P for P in rational_points(F)[1:] if not is_flex(F, P))
         for base in (None, p0):
-            _det_idx.cache_clear()
             got = all_reps(F, base)
             with monkeypatch.context() as m:
                 m.setattr(sf, "on_arrays", False)
-                _det_idx.cache_clear()
                 assert all_reps(F, base) == got
             assert all(type(c) is int for _, rep, _ in got
                        for row in rep.idx for entry in row for c in entry)
-    _det_idx.cache_clear()
 
 
 @pytest.mark.parametrize("check, message", [
@@ -508,17 +500,13 @@ def test_array_all_reps_checks_raise_todays_errors(monkeypatch, check, message):
 
         monkeypatch.setattr(_bulk, real.__name__, perturbed)
     error = NotOnCurve if check == 1 else BrokenInvariant
-    _det_idx.cache_clear()
-    try:
-        with pytest.raises(error, match=message) as on_arrays:
+    with pytest.raises(error, match=message) as on_arrays:
+        all_reps(F)
+    if check == 1:
+        monkeypatch.setattr(_tables.scalar_field(spec), "on_arrays", False)
+        with pytest.raises(error) as on_tables:
             all_reps(F)
-        if check == 1:
-            monkeypatch.setattr(_tables.scalar_field(spec), "on_arrays", False)
-            with pytest.raises(error) as on_tables:
-                all_reps(F)
-            assert str(on_arrays.value) == str(on_tables.value)
-    finally:
-        _det_idx.cache_clear()
+        assert str(on_arrays.value) == str(on_tables.value)
 
 
 def test_mp_cases_check_the_identity_on_tables(monkeypatch):
@@ -567,7 +555,7 @@ def test_case1_determinant_matches_the_cofactor_kernel(p, m, count):
     sf = pt.sf
     checked = 0
     for F in _random_smooth_curves(spec, rng, count):
-        f = sf.encode_all(F.coeffs)
+        f = F.idx
         zeros = pt.zeros(f)
         p0 = pt.point(zeros[rng.randrange(len(zeros))])
         _, fn = _normalize_idx(pt, f, p0)
@@ -760,7 +748,7 @@ def test_degenerate_scan_recovers_exact_witness(monkeypatch):
     # nonzero and the sweep runs on the (C, B) system
     diag = _vanishing_diag()
     assert _vanishes_on_all_rational_points(diag)
-    assert _kernel_data(F2, diag.idx) is None
+    assert _kernel_data(diag) is None
     A = LinearTransform(F2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     B = LinearTransform(F2, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
     moved = transform_rep(A, diag, B)
@@ -779,8 +767,8 @@ def test_degenerate_scan_refuses_and_accepts():
     m, n = _vanishing_pair()
     assert det_cubic(m) == det_cubic(n)
     assert _vanishes_on_all_rational_points(m)
-    assert _kernel_data(F2, m.idx) is None
-    assert _rank_profile(m.spec, m.idx) == _rank_profile(n.spec, n.idx)
+    assert _kernel_data(m) is None
+    assert _rank_profile(m) == _rank_profile(n)
     assert _kernel_certificate(m, n) is None
     assert equivalent(m, n) is None
     w = equivalent(m, m)
@@ -803,8 +791,8 @@ def test_vanishing_det_with_line_kernels_is_equivalent_to_itself():
 
     m = _line_kernel_rep()
     assert _vanishes_on_all_rational_points(m)
-    assert _kernel_data(F2, m.idx) is None
-    assert _rank_profile(F2, m.idx) == (2,) * 7
+    assert _kernel_data(m) is None
+    assert _rank_profile(m) == (2,) * 7
     A = LinearTransform(F2, [[1, 1, 0], [0, 1, 0], [1, 0, 1]])
     B = LinearTransform(F2, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
     for n in (m, transform_rep(A, m, B)):
@@ -975,7 +963,7 @@ def _traces(rep):
     the curve."""
     from cubicrep.detrep import _kernel_data
 
-    data = _kernel_data(rep.spec, rep.idx)
+    data = _kernel_data(rep)
     return None if data is None else data[1]
 
 
@@ -1068,7 +1056,7 @@ def _profiles(reps):
     """(restricted, full) rank profile of each rep."""
     from cubicrep.detrep import _rank_profile
 
-    return [(_rank_profile(m.spec, m.idx), _full_rank_profile(m)) for m in reps]
+    return [(_rank_profile(m), _full_rank_profile(m)) for m in reps]
 
 
 def _assert_profiles_decide_alike(p1, p2):
@@ -1140,7 +1128,7 @@ def _decide(m1, m2):
         w = equivalent(m1, m2)
     except BudgetExceeded:
         w = "BudgetExceeded"
-    return [repr(_rank_profile(m.spec, m.idx)) for m in (m1, m2)] + [repr(w)]
+    return [repr(_rank_profile(m)) for m in (m1, m2)] + [repr(w)]
 
 
 def _digest_lines():
@@ -1193,9 +1181,9 @@ def test_rank_profile_matches_the_per_zero_formula(census_reps):
         spec = mk_field(p, m)
         reps += [rep for pair in _seeded_pairs(spec, 5000 + spec.q, count) for rep in pair]
     reps += [_vanishing_diag(), *_vanishing_pair()]
-    assert any(1 in _rank_profile(rep.spec, rep.idx) for rep in reps)
+    assert any(1 in _rank_profile(rep) for rep in reps)
     for rep in reps:
-        assert _rank_profile(rep.spec, rep.idx) == object_reference.rank_profile(rep), rep
+        assert _rank_profile(rep) == object_reference.rank_profile(rep), rep
 
 
 _TRANSFORM_FIELDS = tuple(mk_field(p, m) for p, m in
@@ -1293,18 +1281,68 @@ def test_equivalence_past_the_table_cap():
 # -- representations identified by their entry indices ----------------------
 
 
-def test_lazy_and_constructed_reps_share_identity_and_cache():
-    # F_101 takes the array path of all_reps, which fills the same cache
+def test_lazy_and_constructed_reps_share_identity_and_determinant():
+    # F_101 takes the array path of all_reps; the reps of the object
+    # reference come from the public constructor and carry no determinant
     for spec in (F5, mk_field(2, 3), mk_field(13, 1), mk_field(101, 1)):
         F = _random_smooth_curves(spec, random.Random(7300 + spec.q), 1)[0]
-        for (_, lazy, _), (_, built, _) in zip(all_reps(F), object_reference.all_reps(F)):
+        sf = _tables.scalar_field(spec)
+        for (_, lazy, lam), (_, built, _) in zip(all_reps(F), object_reference.all_reps(F)):
             assert lazy == built and hash(lazy) == hash(built)
-            before = _det_idx.cache_info()
+            # all_reps keeps the determinant it checked, lam * F
+            assert lazy._det == tuple(sf.mul[sf.encode(lam)][c] for c in F.idx)
+            assert built._det is None
             assert det_cubic(lazy) == det_cubic(built)
-            after = _det_idx.cache_info()
-            # all_reps computed this determinant; both reps read that entry
-            assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
             assert lazy.coefficient_matrices() == built.coefficient_matrices()
+
+
+@pytest.mark.parametrize("p, m, count, on_arrays", [
+    (2, 1, 6, False), (2, 2, 6, False), (7, 1, 6, False), (31, 1, 3, False),
+    (2, 6, 2, False), (101, 1, 3, True), (257, 1, 2, True), (2, 9, 1, False),
+])
+def test_all_reps_keep_the_determinant_they_checked(p, m, count, on_arrays):
+    # the determinant a rep of all_reps carries is the one a fresh cofactor
+    # expansion gives, and is_ldr_of reads lam off it: on the tables (F_2,
+    # F_4, F_7, F_31, F_64), on the arrays (F_101, and F_257 past
+    # MAX_TABLE_Q) and on an extension field past the cap (F_512).  About
+    # 0.5 s in all, most of it the F_512 curve
+    spec = mk_field(p, m)
+    sf = _tables.scalar_field(spec)
+    assert sf.on_arrays == on_arrays
+    checked = 0
+    for F in _random_smooth_curves(spec, random.Random(7600 + spec.q), count):
+        for _, rep, lam in all_reps(F):
+            assert rep._det == tuple(_tables.det_cubic_idx(rep.idx, sf))
+            assert is_ldr_of(rep, F) == lam
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (7, 1), (3, 2), (101, 1), (257, 1)])
+def test_cubics_keep_their_index_form(p, m):
+    # every way of making a cubic leaves F.idx equal to the encoding of
+    # F.coeffs: the constructor, from_dict, scaled, and the index paths of
+    # act, normalize and det_cubic.  Under 0.5 s in all
+    from cubicrep.plane import act
+
+    spec = mk_field(p, m)
+    sf = _tables.scalar_field(spec)
+    rng = random.Random(7700 + spec.q)
+    el = sf.elems
+
+    def encoded(F):
+        return F.idx == tuple(sf.encode_all(F.coeffs))
+
+    for F in _random_smooth_curves(spec, rng, 3):
+        assert encoded(F)
+        assert encoded(TernaryCubic.from_dict(spec, F.nonzero_dict()))
+        assert encoded(F.scaled(el[rng.randrange(1, spec.q)]))
+        assert encoded(act(_random_transform(spec, rng), F))
+        T, Fn = normalize(F, rational_points(F)[0])
+        assert encoded(Fn)
+        for _, rep, _ in all_reps(F):
+            assert encoded(det_cubic(rep))
+            assert encoded(det_cubic(transform_rep(T, rep, T)))
 
 
 def test_equal_indices_over_different_fields_are_different_reps():
