@@ -3,9 +3,11 @@ per-curve kernels of prime fields on int64 arrays.
 
 Field elements are encoded as their position in the field's canonical
 enumeration.  For the census sweeps all arithmetic goes through uint8
-arrays, copied once per field from the list tables of _tables.ScalarField
-(q <= _tables.MAX_TABLE_Q) by _arrays, so the same code drives prime and
-extension fields.  This is the only module that builds or reads them.  The
+arrays, copied once per field by _arrays from the four tables of
+_tables.ScalarField, add, mul, neg and inv (q <= _tables.MAX_TABLE_Q), so
+the same code drives prime and extension fields: a difference is an ADD of
+a NEG, and the multipliers of the derivative plan are MUL rows.  This is
+the only module that builds or reads them.  The
 group kernels, pgl3_cubic_action and orbit_of, gather two-operand sums and
 products from the flattened tables as flat[a * q + b], on uint16 indices,
 and keep the images of each basis monomial under the whole group in one
@@ -33,11 +35,10 @@ from .gf import FieldSpec
 
 @lru_cache(maxsize=None)
 def _arrays(spec: FieldSpec):
-    """ADD, SUB, MUL, INV, INTMUL: the tables add, sub, mul, inv and int_mul
-    of _tables.ScalarField as uint8 arrays."""
+    """ADD, MUL, NEG, INV: the four tables add, mul, neg and inv of
+    _tables.ScalarField as uint8 arrays."""
     sf = scalar_field(spec)
-    return tuple(np.array(t, dtype=np.uint8)
-                 for t in (sf.add, sf.sub, sf.mul, sf.inv, sf.int_mul))
+    return tuple(np.array(t, dtype=np.uint8) for t in (sf.add, sf.mul, sf.neg, sf.inv))
 
 
 # ---------------------------------------------------------------------------
@@ -45,21 +46,21 @@ def _arrays(spec: FieldSpec):
 
 
 def det3(spec: FieldSpec, m):
-    ADD, SUB, MUL = _arrays(spec)[:3]
+    ADD, MUL, NEG = _arrays(spec)[:3]
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
     d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
     g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
-    t1 = MUL[a, SUB[MUL[e, i], MUL[f, h]]]
-    t2 = MUL[b, SUB[MUL[d, i], MUL[f, g]]]
-    t3 = MUL[c, SUB[MUL[d, h], MUL[e, g]]]
-    return ADD[SUB[t1, t2], t3]
+    t1 = MUL[a, ADD[MUL[e, i], MUL[NEG[f], h]]]
+    t2 = MUL[b, ADD[MUL[f, g], MUL[NEG[d], i]]]
+    t3 = MUL[c, ADD[MUL[d, h], MUL[NEG[e], g]]]
+    return ADD[ADD[t1, t2], t3]
 
 
 @lru_cache(maxsize=None)
 def _plane_arrays(spec: FieldSpec):
     """Cubic and quadratic monomial values at every point of P^2, one row per
     point in enumeration order; q^2 rows, so only for the census fields."""
-    MUL, pt = _arrays(spec)[2], plane_tables(spec)
+    MUL, pt = _arrays(spec)[1], plane_tables(spec)
     coords = np.array([pt.point(i) for i in range(pt.n_points)], dtype=np.uint8)
 
     def monomials(exponents):
@@ -92,12 +93,6 @@ def _lead_with_one(q: int, n: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def forms_up_to_scalar(spec: FieldSpec) -> np.ndarray:
-    """All nonzero cubic coefficient vectors with first nonzero entry 1,
-    as (N, 10) element-index rows in ascending lexicographic order."""
-    return _lead_with_one(spec.q, 10)
-
-
 def normal_forms(spec: FieldSpec) -> np.ndarray:
     """The cubic coefficient rows with a000 = a001 = 0 and a002 = 1, as
     (q^7, 10) element-index rows in ascending lexicographic order: the forms
@@ -111,7 +106,7 @@ def normal_forms(spec: FieldSpec) -> np.ndarray:
 
 def _fold_values(spec, A, table):
     """sum_k A[:, k] * table[:, k] over points: returns (n_forms, n_points)."""
-    ADD, _, MUL = _arrays(spec)[:3]
+    ADD, MUL = _arrays(spec)[:2]
     add = ADD.ravel().astype(np.intp)
     acc = np.zeros((A.shape[0], table.shape[0]), dtype=np.intp)
     for k in range(A.shape[1]):
@@ -132,15 +127,15 @@ def smooth_mask(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
     has neither 0 nor 2q+2 rational points and none of them is singular;
     the docstring there gives the case analysis that makes this complete.
     """
-    INTMUL = _arrays(spec)[4]
+    MUL = _arrays(spec)[1]
     cubic_mono, quad_mono = _plane_arrays(spec)
     on_curve = _fold_values(spec, A, cubic_mono) == 0
     n_points = on_curve.sum(axis=1)
 
     sing = on_curve.copy()
-    for plan in _forms.DERIVATIVE_PLAN:
-        cpos, qpos, mult = (list(col) for col in zip(*plan))
-        sing &= _fold_values(spec, INTMUL[mult, A[:, cpos]], quad_mono[:, qpos]) == 0
+    for terms in plane_tables(spec).plan:
+        cpos, qpos, mult = (list(col) for col in zip(*terms))
+        sing &= _fold_values(spec, MUL[mult, A[:, cpos]], quad_mono[:, qpos]) == 0
     has_singular = sing.any(axis=1)
     return (n_points != 0) & (n_points != 2 * spec.q + 2) & ~has_singular
 
@@ -163,7 +158,7 @@ def pgl3_cubic_action(spec: FieldSpec) -> np.ndarray:
     act(T_g, basis monomial m), so the images of one input monomial are one
     contiguous (G, 10) block.  The image of X_i X_j is built once per pair
     i <= j and shared by every monomial X_i X_j X_k."""
-    ADD, _, MUL = _arrays(spec)[:3]
+    ADD, MUL = _arrays(spec)[:2]
     add, mul, w = ADD.ravel(), MUL.ravel(), np.uint16(spec.q)
     group = pgl3_array(spec)
     G = group.shape[0]
@@ -177,12 +172,10 @@ def pgl3_cubic_action(spec: FieldSpec) -> np.ndarray:
                     pos = _forms.QUAD_POS2[a][b]
                     quad[pos] = add[quad[pos] * w + mul[col[i][a] * w + col[j][b]]]
     cube = np.empty((10, G, 10), dtype=np.uint8)
-    for in_pos, idx in enumerate(_forms.CUBIC_INDICES):
-        i, j, k = (int(ch) for ch in idx)
+    for in_pos, (i, j, k) in enumerate(_forms.CUBIC_VARS):
         quad = quads[i, j]
         out = np.zeros((10, G), dtype=np.uint8)
-        for qpos, qidx in enumerate(_forms.QUAD_INDICES):
-            a, b = int(qidx[0]), int(qidx[1])
+        for qpos, (a, b) in enumerate(_forms.QUAD_VARS):
             for c in range(3):
                 pos = _forms.CUBIC_POS3[a][b][c]
                 out[pos] = add[out[pos] * w + mul[quad[qpos] * w + col[k][c]]]
@@ -192,7 +185,7 @@ def pgl3_cubic_action(spec: FieldSpec) -> np.ndarray:
 
 def orbit_of(spec: FieldSpec, form_row: np.ndarray) -> np.ndarray:
     """Encodings of the full projective-group orbit of one coefficient row."""
-    ADD, _, MUL, INV, _ = _arrays(spec)
+    ADD, MUL, _, INV = _arrays(spec)
     add, mul, w = ADD.ravel(), MUL.ravel(), np.uint16(spec.q)
     cube = pgl3_cubic_action(spec)
     images = np.zeros(cube.shape[1:], dtype=np.uint8)
@@ -233,9 +226,9 @@ def decode_form(q: int, enc: int) -> list[int]:
 #: cells of the zero scan's grid evaluated at once, whatever p is
 _GRID_CELLS = 1 << 16
 
-#: the variables of each cubic and each quadratic monomial, as index rows
-_CUBIC_VARS = np.array([[int(v) for v in idx] for idx in _forms.CUBIC_INDICES])
-_QUAD_VARS = np.array([[int(v) for v in idx] for idx in _forms.QUAD_INDICES])
+#: the variables of each cubic and each quadratic monomial, as array rows
+_CUBIC_VARS = np.array(_forms.CUBIC_VARS)
+_QUAD_VARS = np.array(_forms.QUAD_VARS)
 
 
 def _fold(n_in: int, n_out: int, positions) -> np.ndarray:
@@ -249,8 +242,8 @@ def _fold(n_in: int, n_out: int, positions) -> np.ndarray:
 #: of its quadratic monomial; _FOLD3 the product of quadratic monomial k and
 #: X_c, at 3k + c, into that of its cubic monomial
 _FOLD2 = _fold(9, 6, [_forms.QUAD_POS2[a][b] for a in range(3) for b in range(3)])
-_FOLD3 = _fold(18, 10, [_forms.CUBIC_POS3[int(ab[0])][int(ab[1])][c]
-                        for ab in _forms.QUAD_INDICES for c in range(3)])
+_FOLD3 = _fold(18, 10, [_forms.CUBIC_POS3[a][b][c]
+                        for a, b in _forms.QUAD_VARS for c in range(3)])
 
 
 def _coords(p: int, idx: np.ndarray) -> np.ndarray:

@@ -7,6 +7,10 @@ a quadratic is a 6-vector over QUAD_INDICES.
 CUBIC_INDICES = ("000", "001", "002", "011", "012", "022", "111", "112", "122", "222")
 QUAD_INDICES = ("00", "01", "02", "11", "12", "22")
 
+#: the variables of each monomial as ints, (0, 1, 1) for "011"
+CUBIC_VARS = tuple(tuple(map(int, idx)) for idx in CUBIC_INDICES)
+QUAD_VARS = tuple(tuple(map(int, idx)) for idx in QUAD_INDICES)
+
 CUBIC_EXPONENTS = tuple(
     tuple(idx.count(str(v)) for v in range(3)) for idx in CUBIC_INDICES
 )

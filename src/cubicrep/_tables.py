@@ -1,29 +1,34 @@
 """Index arithmetic and plane geometry over one finite field.
 
 Field elements are referred to by their position in the canonical
-enumeration of gf, so 0 and 1 keep their values.  ScalarField derives all
-arithmetic from rules of size O(q): negation and inverse lists, the
-log/antilog pair of a fixed primitive element for multiplication, and
-addition by integers mod p (prime fields), XOR (q = 2^m) or Zech logarithms
-(other extension fields).  The tables add, sub and mul are lists of q rows
-on every field, read as add[a][b].  For q <= MAX_TABLE_Q a row is a list;
-past that it is a _Row that computes its entries on subscript, so memory
-stays O(q) up to the field size cap of 2^14.  The batched kernels of _bulk
-copy the lists into uint8 arrays of their own.
+enumeration of gf, so 0 and 1 keep their values, and the integer k has
+index k mod p in every F_{p^m}.  ScalarField holds four tables, the four
+operations the construction and the equivalence test need: add and mul,
+lists of q rows on every field read as add[a][b], and the lists neg and
+inv.  A difference a - b is add[a][neg[b]], and k times a is
+mul[k % p][a].  The tables derive from rules of size O(q): the log/antilog
+pair of a fixed primitive element for multiplication, and addition by
+integers mod p (prime fields), XOR (q = 2^m) or Zech logarithms (other
+extension fields).  For q <= MAX_TABLE_Q a row is a list; past that it is
+a _Row that computes its entries on subscript, so memory stays O(q) up to
+the field size cap of 2^14.  The batched kernels of _bulk copy the lists
+into uint8 arrays of their own.
 
 PlaneTables enumerates P^2 in the public order and finds the zeros of a
 cubic line by line through [0:0:1], together with its singular zeros, where
 the gradient vanishes too: one cached entry per form up to scalars, the
 singular zeros filled by one pass over the zeros that stops at the first
-nonzero partial of each.  On a prime field from ARRAY_Q up, where element
-indices are the integers mod p and int64 arrays need no tables, the scan
-is _bulk.prime_zero_sets instead, and detrep.all_reps builds on arrays too;
-ScalarField.on_arrays is the one predicate both read.  This module does not
-import numpy.  Below ARRAY_Q and on extension fields the tables are the only
-path, and on every field they are the tests' reference for the arrays.  The
-kernels below it cover the rest of the per-curve work: kernels by row reduction,
-ranks, determinants, products and inverses of small index matrices, and
-two straight-line products of forms on pre-fetched mul rows, minor_idx
+nonzero partial of each.  Its plan is the derivative plan of _forms on
+this field, read by the gradient, by that pass and by _bulk.smooth_mask.
+On a prime field from ARRAY_Q up, where element indices are the integers
+mod p and int64 arrays need no tables, the scan is _bulk.prime_zero_sets
+instead, and detrep.all_reps builds on arrays too; ScalarField.on_arrays is
+the one predicate both read.  This module does not import numpy.  Below
+ARRAY_Q and on extension fields the tables are the only path, and on every
+field they are the tests' reference for the arrays.  The kernels below it
+cover the rest of the per-curve work: kernels by row reduction, which also
+give ranks, determinants, products and inverses of small index matrices,
+and two straight-line products of forms on pre-fetched mul rows, minor_idx
 (u*v - s*t for linear forms) and quad_lin_idx (quadratic by linear),
 behind both the symbolic determinant, expanded by cofactors along row 0,
 and the substitution of coordinates into a cubic.
@@ -129,15 +134,8 @@ class ScalarField:
                 z = zech[log[b] - log[a]]  # a negative difference wraps around
                 return exp[log[a] + z] if z >= 0 else 0
 
-        neg = self.neg
-
-        def sub(a, b):
-            return add(a, neg[b])
-
-        self.int_mul = [[mul(k % p, a) for a in range(q)] for k in range(4)]
         row = _Row if q > MAX_TABLE_Q else lambda op, a: [op(a, b) for b in range(q)]
-        self.add, self.sub, self.mul = ([row(op, a) for a in range(q)]
-                                        for op in (add, sub, mul))
+        self.add, self.mul = ([row(op, a) for a in range(q)] for op in (add, mul))
 
     def encode(self, element) -> int:
         return self.index[element.coeffs]
@@ -167,6 +165,12 @@ class PlaneTables:
     def __init__(self, sf: ScalarField):
         self.sf = sf
         self.n_points = sf.q * sf.q + sf.q + 1
+        # the integer k has index k mod p, so each multiplier k of the
+        # derivative plan is the row mul[k % p]; the terms with k = 0 mod p
+        # vanish and are dropped
+        p = sf.spec.p
+        self.plan = tuple(tuple((cpos, qpos, k % p) for cpos, qpos, k in terms if k % p)
+                          for terms in _forms.DERIVATIVE_PLAN)
         # one cache per field; an entry holds about q point indices
         self._zero_sets = lru_cache(maxsize=1 << 10)(self._scan_zero_sets)
 
@@ -195,17 +199,16 @@ class PlaneTables:
 
     def gradient(self, coeff_idx, coords) -> list[int]:
         """(dF/dX, dF/dY, dF/dZ) value indices at one point."""
-        sf = self.sf
-        add, mul, int_mul = sf.add, sf.mul, sf.int_mul
+        add, mul = self.sf.add, self.sf.mul
         x, y, z = coords
         quad = (mul[x][x], mul[x][y], mul[x][z], mul[y][y], mul[y][z], mul[z][z])
         out = []
-        for plan in _forms.DERIVATIVE_PLAN:
+        for terms in self.plan:
             acc = 0
-            for cpos, qpos, k in plan:
-                c = int_mul[k][coeff_idx[cpos]]
+            for cpos, qpos, k in terms:
+                c = coeff_idx[cpos]
                 if c:
-                    acc = add[acc][mul[c][quad[qpos]]]
+                    acc = add[acc][mul[mul[k][c]][quad[qpos]]]
             out.append(acc)
         return out
 
@@ -246,9 +249,9 @@ class PlaneTables:
             from . import _bulk  # _bulk imports this module
             return _bulk.prime_zero_sets(self.sf.q, key)
         zeros = self._scan_zeros(key)
-        add, mul, int_mul = self.sf.add, self.sf.mul, self.sf.int_mul
-        partials = [[(mul[int_mul[k][key[cpos]]], qpos) for cpos, qpos, k in plan
-                     if int_mul[k][key[cpos]]] for plan in _forms.DERIVATIVE_PLAN]
+        add, mul = self.sf.add, self.sf.mul
+        partials = [[(mul[mul[k][key[cpos]]], qpos) for cpos, qpos, k in terms if key[cpos]]
+                    for terms in self.plan]
         singular = []
         for i in zeros:
             x, y, z = self.point(i)
@@ -316,7 +319,7 @@ def right_kernel_idx(rows, sf: ScalarField):
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    add, sub, mul, inv, neg = sf.add, sf.sub, sf.mul, sf.inv, sf.neg
+    add, mul, inv, neg = sf.add, sf.mul, sf.inv, sf.neg
     pivots = []
     r = 0
     for c in range(ncols):
@@ -332,8 +335,8 @@ def right_kernel_idx(rows, sf: ScalarField):
         for i in range(r + 1, nrows):
             mi = m[i]
             if mi[c]:
-                mg = mul[mi[c]]
-                mi[c + 1:] = [sub[x][mg[y]] for x, y in zip(mi[c + 1:], tail)]
+                mg = mul[neg[mi[c]]]
+                mi[c + 1:] = [add[x][mg[y]] for x, y in zip(mi[c + 1:], tail)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -356,44 +359,26 @@ def right_kernel_idx(rows, sf: ScalarField):
 
 
 def det3_idx(m, sf: ScalarField) -> int:
-    mul, sub, add = sf.mul, sf.sub, sf.add
+    add, mul, neg = sf.add, sf.mul, sf.neg
     a, b, c = m[0]
     d, e, f = m[1]
     g, h, i = m[2]
-    t1 = mul[a][sub[mul[e][i]][mul[f][h]]]
-    t2 = mul[b][sub[mul[d][i]][mul[f][g]]]
-    t3 = mul[c][sub[mul[d][h]][mul[e][g]]]
-    return add[sub[t1][t2]][t3]
-
-
-def rank3_idx(m, sf: ScalarField) -> int:
-    if det3_idx(m, sf):
-        return 3
-    mul, sub = sf.mul, sf.sub
-    for i0 in range(3):
-        for i1 in range(i0 + 1, 3):
-            for j0 in range(3):
-                for j1 in range(j0 + 1, 3):
-                    if sub[mul[m[i0][j0]][m[i1][j1]]][mul[m[i0][j1]][m[i1][j0]]]:
-                        return 2
-    return 1 if any(any(row) for row in m) else 0
-
-
-#: (i, j) of each quadratic monomial X_i X_j and (i, j, k) of each cubic one
-_QUAD_IJ = tuple((int(idx[0]), int(idx[1])) for idx in _forms.QUAD_INDICES)
-_CUBIC_IJK = tuple(tuple(int(ch) for ch in idx) for idx in _forms.CUBIC_INDICES)
+    t1 = mul[a][add[mul[e][i]][mul[neg[f]][h]]]
+    t2 = mul[b][add[mul[f][g]][mul[neg[d]][i]]]
+    t3 = mul[c][add[mul[d][h]][mul[neg[e]][g]]]
+    return add[add[t1][t2]][t3]
 
 
 def minor_idx(u, v, s, t, sf: ScalarField):
     """The 6 coefficient indices of the quadratic u*v - s*t, for linear forms
     given as coefficient index triples."""
-    add, sub, mul = sf.add, sf.sub, sf.mul
+    add, mul, neg = sf.add, sf.mul, sf.neg
     u0, u1, u2 = mul[u[0]], mul[u[1]], mul[u[2]]
-    s0, s1, s2 = mul[s[0]], mul[s[1]], mul[s[2]]
+    s0, s1, s2 = mul[neg[s[0]]], mul[neg[s[1]]], mul[neg[s[2]]]  # rows of -s
     (v0, v1, v2), (t0, t1, t2) = v, t
-    return (sub[u0[v0]][s0[t0]], sub[add[u0[v1]][u1[v0]]][add[s0[t1]][s1[t0]]],
-            sub[add[u0[v2]][u2[v0]]][add[s0[t2]][s2[t0]]], sub[u1[v1]][s1[t1]],
-            sub[add[u1[v2]][u2[v1]]][add[s1[t2]][s2[t1]]], sub[u2[v2]][s2[t2]])
+    return (add[u0[v0]][s0[t0]], add[add[u0[v1]][u1[v0]]][add[s0[t1]][s1[t0]]],
+            add[add[u0[v2]][u2[v0]]][add[s0[t2]][s2[t0]]], add[u1[v1]][s1[t1]],
+            add[add[u1[v2]][u2[v1]]][add[s1[t2]][s2[t1]]], add[u2[v2]][s2[t2]])
 
 
 def quad_lin_idx(quad, w, sf: ScalarField):
@@ -432,9 +417,9 @@ def act_idx(t, f, sf: ScalarField):
     (t_i t_j) t_k, with t_i t_j from minor_idx and a zero second product."""
     add, mul = sf.add, sf.mul
     zero = (0, 0, 0)
-    quads = [minor_idx(t[i], t[j], zero, zero, sf) for i, j in _QUAD_IJ]
+    quads = [minor_idx(t[i], t[j], zero, zero, sf) for i, j in _forms.QUAD_VARS]
     acc = [0] * 10
-    for c, (i, j, k) in zip(f, _CUBIC_IJK):
+    for c, (i, j, k) in zip(f, _forms.CUBIC_VARS):
         mc = mul[c]
         term = quad_lin_idx(quads[_forms.QUAD_POS2[i][j]], [mc[x] for x in t[k]], sf)
         acc = [add[x][y] for x, y in zip(acc, term)]
@@ -451,12 +436,13 @@ def matmul3_idx(a, b, sf: ScalarField):
 
 def inv3_idx(m, sf: ScalarField):
     """Inverse of an invertible 3x3 index matrix, by the adjugate."""
-    mul, sub = sf.mul, sf.sub
+    add, mul, neg = sf.add, sf.mul, sf.neg
     a, b, c = m[0]
     d, e, f = m[1]
     g, h, i = m[2]
-    adj = ((sub[mul[e][i]][mul[f][h]], sub[mul[c][h]][mul[b][i]], sub[mul[b][f]][mul[c][e]]),
-           (sub[mul[f][g]][mul[d][i]], sub[mul[a][i]][mul[c][g]], sub[mul[c][d]][mul[a][f]]),
-           (sub[mul[d][h]][mul[e][g]], sub[mul[b][g]][mul[a][h]], sub[mul[a][e]][mul[b][d]]))
+    na, nb, nc, nd, ne, nf = neg[a], neg[b], neg[c], neg[d], neg[e], neg[f]
+    adj = ((add[mul[e][i]][mul[nf][h]], add[mul[c][h]][mul[nb][i]], add[mul[b][f]][mul[nc][e]]),
+           (add[mul[f][g]][mul[nd][i]], add[mul[a][i]][mul[nc][g]], add[mul[c][d]][mul[na][f]]),
+           (add[mul[d][h]][mul[ne][g]], add[mul[b][g]][mul[na][h]], add[mul[a][e]][mul[nb][d]]))
     s = mul[sf.inv[det3_idx(m, sf)]]
     return [[s[x] for x in row] for row in adj]

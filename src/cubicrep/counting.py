@@ -75,17 +75,15 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     prime power."""
     if q < 2:
         raise NotPrimePower(f"q = {q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                m += 1
-            if r != 1:
-                raise NotPrimePower(f"q = {q} is not a prime power")
-            return p, m
-    raise NotPrimePower(f"q = {q} is not a prime power")
+    # a q with no divisor up to its square root is prime
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    m, r = 0, q
+    while r % p == 0:
+        r //= p
+        m += 1
+    if r != 1:
+        raise NotPrimePower(f"q = {q} is not a prime power")
+    return p, m
 
 
 def kronecker_symbol(a: int, n: int) -> int:

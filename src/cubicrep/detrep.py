@@ -21,24 +21,23 @@ point's representation there and pulls it back.  On every field that whole
 construction runs on the element indices of _tables, with the points read
 from PlaneTables.zeros, and only the returned points and scalars are field
 element objects; mp_case1 and mp_case2 encode their input and call the
-same index formula, _mp_idx.  The pullback maps each entry by one
-expression on the mul rows of the inverse coordinate change, read once per
-curve, over the nonzero slots of the entry only: a point off the tangent
-line (case 1) has a fixed zero pattern, and row 0 of every normal-form
-matrix, (0, Z, -Y), is pulled back once per curve.  Every representation is
-checked twice.  _mp_idx checks det(rep_n) = lam_n * Fn in normal form, for
-case 1 on _det_case1_idx, which expands det(rep_n) = Z (f g - d i) - Y d h
-on the nonzero slots, and for the one case-2 point per curve on the
-cofactor kernel _tables.det_cubic_idx.  all_reps checks det(rep) = lam * F
-after the pullback on det_cubic_idx, so the two checks of a case-1
-representation run on independent kernels, and the representation keeps
-that determinant.  On prime fields from _tables.ARRAY_Q up,
-_bulk.case1_reps builds every case-1 representation of a curve at once on
-int64 arrays, with the same three checks in the same order and on the same
-two independent expansions: the normal-form one on the nonzero slots, as
-_det_case1_idx, and the pullback one along row 0 with full 2x2 minors, as
-det_cubic_idx.  Each representation keeps the determinant case1_reps
-checked, and the case-2 point stays on _mp_idx.
+same index formula, _mp_idx.  The pullback maps each entry by one product
+with the inverse coordinate change, on its mul rows, read once per curve,
+as _bulk.case1_reps pulls a whole matrix back by one matrix product; row 0
+of every normal-form matrix, (0, Z, -Y), is pulled back once per curve.
+Every representation is checked twice.  _mp_idx checks det(rep_n) =
+lam_n * Fn in normal form, for case 1 on _det_case1_idx, which expands
+det(rep_n) = Z (f g - d i) - Y d h on the nonzero slots, and for the one
+case-2 point per curve on the cofactor kernel _tables.det_cubic_idx.
+all_reps checks det(rep) = lam * F after the pullback on det_cubic_idx, so
+the two checks of a case-1 representation run on independent kernels, and
+the representation keeps that determinant.  On prime fields from
+_tables.ARRAY_Q up, _bulk.case1_reps builds every case-1 representation of
+a curve at once on int64 arrays, with the same three checks in the same
+order and on the same two independent expansions: the normal-form one on
+the nonzero slots, as _det_case1_idx, and the pullback one along row 0 with
+full 2x2 minors, as det_cubic_idx.  Each representation keeps the
+determinant case1_reps checked, and the case-2 point stays on _mp_idx.
 symmetrize runs on _sweep, the sweep of equivalent, and it and the
 completion of a candidate B into a witness run on indices as well.
 EquivalenceWitness.verify and transform_rep run on the coefficient tuples
@@ -394,7 +393,7 @@ def _mp_idx(f, s, t, u, sf):
     (u = 0) det = a011 * Fn, checked on _tables.det_cubic_idx; BrokenInvariant
     is raised when the identity fails.
     """
-    add, sub, mul, neg = sf.add, sf.sub, sf.mul, sf.neg
+    add, mul, neg = sf.add, sf.mul, sf.neg
     a011, a012, a022, a111, a112, a122, a222 = f[3:]
     row0 = ((0, 0, 0), (0, 0, 1), (0, neg[1], 0))
     if u:
@@ -410,8 +409,9 @@ def _mp_idx(f, s, t, u, sf):
         if not a011:
             raise BrokenInvariant("a011 = 0 cannot happen for a curve point with u = 0")
         row1 = ((0, 0, 1), (0, a011, 0), (1, a012, a022))
-        lt1 = (a111, sub[mul[a012][a111]][mul[a011][a112]], 0)
-        lt2 = (0, sub[mul[a022][a111]][mul[a011][a122]], neg[mul[a011][a222]])
+        minus = mul[neg[a011]]
+        lt1 = (a111, add[mul[a012][a111]][minus[a112]], 0)
+        lt2 = (0, add[mul[a022][a111]][minus[a122]], minus[a222])
         row2 = ((a011, a111, 0), lt1, lt2)
         det, lam, identity = _tables.det_cubic_idx, a011, "det = a011 * F"
     m_idx = (row0, row1, row2)
@@ -428,12 +428,13 @@ def _det_case1_idx(m_idx, sf):
     entries (1, 0), (1, 2) and g, h, i = row 2, det = Z (f g - d i) - Y d h;
     the X slot of d and the Y slots of f, g and i are zero too.
     """
-    add, sub, mul, neg = sf.add, sf.sub, sf.mul, sf.neg
+    add, mul, neg = sf.add, sf.mul, sf.neg
     _, ((_, d1, d2), _, (f0, _, f2)), ((g0, _, g2), (h0, h1, h2), (i0, _, i2)) = m_idx
-    md1, md2, mf0, mf2 = mul[d1], mul[d2], mul[f0], mul[f2]
-    return [0, 0, mf0[g0], neg[md1[h0]], neg[add[md1[i0]][md2[h0]]],
-            sub[add[mf0[g2]][mf2[g0]]][md2[i0]], neg[md1[h1]],
-            neg[add[md1[h2]][md2[h1]]], neg[add[md1[i2]][md2[h2]]], sub[mf2[g2]][md2[i2]]]
+    # d enters every term negated, so its rows are those of -d
+    md1, md2, mf0, mf2 = mul[neg[d1]], mul[neg[d2]], mul[f0], mul[f2]
+    return [0, 0, mf0[g0], md1[h0], add[md1[i0]][md2[h0]],
+            add[add[mf0[g2]][mf2[g0]]][md2[i0]], md1[h1],
+            add[md1[h2]][md2[h1]], add[md1[i2]][md2[h2]], add[mf2[g2]][md2[i2]]]
 
 
 def _rep_from_idx(spec, m_idx, det=None) -> LinearMatrixRep:
@@ -454,7 +455,8 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
 
     F is moved to the normal form Fn of plane.normalize(F, p0) once; each point is
     mapped there, checked to lie on Fn, given its representation by _mp_idx
-    and pulled back, a case-1 entry on its nonzero slots only.  Both
+    and pulled back, each entry by one product with the inverse coordinate
+    change.  Both
     identities, det(rep_n) = lam_n * Fn (in _mp_idx) and det(rep) = lam * F,
     are checked for every representation (BrokenInvariant when one fails),
     the second on _tables.det_cubic_idx, and each representation keeps the
@@ -494,18 +496,8 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
                 add[add[r01[e0]][r11[e1]]][r21[e2]],
                 add[add[r02[e0]][r12[e1]]][r22[e2]])
 
-    # the case-1 entries with a zero X slot or a zero Y slot (see _det_case1_idx)
-    def pull_yz(entry):
-        _, e1, e2 = entry
-        return (add[r10[e1]][r20[e2]], add[r11[e1]][r21[e2]], add[r12[e1]][r22[e2]])
-
-    def pull_xz(entry):
-        e0, _, e2 = entry
-        return (add[r00[e0]][r20[e2]], add[r01[e0]][r21[e2]], add[r02[e0]][r22[e2]])
-
     # row 0 of every normal-form matrix is (0, Z, -Y): pulled back once per curve
     row0 = tuple(map(pull, ((0, 0, 0), (0, 0, 1), (0, sf.neg[1], 0))))
-    zero = (0, 0, 0)
 
     def on_tables(i):
         # Pn = t_inv * P in canonical scaling, which must lie on Fn
@@ -515,13 +507,8 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
         pn = [scale[c] for c in v]
         if pt.value(fn, pn):
             raise _failed_check(1, spec, pn)
-        m_n = _mp_idx(fn, *pn, sf)
-        if pn[2]:
-            (m10, _, m12), (m20, m21, m22) = m_n[1:]
-            m_idx = (row0, (pull_yz(m10), zero, pull_xz(m12)),
-                     (pull_xz(m20), pull(m21), pull_xz(m22)))
-        else:
-            m_idx = (row0, tuple(map(pull, m_n[1])), tuple(map(pull, m_n[2])))
+        _, row1, row2 = _mp_idx(fn, *pn, sf)
+        m_idx = (row0, tuple(map(pull, row1)), tuple(map(pull, row2)))
         d = tuple(_tables.det_cubic_idx(m_idx, sf))
         lam = _ratio_idx(d, f, sf)
         if not lam:
@@ -580,7 +567,8 @@ def _rank_profile(rep: LinearMatrixRep):
     By Jacobi's formula dD/dX_k = sum_ij cof_ij(M) (M_k)_ij for D = det M,
     so where rank M(P) <= 1, every cofactor and with them the gradient of D
     vanish at P.  The rank is therefore 2 at every smooth zero of D and is
-    computed only at the singular ones, none for a smooth curve.
+    computed only at the singular ones, none for a smooth curve, as 3 minus
+    the dimension of the kernel of M(P).
     """
     pt = _tables.plane_tables(rep.spec)
     sf = pt.sf
@@ -588,7 +576,8 @@ def _rank_profile(rep: LinearMatrixRep):
     if not singular:
         return (2,) * len(zeros)
     singular = set(singular)
-    return tuple(_tables.rank3_idx(_matrix_at_point(rep.idx, pt.point(i), sf), sf)
+    kernel = _tables.right_kernel_idx
+    return tuple(3 - len(kernel(_matrix_at_point(rep.idx, pt.point(i), sf), sf))
                  if i in singular else 2 for i in zeros)
 
 
@@ -675,7 +664,7 @@ def _kernel_certificate(m1, m2):
     """
     k1, k2 = _kernel_data(m1), _kernel_data(m2)
     sf = _tables.scalar_field(m1.spec)
-    add, sub, neg = sf.add, sf.sub, sf.neg
+    add, neg = sf.add, sf.neg
     rows = []
     if k1 is None or k2 is None:
         for v in range(3):
@@ -690,13 +679,14 @@ def _kernel_certificate(m1, m2):
         return _sweep(_tables.right_kernel_idx(rows, sf), sf,
                       lambda vec: _witness_from_cb(m1, m2, vec, sf))
     for n, k in zip(k1[0], k2[0]):
-        # entry (i, j) of B K - N B: sum_l B[i][l] K[l][j] - N[i][l] B[l][j]
+        n = [[neg[x] for x in row] for row in n]
+        # entry (i, j) of B K - N B: sum_l B[i][l] K[l][j] + (-N)[i][l] B[l][j]
         for i in range(3):
             for j in range(3):
                 row = [0] * 9
                 for l in range(3):
                     row[3 * i + l] = add[row[3 * i + l]][k[l][j]]
-                    row[3 * l + j] = sub[row[3 * l + j]][n[i][l]]
+                    row[3 * l + j] = add[row[3 * l + j]][n[i][l]]
                 rows.append(row)
     return _sweep(_tables.right_kernel_idx(rows, sf), sf,
                   lambda vec: _witness_from_b(m1, m2, vec))

@@ -26,7 +26,8 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from . import _tables
-from ._forms import CUBIC_EXPONENTS, CUBIC_INDICES, CUBIC_POS, QUAD_EXPONENTS, QUAD_POS
+from ._forms import (CUBIC_EXPONENTS, CUBIC_INDICES, CUBIC_POS, DERIVATIVE_PLAN,
+                     QUAD_EXPONENTS)
 from .gf import FieldElement, FieldMismatch, FieldSpec
 
 
@@ -300,18 +301,17 @@ def evaluate(F: TernaryCubic, P: ProjPoint) -> FieldElement:
 
 
 def partials(F: TernaryCubic) -> tuple[TernaryQuadratic, TernaryQuadratic, TernaryQuadratic]:
-    """Formal partial derivatives (dF/dX, dF/dY, dF/dZ); exponents reduce mod p."""
-    spec = F.spec
+    """Formal partial derivatives (dF/dX, dF/dY, dF/dZ); exponents reduce mod p.
+
+    Each term of the derivative plan puts one cubic coefficient, times its
+    exponent, on its own quadratic monomial.
+    """
     out = []
-    for var in range(3):
-        q = [spec.zero()] * 6
-        for cf, idx, exps in zip(F.coeffs, CUBIC_INDICES, CUBIC_EXPONENTS):
-            e = exps[var]
-            if not e or not cf:
-                continue
-            reduced = idx.replace(str(var), "", 1)
-            q[QUAD_POS[reduced]] = q[QUAD_POS[reduced]] + cf * e
-        out.append(TernaryQuadratic(spec, q))
+    for terms in DERIVATIVE_PLAN:
+        q = [F.spec.zero()] * 6
+        for cpos, qpos, k in terms:
+            q[qpos] = F.coeffs[cpos] * k
+        out.append(TernaryQuadratic(F.spec, q))
     return tuple(out)
 
 
@@ -435,17 +435,17 @@ def _normalize_idx(pt, f, p0):
     """normalize on element indices: (t, fn) for the smooth cubic f and its
     point p0, both as index lists, with t a 3x3 index matrix."""
     sf = pt.sf
-    mul, sub, inv = sf.mul, sf.sub, sf.inv
+    add, mul, inv = sf.add, sf.mul, sf.inv
     grad = pt.gradient(f, p0)  # nonzero at a smooth point
     i3 = next(i for i in range(3) if grad[i])
     col3 = [0, 0, 0]
     col3[i3] = 1
-    scale = mul[inv[grad[i3]]]
+    scale = mul[sf.neg[inv[grad[i3]]]]
     for j in range(3):
         # e_j minus its tangent component along e_i3, so that grad . col2 = 0
         col2 = [0, 0, 0]
         col2[j] = 1
-        col2[i3] = sub[col2[i3]][scale[grad[j]]]
+        col2[i3] = add[col2[i3]][scale[grad[j]]]
         t = [list(row) for row in zip(p0, col2, col3)]
         if _tables.det3_idx(t, sf):
             break

@@ -25,12 +25,13 @@ def census_forms():
 
     from cubicrep import _bulk, _tables, mk_field
     from cubicrep.plane import TernaryCubic
+    from object_reference import forms_up_to_scalar
 
     out = {}
     for q in (2, 3):
         spec = mk_field(q, 1)
         sf = _tables.scalar_field(spec)
-        forms = _bulk.forms_up_to_scalar(spec)
+        forms = forms_up_to_scalar(spec)
         smooth = _bulk.smooth_mask(spec, forms)
         out[q] = [
             TernaryCubic(spec, [sf.decode(d) for d in forms[i]])

@@ -13,9 +13,10 @@ TernaryCubic.evaluate.
 
 transform_rep multiplies the constant matrices with the FieldElement
 operators, and right_kernel reads a kernel basis off the reduced row echelon
-form.  rank_profile is the exception to the objects: it ranks M(P)
-with _tables.rank3_idx at every rational zero of det M, the plain formula
-that detrep._rank_profile shortens to the singular zeros.
+form.  rank_at ranks M(P) as 3 minus the dimension of that kernel, on its
+decoded entries, and rank_profile applies it at every rational zero of
+det M, the plain formula that detrep._rank_profile shortens to the
+singular zeros.
 
 is_flex restricts F to a parametrization of the tangent line at P and
 counts the root multiplicity there, the reference for plane.is_flex, which
@@ -31,7 +32,8 @@ from _tables.ScalarField, so they need q <= _tables.MAX_TABLE_Q and are
 practical up to q = 4 or so.
 
 census_by_full_sweep is the census as it was first built: smooth_mask over
-every form up to scalar, then one orbit per smooth form not yet visited, in
+every form up to scalar (forms_up_to_scalar, which the census fixtures of
+conftest read too), then one orbit per smooth form not yet visited, in
 lexicographic order.  It is the reference for oracle.census, which tests
 only the normal forms a000 = a001 = 0, a002 = 1 for smoothness.
 """
@@ -302,13 +304,20 @@ def right_kernel(rows, spec):
     return basis
 
 
+def rank_at(rep: LinearMatrixRep, coords):
+    """rank M(P) at the point with coordinate indices coords: M(P) decoded
+    to FieldElements and ranked as 3 minus the dimension of its
+    right_kernel."""
+    sf = _tables.scalar_field(rep.spec)
+    m = [[sf.decode(e) for e in row] for row in _matrix_at_point(rep.idx, coords, sf)]
+    return 3 - len(right_kernel(m, rep.spec))
+
+
 def rank_profile(rep: LinearMatrixRep):
     """rank M(P) at every rational zero of det M, in enumeration order."""
-    spec = rep.spec
-    pt = _tables.plane_tables(spec)
-    sf = pt.sf
-    return tuple(_tables.rank3_idx(_matrix_at_point(rep.idx, pt.point(i), sf), sf)
-                 for i in pt.zeros(_tables.det_cubic_idx(rep.idx, sf)))
+    pt = _tables.plane_tables(rep.spec)
+    return tuple(rank_at(rep, pt.point(i))
+                 for i in pt.zeros(_tables.det_cubic_idx(rep.idx, pt.sf)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +468,7 @@ def exhaustive_scan(m1: LinearMatrixRep, m2: LinearMatrixRep):
 
 def matmul3(sf: ScalarField, a, b):
     """(..., 3, 3) @ (..., 3, 3) under table arithmetic."""
-    ADD, _, MUL = _bulk._arrays(sf.spec)[:3]
+    ADD, MUL = _bulk._arrays(sf.spec)[:2]
     acc = MUL[a[..., :, 0:1], b[..., 0:1, :]]
     for k in range(1, 3):
         term = MUL[a[..., :, k:k + 1], b[..., k:k + 1, :]]
@@ -469,17 +478,18 @@ def matmul3(sf: ScalarField, a, b):
 
 def inv3(sf: ScalarField, m):
     """Inverses of a batch of invertible 3x3 matrices."""
-    _, SUB, MUL, INV, _ = _bulk._arrays(sf.spec)
+    ADD, MUL, NEG, INV = _bulk._arrays(sf.spec)
+
+    def minor(w, x, y, z):  # w x - y z
+        return ADD[MUL[w, x], MUL[NEG[y], z]]
+
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
     d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
     g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
     adj = np.stack([
-        np.stack([SUB[MUL[e, i], MUL[f, h]], SUB[MUL[c, h], MUL[b, i]],
-                  SUB[MUL[b, f], MUL[c, e]]], axis=-1),
-        np.stack([SUB[MUL[f, g], MUL[d, i]], SUB[MUL[a, i], MUL[c, g]],
-                  SUB[MUL[c, d], MUL[a, f]]], axis=-1),
-        np.stack([SUB[MUL[d, h], MUL[e, g]], SUB[MUL[b, g], MUL[a, h]],
-                  SUB[MUL[a, e], MUL[b, d]]], axis=-1),
+        np.stack([minor(e, i, f, h), minor(c, h, b, i), minor(b, f, c, e)], axis=-1),
+        np.stack([minor(f, g, d, i), minor(a, i, c, g), minor(c, d, a, f)], axis=-1),
+        np.stack([minor(d, h, e, g), minor(b, g, a, h), minor(a, e, b, d)], axis=-1),
     ], axis=-2)
     det_inv = INV[_bulk.det3(sf.spec, m)]
     return MUL[adj, det_inv[..., None, None]]
@@ -516,7 +526,7 @@ def _gl3_blocks(sf: ScalarField):
 def _sandwich(sf: ScalarField, a, mc, b):
     """a @ M @ b for the linear-form matrix mc[row, col, var]; a and b are
     (..., 3, 3) batches that broadcast against each other."""
-    ADD, _, MUL = _bulk._arrays(sf.spec)[:3]
+    ADD, MUL = _bulk._arrays(sf.spec)[:2]
     # t[..., i, k, v] = sum_j a[..., i, j] * mc[j, k, v]
     t = MUL[a[..., :, 0, None, None], mc[0]]
     for j in range(1, 3):
@@ -556,6 +566,12 @@ def scan_equivalence(sf: ScalarField, m1_idx, m2_idx, at_point=None):
     return None
 
 
+def forms_up_to_scalar(spec) -> np.ndarray:
+    """All nonzero cubic coefficient vectors with first nonzero entry 1,
+    as (N, 10) element-index rows in ascending lexicographic order."""
+    return _bulk._lead_with_one(spec.q, 10)
+
+
 def census_by_full_sweep(q: int) -> OrbitCensus:
     """oracle.census by a smoothness test of all (q^10 - 1)/(q - 1) forms.
 
@@ -563,7 +579,7 @@ def census_by_full_sweep(q: int) -> OrbitCensus:
     """
     spec = _field_for(q)
     sf = _tables.scalar_field(spec)
-    forms = _bulk.forms_up_to_scalar(spec)
+    forms = forms_up_to_scalar(spec)
     smooth = _bulk.smooth_mask(spec, forms)
     encodings = _bulk.encode_forms(q, forms)
     visited = np.zeros(q ** 10, dtype=bool)

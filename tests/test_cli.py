@@ -155,6 +155,14 @@ def test_count_report(capsys):
     assert obj["total"] == 2 and obj["e"] == 1 and obj["e3"] == 1
 
 
+def test_count_answers_at_a_large_prime_q(capsys):
+    # F_q is recognised by trial division up to sqrt(q); with n = 1 no class
+    # number is needed, as t^2 > 4q
+    assert cli.main(["count", "--q", "1000000007", "--n", "1", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["q"] == 1000000007 and obj["total"] == 0
+
+
 def test_count_table_alias(capsys):
     assert cli.main(["count", "--table", "1", "--json"]) == 0
     grid = json.loads(capsys.readouterr().out)

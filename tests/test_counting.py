@@ -48,6 +48,9 @@ def test_infinity_is_not_an_integer():
 def test_factor_prime_power():
     assert factor_prime_power(8) == (2, 3)
     assert factor_prime_power(13) == (13, 1)
+    # trial division stops at the square root, so a large prime answers at once
+    assert factor_prime_power(1000000007) == (1000000007, 1)
+    assert factor_prime_power(3 ** 19) == (3, 19)
     with pytest.raises(ValueError):
         factor_prime_power(6)
 

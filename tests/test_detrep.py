@@ -1044,11 +1044,10 @@ def test_traces_are_invariant_under_equivalence(data):
 def _full_rank_profile(rep):
     """rank M(P) at every point of P^2(F_q): the plain reference for
     _rank_profile, which ranks M(P) only where det(rep) vanishes."""
-    from cubicrep.detrep import _matrix_at_point
     from cubicrep.plane import projective_points
 
     sf = _tables.scalar_field(rep.spec)
-    return tuple(_tables.rank3_idx(_matrix_at_point(rep.idx, sf.encode_all(P.coords), sf), sf)
+    return tuple(object_reference.rank_at(rep, sf.encode_all(P.coords))
                  for P in projective_points(rep.spec))
 
 

@@ -13,7 +13,7 @@ from cubicrep.counting import cubics_with_points
 from cubicrep.gf import mk_field
 from cubicrep.oracle import TooLarge, census, crosscheck
 from cubicrep.plane import LinearTransform, TernaryCubic, act, rational_points
-from object_reference import census_by_full_sweep
+from object_reference import census_by_full_sweep, forms_up_to_scalar
 
 
 def test_census_rejects_q_past_5():
@@ -143,7 +143,7 @@ def test_census3_histogram(census3):
 def test_census_partitions_smooth_forms(census2, census3):
     spec2, spec3 = mk_field(2, 1), mk_field(3, 1)
     for cen, spec in ((census2, spec2), (census3, spec3)):
-        forms = _bulk.forms_up_to_scalar(spec)
+        forms = forms_up_to_scalar(spec)
         n_smooth = int(_bulk.smooth_mask(spec, forms).sum())
         assert cen.smooth_form_count == n_smooth
 

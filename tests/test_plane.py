@@ -96,7 +96,7 @@ def test_is_smooth_examples():
 def test_is_smooth_agrees_with_extension_search_f2_exhaustive():
     spec = F2
     sf = _tables.scalar_field(spec)
-    forms = _bulk.forms_up_to_scalar(spec)
+    forms = object_reference.forms_up_to_scalar(spec)
     fast = _bulk.smooth_mask(spec, forms)
     rng = random.Random(7)
     idx = rng.sample(range(len(forms)), 140)
@@ -109,7 +109,7 @@ def test_is_smooth_agrees_with_extension_search_f2_exhaustive():
 def test_is_smooth_agrees_with_extension_search_exhaustive_f2_full():
     spec = F2
     sf = _tables.scalar_field(spec)
-    forms = _bulk.forms_up_to_scalar(spec)
+    forms = object_reference.forms_up_to_scalar(spec)
     fast = _bulk.smooth_mask(spec, forms)
     for i in range(len(forms)):
         F = TernaryCubic(spec, [sf.decode(d) for d in forms[i]])
@@ -119,7 +119,7 @@ def test_is_smooth_agrees_with_extension_search_exhaustive_f2_full():
 def test_is_smooth_agrees_with_extension_search_f3_sample():
     spec = F3
     sf = _tables.scalar_field(spec)
-    forms = _bulk.forms_up_to_scalar(spec)
+    forms = object_reference.forms_up_to_scalar(spec)
     fast = _bulk.smooth_mask(spec, forms)
     rng = random.Random(11)
     for i in rng.sample(range(len(forms)), 12):
@@ -133,7 +133,7 @@ def test_smooth_mask_matches_closed_form_count(p, m):
     # q^4 (q^3 - 1)(q^2 - 1) = q |PGL_3(F_q)|, shares no code with the library
     spec = mk_field(p, m)
     q = spec.q
-    smooth = _bulk.smooth_mask(spec, _bulk.forms_up_to_scalar(spec))
+    smooth = _bulk.smooth_mask(spec, object_reference.forms_up_to_scalar(spec))
     assert smooth.sum() == q ** 4 * (q ** 3 - 1) * (q ** 2 - 1)
 
 

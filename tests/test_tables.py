@@ -25,13 +25,14 @@ _RULE_FIELDS = tuple(mk_field(p, m) for p, m in
 def _check_pair(sf, a, b):
     x, y = sf.decode(a), sf.decode(b)
     assert sf.decode(sf.add[a][b]) == x + y
-    assert sf.decode(sf.sub[a][b]) == x - y
+    assert sf.decode(sf.add[a][sf.neg[b]]) == x - y
     assert sf.decode(sf.mul[a][b]) == x * y
     assert sf.decode(sf.neg[a]) == -x
     if a:
         assert sf.decode(sf.inv[a]) == x.inverse()
+    # the integer k has index k mod p
     for k in range(4):
-        assert sf.decode(sf.int_mul[k][a]) == x * k
+        assert sf.decode(sf.mul[k % sf.spec.p][a]) == x * k
 
 
 @settings(max_examples=300, deadline=None)
@@ -49,12 +50,13 @@ def _check_rows(sf, rows):
     for a in rows:
         x = elems[a]
         assert [elems[v] for v in sf.add[a]] == [x + y for y in elems]
-        assert [elems[v] for v in sf.sub[a]] == [x - y for y in elems]
+        assert [elems[sf.add[a][sf.neg[b]]] for b in range(sf.q)] == [x - y for y in elems]
         assert [elems[v] for v in sf.mul[a]] == [x * y for y in elems]
     # the uint8 copies of the batched kernels live in _bulk only
     assert not any(isinstance(v, np.ndarray) for v in vars(sf).values())
     arrays = _bulk._arrays(sf.spec)
-    for name, array in zip(("add", "sub", "mul", "inv", "int_mul"), arrays):
+    assert len(arrays) == 4
+    for name, array in zip(("add", "mul", "neg", "inv"), arrays):
         assert array.dtype == np.uint8 and (array == np.array(getattr(sf, name))).all()
 
 
@@ -78,14 +80,14 @@ def test_list_tables_sampled_rows_up_to_256(p, m):
 
 
 def test_tables_past_256_are_rows_on_subscript():
-    # add, sub and mul are lists of q rows on every field: list rows up to
+    # add and mul are lists of q rows on every field: list rows up to
     # MAX_TABLE_Q, rows computed on subscript past it, so that no structure
     # holds q^2 entries there; F_512 adds by XOR and F_729 by Zech logarithms
     for p, m in ((251, 1), (2, 8), (257, 1), (2, 9), (3, 6)):
         sf = _tables.scalar_field(mk_field(p, m))
-        assert not hasattr(sf, "ADD")
+        assert not any(hasattr(sf, name) for name in ("ADD", "sub", "int_mul"))
         assert len(sf.neg) == len(sf.inv) == len(sf.elems) == sf.q
-        for table in (sf.add, sf.sub, sf.mul):
+        for table in (sf.add, sf.mul):
             assert isinstance(table, list) and len(table) == sf.q
             if sf.q <= _tables.MAX_TABLE_Q:
                 assert all(isinstance(row, list) and len(row) == sf.q for row in table)
