@@ -21,23 +21,24 @@ point's representation there and pulls it back.  On every field that whole
 construction runs on the element indices of _tables, with the points read
 from PlaneTables.zeros, and only the returned points and scalars are field
 element objects; mp_case1 and mp_case2 encode their input and call the
-same index formula, _mp_idx.  The pullback maps each entry by one product
-with the inverse coordinate change, on its mul rows, read once per curve,
-as _bulk.case1_reps pulls a whole matrix back by one matrix product; row 0
-of every normal-form matrix, (0, Z, -Y), is pulled back once per curve.
-Every representation is checked twice.  _mp_idx checks det(rep_n) =
-lam_n * Fn in normal form, for case 1 on _det_case1_idx, which expands
-det(rep_n) = Z (f g - d i) - Y d h on the nonzero slots, and for the one
-case-2 point per curve on the cofactor kernel _tables.det_cubic_idx.
-all_reps checks det(rep) = lam * F after the pullback on det_cubic_idx, so
-the two checks of a case-1 representation run on independent kernels, and
-the representation keeps that determinant.  On prime fields from
-_tables.ARRAY_Q up, _bulk.case1_reps builds every case-1 representation of
-a curve at once on int64 arrays, with the same three checks in the same
-order and on the same two independent expansions: the normal-form one on
-the nonzero slots, as _det_case1_idx, and the pullback one along row 0 with
-full 2x2 minors, as det_cubic_idx.  Each representation keeps the
-determinant case1_reps checked, and the case-2 point stays on _mp_idx.
+same index formula, _mp_idx.  The pullback maps each entry by one
+expression on the mul rows of the inverse coordinate change, read once per
+curve, over the nonzero slots of the entry only: a point off the tangent
+line (case 1) has a fixed zero pattern, and row 0 of every normal-form
+matrix, (0, Z, -Y), is pulled back once per curve.  Every representation is
+checked twice.  _mp_idx checks det(rep_n) = lam_n * Fn in normal form, for
+case 1 on _det_case1_idx, which expands det(rep_n) = Z (f g - d i) - Y d h
+on the nonzero slots, and for the one case-2 point per curve on the
+cofactor kernel _tables.det_cubic_idx.  all_reps checks det(rep) = lam * F
+after the pullback on det_cubic_idx, so the two checks of a case-1
+representation run on independent kernels, and the representation keeps
+that determinant.  On prime fields from _tables.ARRAY_Q up,
+_bulk.case1_reps builds every case-1 representation of a curve at once on
+int64 arrays, with the same three checks in the same order and on the same
+two independent expansions: the normal-form one on the nonzero slots, as
+_det_case1_idx, and the pullback one along row 0 with full 2x2 minors, as
+det_cubic_idx.  Each representation keeps the determinant case1_reps
+checked, and the case-2 point stays on _mp_idx.
 symmetrize runs on _sweep, the sweep of equivalent, and it and the
 completion of a candidate B into a witness run on indices as well.
 EquivalenceWitness.verify and transform_rep run on the coefficient tuples
@@ -455,8 +456,7 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
 
     F is moved to the normal form Fn of plane.normalize(F, p0) once; each point is
     mapped there, checked to lie on Fn, given its representation by _mp_idx
-    and pulled back, each entry by one product with the inverse coordinate
-    change.  Both
+    and pulled back, a case-1 entry on its nonzero slots only.  Both
     identities, det(rep_n) = lam_n * Fn (in _mp_idx) and det(rep) = lam * F,
     are checked for every representation (BrokenInvariant when one fails),
     the second on _tables.det_cubic_idx, and each representation keeps the
@@ -496,8 +496,18 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
                 add[add[r01[e0]][r11[e1]]][r21[e2]],
                 add[add[r02[e0]][r12[e1]]][r22[e2]])
 
+    # the case-1 entries with a zero X slot or a zero Y slot (see _det_case1_idx)
+    def pull_yz(entry):
+        _, e1, e2 = entry
+        return (add[r10[e1]][r20[e2]], add[r11[e1]][r21[e2]], add[r12[e1]][r22[e2]])
+
+    def pull_xz(entry):
+        e0, _, e2 = entry
+        return (add[r00[e0]][r20[e2]], add[r01[e0]][r21[e2]], add[r02[e0]][r22[e2]])
+
     # row 0 of every normal-form matrix is (0, Z, -Y): pulled back once per curve
     row0 = tuple(map(pull, ((0, 0, 0), (0, 0, 1), (0, sf.neg[1], 0))))
+    zero = (0, 0, 0)
 
     def on_tables(i):
         # Pn = t_inv * P in canonical scaling, which must lie on Fn
@@ -507,8 +517,13 @@ def all_reps(F: TernaryCubic, p0: Optional[ProjPoint] = None):
         pn = [scale[c] for c in v]
         if pt.value(fn, pn):
             raise _failed_check(1, spec, pn)
-        _, row1, row2 = _mp_idx(fn, *pn, sf)
-        m_idx = (row0, tuple(map(pull, row1)), tuple(map(pull, row2)))
+        m_n = _mp_idx(fn, *pn, sf)
+        if pn[2]:
+            (m10, _, m12), (m20, m21, m22) = m_n[1:]
+            m_idx = (row0, (pull_yz(m10), zero, pull_xz(m12)),
+                     (pull_xz(m20), pull(m21), pull_xz(m22)))
+        else:
+            m_idx = (row0, tuple(map(pull, m_n[1])), tuple(map(pull, m_n[2])))
         d = tuple(_tables.det_cubic_idx(m_idx, sf))
         lam = _ratio_idx(d, f, sf)
         if not lam:
