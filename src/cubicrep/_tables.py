@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import _forms
-from .gf import FieldSpec
+from .gf import FieldSpec, prime_factors
 
 #: largest field whose table rows are materialised as lists
 MAX_TABLE_Q = 256
@@ -51,22 +51,11 @@ MAX_TABLE_Q = 256
 ARRAY_Q = 37
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + [n] if n > 1 else out
-
-
 def _primitive_element(spec: FieldSpec):
     """The first element in enumeration order that generates F_q^*."""
     order = spec.q - 1
     for g in spec.elements():
-        if g and all(g ** (order // r) != 1 for r in _prime_factors(order)):
+        if g and all(g ** (order // r) != 1 for r in prime_factors(order)):
             return g
     raise AssertionError("F_q^* is cyclic")  # unreachable
 

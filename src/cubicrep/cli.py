@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import counting, detrep, gallery, oracle, plane
-from .counting import INFINITY
 from .gf import FieldError, FieldSpec, field_literal, parse_field_literal, poly_string
 from .plane import PlaneError, ProjPoint, TernaryCubic
 
@@ -130,8 +129,20 @@ def format_matrix(rep: detrep.LinearMatrixRep, indent: str = "  ") -> str:
     return "\n".join(lines)
 
 
-def _ext(v):
-    return "∞" if v is INFINITY else str(v)
+def _reps_obj(reps) -> list:
+    """The JSON objects of a list of (point, rep, lambda)."""
+    return [{"point": point_to_obj(P), "rep": rep_to_obj(rep), "lambda": element_to_obj(lam)}
+            for P, rep, lam in reps]
+
+
+def _reps_text(reps, indent: str) -> list:
+    """Per (point, rep, lambda): a "P = ..., lambda = ...:" line at indent,
+    then the matrix two spaces further in; no lines when reps is empty."""
+    out = []
+    for P, rep, lam in reps:
+        out.append(f"{indent}P = {P!r}, lambda = {lam!r}:")
+        out.append(format_matrix(rep, indent=indent + "  "))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,45 +211,28 @@ def cmd_detrep(args) -> int:
         if detrep.is_ldr_of(rep, F) != lam:
             raise detrep.BrokenInvariant("self-verification failed before printing")
     if args.json:
-        obj = {
-            "curve": curve_to_obj(F),
-            "representations": [
-                {"point": point_to_obj(P), "rep": rep_to_obj(rep),
-                 "lambda": element_to_obj(lam)}
-                for P, rep, lam in reps
-            ],
-        }
+        obj = {"curve": curve_to_obj(F), "representations": _reps_obj(reps)}
         if args.witness:
-            obj["witnesses"] = _pairwise_witnesses(reps, as_json=True)
+            obj["witnesses"] = [{"pair": [i, j], "equivalent": w is not None,
+                                 "witness": witness_to_obj(w) if w else None}
+                                for i, j, w in _pairwise_witnesses(reps)]
         print(json.dumps(obj))
         return EXIT_OK
-    if not reps:
-        return EXIT_OK
-    for P, rep, lam in reps:
-        print(f"P = {P!r}, lambda = {lam!r}:")
-        print(format_matrix(rep))
+    for line in _reps_text(reps, ""):
+        print(line)
     if args.witness:
-        for line in _pairwise_witnesses(reps, as_json=False):
-            print(line)
+        for i, j, w in _pairwise_witnesses(reps):
+            print(f"reps {i} and {j}: " + (f"equivalent, witness {witness_to_obj(w)}"
+                                           if w else "inequivalent"))
     return EXIT_OK
 
 
-def _pairwise_witnesses(reps, as_json: bool):
-    out = []
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            w = detrep.equivalent(reps[i][1], reps[j][1])
-            if as_json:
-                out.append({
-                    "pair": [i, j],
-                    "equivalent": w is not None,
-                    "witness": witness_to_obj(w) if w else None,
-                })
-            else:
-                status = "equivalent" if w else "inequivalent"
-                out.append(f"reps {i} and {j}: {status}"
-                           + (f", witness {witness_to_obj(w)}" if w else ""))
-    return out
+def _pairwise_witnesses(reps) -> list:
+    """(i, j, witness or None) for each pair i < j of reps, by
+    detrep.equivalent.  All pairs are decided before the list is returned,
+    so a pair that raises leaves none of them printed."""
+    return [(i, j, detrep.equivalent(reps[i][1], reps[j][1]))
+            for i in range(len(reps)) for j in range(i + 1, len(reps))]
 
 
 def cmd_verify(args) -> int:
@@ -291,7 +285,7 @@ def cmd_count(args) -> int:
         return EXIT_OK
     print(f"q = {report.q}, n = {report.n}")
     print(f"  #E = {report.e}, #E_3 = {report.e3}, #E_33 = {report.e33}")
-    print(f"  t0 = {_ext(report.t0)}, t1 = {_ext(report.t1)}, eps = {report.eps}")
+    print(f"  t0 = {report.t0}, t1 = {report.t1}, eps = {report.eps}")
     print(f"  classes with {report.n} points: {report.total}")
     return EXIT_OK
 
@@ -350,7 +344,7 @@ def _ingredient_grids():
     grid2 = [head2]
     for q in _CUB_FIELDS:
         grid2.append([f"F_{q}"] + [str(counting.count_E33(q, n)) for n in (1, 2, 3)]
-                     + [_ext(counting.t0(q)), _ext(counting.t1(q))]
+                     + [str(counting.t0(q)), str(counting.t1(q))]
                      + [str(counting.epsilon(q, q - k)) for k in (0, 1, 2)])
     return grid1, grid2
 
@@ -421,9 +415,7 @@ def _curve_table_text(rows) -> str:
                 repr(P) + (" (flex)" if fl else "")
                 for P, fl in row["points"]))
             out.append(f"  representation classes: {len(row['reps'])}")
-        for P, rep, lam in row["reps"]:
-            out.append(f"  P = {P!r}, lambda = {lam!r}:")
-            out.append(format_matrix(rep, indent="    "))
+        out += _reps_text(row["reps"], "  ")
     return "\n".join(out)
 
 
@@ -434,11 +426,7 @@ def _curve_table_obj(rows) -> list:
             "curve": curve_to_obj(row["curve"]),
             "points": [{"point": point_to_obj(P), "flex": fl}
                        for P, fl in row["points"]],
-            "representations": [
-                {"point": point_to_obj(P), "rep": rep_to_obj(rep),
-                 "lambda": element_to_obj(lam)}
-                for P, rep, lam in row["reps"]
-            ],
+            "representations": _reps_obj(row["reps"]),
         }
         for row in rows
     ]

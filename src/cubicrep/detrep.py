@@ -88,6 +88,7 @@ from .plane import (
     ProjPoint,
     SingularInput,
     TernaryCubic,
+    _element_matrix,
     _normalize_idx,
     is_normalized,
     is_smooth,
@@ -156,7 +157,7 @@ class LinearMatrixRep:
     __slots__ = ("spec", "idx", "_hash", "_mats", "_det")
 
     def __init__(self, spec: FieldSpec, m0, m1, m2):
-        mats = tuple(_const_matrix(spec, m) for m in (m0, m1, m2))
+        mats = tuple(_element_matrix(spec, m) for m in (m0, m1, m2))
         index = _tables.scalar_field(spec).index
         self._set(spec, tuple(tuple(tuple(index[m[i][j].coeffs] for m in mats)
                                     for j in range(3)) for i in range(3)))
@@ -208,13 +209,6 @@ class LinearMatrixRep:
             rows.append("[" + ", ".join(format_linear_form(self.entry(i, j))
                                         for j in range(3)) + "]")
         return "LinearMatrixRep(" + "; ".join(rows) + ")"
-
-
-def _const_matrix(spec, m):
-    rows = tuple(tuple(spec.element(c) for c in row) for row in m)
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise ValueError("need a 3x3 matrix")
-    return rows
 
 
 def format_linear_form(triple) -> str:

@@ -48,15 +48,22 @@ class NotAnExtension(FieldError):
     pass
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division up
+    to the square root of what is left; [] for n = 1."""
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    return out + [n] if n > 1 else out
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime: n >= 2 and n is its own only prime factor."""
+    return n >= 2 and prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +361,22 @@ def enumerate_field(spec: FieldSpec) -> list[FieldElement]:
     return list(spec.elements())
 
 
+def _value_at(coeffs, r: FieldElement) -> FieldElement:
+    """The polynomial with these int coefficients, low degree first, at r."""
+    acc = r.spec.zero()
+    pw = r.spec.one()
+    for c in coeffs:
+        if c:
+            acc = acc + pw * c
+        pw = pw * r
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _embedding_root(source: FieldSpec, target: FieldSpec) -> FieldElement:
     """First root of the source modulus in the target, in enumeration order."""
     for r in target.elements():
-        acc = target.zero()
-        pw = target.one()
-        for c in source.modulus:
-            if c:
-                acc = acc + pw * c
-            pw = pw * r
-        if not acc:
+        if not _value_at(source.modulus, r):
             return r
     raise AssertionError("no root of source modulus in target")  # unreachable
 
@@ -380,14 +392,7 @@ def embed(a: FieldElement, target: FieldSpec) -> FieldElement:
         return a
     if source.p != target.p or target.m % source.m != 0:
         raise NotAnExtension(f"{target!r} does not extend {source!r}")
-    r = _embedding_root(source, target)
-    acc = target.zero()
-    pw = target.one()
-    for c in a.coeffs:
-        if c:
-            acc = acc + pw * c
-        pw = pw * r
-    return acc
+    return _value_at(a.coeffs, _embedding_root(source, target))
 
 
 def parse_field_literal(text: str) -> FieldSpec:

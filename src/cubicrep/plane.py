@@ -190,15 +190,23 @@ class TernaryCubic:
         return _format_form(self.coeffs, CUBIC_EXPONENTS)
 
 
+def _element_matrix(spec: FieldSpec, m: Sequence[Sequence]) -> tuple:
+    """The rows of m with every entry coerced into spec by spec.element, as
+    a tuple of tuples; ValueError unless m is 3x3.  The constructors of
+    LinearTransform and detrep.LinearMatrixRep read their matrices here."""
+    rows = tuple(tuple(spec.element(c) for c in row) for row in m)
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise ValueError("need a 3x3 matrix")
+    return rows
+
+
 class LinearTransform:
     """An invertible 3x3 matrix over a fixed field (an element of GL_3)."""
 
     __slots__ = ("spec", "rows", "idx", "det")
 
     def __init__(self, spec: FieldSpec, rows: Sequence[Sequence]):
-        rows = tuple(tuple(spec.element(c) for c in row) for row in rows)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("need a 3x3 matrix")
+        rows = _element_matrix(spec, rows)
         sf = _tables.scalar_field(spec)
         self._set(sf, rows, [sf.encode_all(row) for row in rows])
 

@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,9 @@ import pytest
 import golden
 import cubicrep
 from cubicrep import cli
-from cubicrep.detrep import is_ldr_of
+from cubicrep.detrep import all_reps, is_ldr_of
+from cubicrep.gf import mk_field
+from cubicrep.plane import TernaryCubic, is_smooth
 
 
 def write_curve(tmp_path, row, name="curve.json"):
@@ -161,6 +166,20 @@ def test_count_answers_at_a_large_prime_q(capsys):
     assert cli.main(["count", "--q", "1000000007", "--n", "1", "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["q"] == 1000000007 and obj["total"] == 0
+
+
+@pytest.mark.parametrize("argv", [["classnum", "--", "-4000000028"],
+                                  ["count", "--q", "1000000007", "--n", "1000000008"]],
+                         ids=["classnum", "count"])
+def test_class_number_bound_exit_2(argv, capsys):
+    # a discriminant past the class-number bound fails fast, not after minutes
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: |disc| = ")
+    assert captured.err.endswith("exceeds the class-number bound 16777216\n")
 
 
 def test_count_table_alias(capsys):
@@ -378,3 +397,66 @@ def test_field_past_the_size_cap_exit_2(capsys):
 def test_field_malformed_literal_exit_3(literal, capsys):
     assert cli.main(["field", literal]) == 3
     assert capsys.readouterr().err.startswith(f"error: cannot read field literal '{literal}'")
+
+
+# -- a pinned digest of the CLI's output ---------------------------------------
+
+#: sha256 over the argv, exit code, stdout and stderr of every command of
+#: _digest_commands, then the file that `classify --out` wrote; any change
+#: to what the CLI prints changes it
+CLI_DIGEST = "d10b01fe4ddd64e587d33b0096d4038dd5254cbd2afd707d159bd6459afc2026"
+_CLI_DIGEST_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (31, 1), (2, 6),
+                      (101, 1), (257, 1))
+_TABLE_SELECTORS = ("1", "2", "3", "5", "6", "7", "8", "9", "10", "sym", "0ldr", "1ldr",
+                    "2ldr-2", "2ldr-3", "2ldr-4", "2ldr-5", "2ldr-7")
+
+
+def _seeded_smooth_curve(spec):
+    rng = random.Random(f"cli-digest/{spec.q}")
+    elems = list(spec.elements())
+    while True:
+        coeffs = [rng.randrange(spec.q) for _ in range(10)]
+        if any(coeffs):
+            F = TernaryCubic(spec, [elems[c] for c in coeffs])
+            if is_smooth(F):
+                return F
+
+
+def _digest_commands():
+    """Write the input files into the working directory and list the
+    commands: every table in three formats, the counting and census
+    commands, five commands on a seeded smooth curve per field, and one
+    case of each failing exit code."""
+    cmds = [["tables", sel, *fmt] for sel in _TABLE_SELECTORS
+            for fmt in ([], ["--json"], ["--csv"])]
+    cmds += [["count", "--q", "7", "--n", "6"], ["count", "--q", "9", "--n", "8", "--json"],
+             ["count", "--q", "4", "--n", "5"],
+             ["classnum", "--", "-23"], ["classnum", "--json", "--", "-12"],
+             ["classify", "--q", "2"], ["classify", "--q", "3", "--json", "--out", "census.json"],
+             ["field", "3^2"], ["field", "2^2", "--json"]]
+    for p, m in _CLI_DIGEST_FIELDS:
+        F = _seeded_smooth_curve(mk_field(p, m))
+        curve, rep = f"curve-{F.spec.q}.json", f"rep-{F.spec.q}.json"
+        Path(curve).write_text(json.dumps(cli.curve_to_obj(F)))
+        Path(rep).write_text(json.dumps(cli.rep_to_obj(all_reps(F)[0][1])))
+        cmds += [["points", curve], ["detrep", curve], ["detrep", curve, "--json"],
+                 ["detrep", curve, "--witness"], ["detrep", curve, "--json", "--witness"],
+                 ["verify", curve, rep]]
+    Path("singular.json").write_text(json.dumps({"field": "2", "coeffs": {"000": [1]}}))
+    cmds += [["points", "singular.json"], ["detrep", "curve-7.json", "--p0", "1:1:1"],
+             ["field", "2^x"], ["count", "--q", "6", "--n", "1"]]
+    return cmds
+
+
+def test_cli_digest(tmp_path, monkeypatch, capsys):
+    # run in tmp_path so that no argv or message names a temporary path
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    h = hashlib.sha256()
+    for argv in _digest_commands():
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        h.update(json.dumps([argv, code, out, err]).encode())
+    h.update((tmp_path / "census.json").read_bytes())
+    assert h.hexdigest() == CLI_DIGEST
+    assert time.perf_counter() - start < 10

@@ -4,8 +4,11 @@ from sympy import jacobi_symbol
 
 from cubicrep.counting import (
     INFINITY,
+    MAX_CLASS_NUMBER_DISC,
     BadDiscriminant,
+    CountingError,
     CountReport,
+    DiscriminantTooLarge,
     class_number_H,
     count_E,
     count_E3,
@@ -86,6 +89,15 @@ def test_class_number_examples():
         class_number_H(-5)
     with pytest.raises(BadDiscriminant):
         class_number_H(4)
+
+
+def test_class_number_past_the_bound_raises():
+    # the loop runs about |disc|/3 steps; past the bound it does not start
+    assert MAX_CLASS_NUMBER_DISC == 1 << 24
+    for disc in (-MAX_CLASS_NUMBER_DISC - 4, -4 * 1000000007):
+        with pytest.raises(DiscriminantTooLarge) as exc:
+            class_number_H(disc)
+        assert isinstance(exc.value, CountingError)
 
 
 # -- independent oracle: reduce every form in a box and count the targets ----

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import time
 
 import pytest
+from sympy import primefactors
 
 from cubicrep.gf import (
     DivisionByZero,
@@ -18,6 +20,7 @@ from cubicrep.gf import (
     is_prime,
     mk_field,
     parse_field_literal,
+    prime_factors,
 )
 
 SMALL_QS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -45,6 +48,16 @@ def test_default_moduli_are_pinned():
     assert len(lines) == 61
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "c00f7418f2d1cf2effdd381efb15bb8ea56ff869f1ab0c938a4f3011ce506789")
+
+
+def test_prime_factors_match_sympy():
+    # the one trial division behind is_prime and the primitive elements of
+    # _tables, over every n up to just past the size cap
+    start = time.perf_counter()
+    for n in range(1, SIZE_CAP + 3):
+        assert prime_factors(n) == primefactors(n), n
+        assert is_prime(n) == (primefactors(n) == [n]), n
+    assert time.perf_counter() - start < 5
 
 
 def test_nonprime_rejected():
