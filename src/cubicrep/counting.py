@@ -34,8 +34,8 @@ class BadDiscriminant(CountingError):
 
 
 class DiscriminantTooLarge(CountingError):
-    """|disc| exceeds MAX_CLASS_NUMBER_DISC, past which class_number_H,
-    whose loop runs about |disc|/3 steps, would take over a second."""
+    """|disc| exceeds MAX_CLASS_NUMBER_DISC, the bound on the about |disc|/3
+    steps of class_number_H."""
 
 
 class NotPrimePower(CountingError, ValueError):
@@ -51,9 +51,9 @@ class NoSolution(CountingError):
 
 
 class _Infinity:
-    """The type of INFINITY, the trace t0 or t1 takes when it does not
-    exist; its one instance, it compares and hashes by identity, so it is
-    unequal to every integer, and it prints as "∞"."""
+    """The type of INFINITY, the value of t0 or t1 where that trace does not
+    exist.  INFINITY is its only instance and compares and hashes by
+    identity, so it is unequal to every integer; it prints as "∞"."""
 
     def __repr__(self):
         return "∞"
@@ -63,8 +63,8 @@ INFINITY = _Infinity()
 
 ExtInt = Union[int, _Infinity]
 
-#: largest |disc| that class_number_H accepts; its loop takes about 0.6 s
-#: there on a 2-core VM with Python 3.11
+#: largest |disc| that class_number_H accepts; at the bound its loop takes
+#: about 0.6 s on a 2-core VM with Python 3.11
 MAX_CLASS_NUMBER_DISC = 1 << 24
 
 

@@ -393,6 +393,16 @@ def test_field_past_the_size_cap_exit_2(capsys):
     assert "size cap 16384" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["1000000000000000003", "2000000000000000006"],
+                         ids=["prime", "twice-a-prime"])
+def test_field_with_a_large_p_exits_2_at_once(literal, capsys):
+    # the size cap is checked before the trial division up to sqrt(p)
+    start = time.perf_counter()
+    assert cli.main(["field", literal]) == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == f"error: q = {literal}^1 exceeds the size cap 16384\n"
+
+
 @pytest.mark.parametrize("literal", ["x", "2^x"])
 def test_field_malformed_literal_exit_3(literal, capsys):
     assert cli.main(["field", literal]) == 3
