@@ -145,13 +145,14 @@ class FieldSpec:
     __slots__ = ("p", "m", "q", "modulus", "_hash")
 
     def __init__(self, p: int, m: int):
-        # a p past the cap fails the size check without a trial division up
-        # to its square root, which would run for minutes on an 18-digit p
+        # the size check runs before a trial division up to sqrt(p), minutes
+        # on an 18-digit p, and before p ** m, seconds at m = 3 * 10^7; p >= 2
+        # there, so every m >= 15 is past the cap
         if not isinstance(p, int) or not (p > SIZE_CAP or is_prime(p)):
             raise NonPrime(f"p = {p} is not prime")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"m = {m} must be a positive integer")
-        if p > SIZE_CAP or p ** m > SIZE_CAP:
+        if p > SIZE_CAP or m >= SIZE_CAP.bit_length() or p ** m > SIZE_CAP:
             raise UnsupportedSize(f"q = {p}^{m} exceeds the size cap {SIZE_CAP}")
         self.p = p
         self.m = m

@@ -393,14 +393,17 @@ def test_field_past_the_size_cap_exit_2(capsys):
     assert "size cap 16384" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("literal", ["1000000000000000003", "2000000000000000006"],
-                         ids=["prime", "twice-a-prime"])
-def test_field_with_a_large_p_exits_2_at_once(literal, capsys):
-    # the size cap is checked before the trial division up to sqrt(p)
+@pytest.mark.parametrize("literal", ["1000000000000000003", "2000000000000000006",
+                                     "3^30000000"],
+                         ids=["prime", "twice-a-prime", "large-m"])
+def test_field_past_the_size_cap_exits_2_at_once(literal, capsys):
+    # the size cap is checked before the trial division up to sqrt(p) and
+    # before p ** m is computed
     start = time.perf_counter()
     assert cli.main(["field", literal]) == 2
     assert time.perf_counter() - start < 2
-    assert capsys.readouterr().err == f"error: q = {literal}^1 exceeds the size cap 16384\n"
+    q = literal if "^" in literal else literal + "^1"
+    assert capsys.readouterr().err == f"error: q = {q} exceeds the size cap 16384\n"
 
 
 @pytest.mark.parametrize("literal", ["x", "2^x"])
