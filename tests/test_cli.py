@@ -154,6 +154,14 @@ def test_classnum(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_classnum_rejects_a_bad_discriminant(capsys):
+    # the BadDiscriminant of class_number_H reaches the error mapping of main
+    assert cli.main(["classnum", "--", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need disc < 0 and disc = 0, 1 mod 4; got -5\n"
+
+
 def test_count_report(capsys):
     assert cli.main(["count", "--q", "2", "--n", "3", "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
