@@ -1,4 +1,4 @@
-"""Vectorized sweeps over whole coefficient spaces and matrix groups, and the
+"""Vectorized sweeps over batches of forms and matrix groups, and the
 per-curve kernels of prime fields on int64 arrays.
 
 Field elements are encoded as their position in the field's canonical
@@ -7,11 +7,13 @@ arrays, copied once per field by _arrays from the four tables of
 _tables.ScalarField, add, mul, neg and inv (q <= _tables.MAX_TABLE_Q), so
 the same code drives prime and extension fields: a difference is an ADD of
 a NEG, and the multipliers of the derivative plan are MUL rows.  This is
-the only module that builds or reads them.  The
-group kernels, pgl3_cubic_action and orbit_of, gather two-operand sums and
-products from the flattened tables as flat[a * q + b], on uint16 indices,
-and keep the images of each basis monomial under the whole group in one
-contiguous block.
+the only module that builds or reads them.  The group kernels,
+pgl3_cubic_action and orbit_of, act with any batch of matrices (the census
+passes flag_array), gather sums and products from the flattened tables as
+flat[a * q + b] on uint16 indices, and keep the images of each basis
+monomial in one contiguous block.  bench/worker.py wraps them, smooth_mask
+and point_counts by name under --trace 1, so oracle.census calls all four
+through this module until the benchmark traces public entry points only.
 
 On a prime field the indices are the integers mod p, so prime_zero_sets (the
 zero scan of PlaneTables) and case1_reps (the case-1 construction of
@@ -41,21 +43,6 @@ def _arrays(spec: FieldSpec):
     return tuple(np.array(t, dtype=np.uint8) for t in (sf.add, sf.mul, sf.neg, sf.inv))
 
 
-# ---------------------------------------------------------------------------
-# batched 3x3 linear algebra
-
-
-def det3(spec: FieldSpec, m):
-    ADD, MUL, NEG = _arrays(spec)[:3]
-    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
-    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
-    t1 = MUL[a, ADD[MUL[e, i], MUL[NEG[f], h]]]
-    t2 = MUL[b, ADD[MUL[f, g], MUL[NEG[d], i]]]
-    t3 = MUL[c, ADD[MUL[d, h], MUL[NEG[e], g]]]
-    return ADD[ADD[t1, t2], t3]
-
-
 @lru_cache(maxsize=None)
 def _plane_arrays(spec: FieldSpec):
     """Cubic and quadratic monomial values at every point of P^2, one row per
@@ -75,33 +62,7 @@ def _plane_arrays(spec: FieldSpec):
 
 
 # ---------------------------------------------------------------------------
-# whole-space form sweeps
-
-
-def _lead_with_one(q: int, n: int) -> np.ndarray:
-    """All nonzero n-vectors over F_q with first nonzero entry 1, as (N, n)
-    element-index rows in ascending lexicographic order."""
-    blocks = []
-    for pivot in range(n - 1, -1, -1):
-        free = n - 1 - pivot
-        tail = np.indices((q,) * free, dtype=np.uint8).reshape(free, -1).T \
-            if free else np.zeros((1, 0), dtype=np.uint8)
-        block = np.zeros((tail.shape[0], n), dtype=np.uint8)
-        block[:, pivot] = 1
-        block[:, pivot + 1:] = tail
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
-
-
-def normal_forms(spec: FieldSpec) -> np.ndarray:
-    """The cubic coefficient rows with a000 = a001 = 0 and a002 = 1, as
-    (q^7, 10) element-index rows in ascending lexicographic order: the forms
-    through [1:0:0] with tangent Z = 0 there."""
-    q = spec.q
-    rows = np.zeros((q ** 7, 10), dtype=np.uint8)
-    rows[:, 2] = 1
-    rows[:, 3:] = np.indices((q,) * 7, dtype=np.uint8).reshape(7, -1).T
-    return rows
+# form sweeps over P^2
 
 
 def _fold_values(spec, A, table):
@@ -144,23 +105,27 @@ def smooth_mask(spec: FieldSpec, A: np.ndarray) -> np.ndarray:
 # matrix groups and their action on cubic coefficients
 
 
-@lru_cache(maxsize=None)
-def pgl3_array(spec: FieldSpec) -> np.ndarray:
-    """One representative per scalar class of GL_3, the one whose first
-    nonzero entry is 1, in lexicographic order."""
-    m = _lead_with_one(spec.q, 9).reshape(-1, 3, 3)
-    return m[det3(spec, m) != 0]
+def flag_array(spec: FieldSpec) -> np.ndarray:
+    """B: the upper-triangular matrices with T00 = 1, as (q^3 (q-1)^2, 3, 3)
+    index matrices.  They fix [1:0:0] and the line Z = 0, so act maps normal
+    forms to normal forms once scaled to lead with 1."""
+    q = spec.q
+    free = np.indices((q, q, q, q - 1, q - 1), dtype=np.uint8).reshape(5, -1)
+    m = np.zeros((free.shape[1], 3, 3), dtype=np.uint8)
+    m[:, 0, 0] = 1
+    m[:, 0, 1], m[:, 0, 2], m[:, 1, 2] = free[:3]
+    m[:, 1, 1], m[:, 2, 2] = free[3:] + 1
+    return m
 
 
-@lru_cache(maxsize=None)
-def pgl3_cubic_action(spec: FieldSpec) -> np.ndarray:
-    """(10, G, 10) index tensor: cube[m, g] holds the coefficients of
-    act(T_g, basis monomial m), so the images of one input monomial are one
-    contiguous (G, 10) block.  The image of X_i X_j is built once per pair
-    i <= j and shared by every monomial X_i X_j X_k."""
+def pgl3_cubic_action(spec: FieldSpec, group: np.ndarray) -> np.ndarray:
+    """(10, G, 10) index tensor of the (G, 3, 3) index matrices group:
+    cube[m, g] holds the coefficients of act(T_g, basis monomial m), so the
+    images of one input monomial are one contiguous (G, 10) block.  The
+    image of X_i X_j is built once per pair i <= j and shared by every
+    monomial X_i X_j X_k."""
     ADD, MUL = _arrays(spec)[:2]
     add, mul, w = ADD.ravel(), MUL.ravel(), np.uint16(spec.q)
-    group = pgl3_array(spec)
     G = group.shape[0]
     col = [[np.ascontiguousarray(group[:, i, a]) for a in range(3)] for i in range(3)]
     quads = {}
@@ -183,11 +148,11 @@ def pgl3_cubic_action(spec: FieldSpec) -> np.ndarray:
     return cube
 
 
-def orbit_of(spec: FieldSpec, form_row: np.ndarray) -> np.ndarray:
-    """Encodings of the full projective-group orbit of one coefficient row."""
+def orbit_of(spec: FieldSpec, form_row: np.ndarray, cube: np.ndarray) -> np.ndarray:
+    """Sorted distinct encodings of the images of one coefficient row under
+    the group of the action tensor cube, each scaled to lead with 1."""
     ADD, MUL, _, INV = _arrays(spec)
     add, mul, w = ADD.ravel(), MUL.ravel(), np.uint16(spec.q)
-    cube = pgl3_cubic_action(spec)
     images = np.zeros(cube.shape[1:], dtype=np.uint8)
     for in_pos in range(10):
         c = int(form_row[in_pos])

@@ -1,4 +1,4 @@
-"""Brute-force ground truth: classify all smooth plane cubics over a tiny
+"""Brute-force ground truth: classify all smooth plane cubics over a small
 field by projective equivalence.
 
 The census partitions the smooth cubic forms into orbits under the full
@@ -6,20 +6,18 @@ projective linear group, entirely independently of the counting formulas.
 Comparing the resulting point-count histogram against the formulas validates
 both ends; crosscheck() does exactly that.
 
-Every smooth cubic has a rational point, so every orbit of smooth forms
-contains a normal form: the point [1:0:0] on the curve with tangent Z = 0,
-that is a000 = a001 = 0 and a002 = 1, leaving 7 free coefficients.  The
-census tests the q^7 normal forms for smoothness and takes the orbit of each
-smooth one not yet visited; the orbits are listed by their least form, which
-is also each orbit's representative.  Three checks guard the partition:
-
-* every smooth normal form is visited, and no singular one is;
-* the visited forms, the sum of the orbit sizes and the closed count
-  q^4 (q^3 - 1)(q^2 - 1) of smooth forms up to scalar all agree;
-* every orbit size divides |PGL_3(F_q)|.
-
-Supported sizes are q = 2, 3, 4 and 5; q = 5 takes the orbits of 16 classes
-under a group of 372000 in a few seconds.  Any other q raises TooLarge.
+Every smooth class has a normal form: [1:0:0] on the curve with tangent
+Z = 0 there, a000 = a001 = 0 and a002 = 1.  The flag group B of
+upper-triangular matrices with T00 = 1 permutes the q^7 normal forms.  The
+census walks them in ascending order, gathers the B-orbit of each form not
+yet visited and tests its first form for smoothness.  A smooth class with n
+rational points holds the B-orbits O_i of its normal forms at those points
+(plane._normalize_idx), so |Aut C| = n |B| / sum |O_i|; its least form,
+the representative, starts the first of them.  Checks: each B-orbit holds
+its start form and no form seen before; the classes partition the smooth
+B-orbits; each |Aut C| divides |PGL_3|; the orbit sizes sum to
+q^4 (q^3 - 1)(q^2 - 1), the smooth forms up to scalar.  q = 2, 3, 4, 5, 7,
+8 and 9 are admitted (q = 9: about 3 s, 65 MB); any other q raises TooLarge.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _bulk, _tables, counting
+from . import _bulk, _tables, counting, plane
 from .gf import FieldSpec, mk_field
 from .plane import TernaryCubic
 
@@ -85,42 +83,68 @@ def _field_for(q: int) -> FieldSpec:
     return mk_field(p, m)
 
 
+#: the field sizes the census admits; q = 11 would take about 11 s and 155 MB
+CENSUS_Q = (2, 3, 4, 5, 7, 8, 9)
+
+
 def census(q: int) -> OrbitCensus:
-    """Orbit classification of all smooth cubic forms over F_q, q in {2, 3, 4, 5}."""
-    if q not in (2, 3, 4, 5):
+    """Orbit classification of all smooth cubic forms over F_q, q in CENSUS_Q."""
+    if q not in CENSUS_Q:
         raise TooLarge(f"census is desk-scale only; q = {q} is out of range")
     spec = _field_for(q)
-    sf = _tables.scalar_field(spec)
-    forms = _bulk.normal_forms(spec)
-    smooth = _bulk.smooth_mask(spec, forms)
+    pt = _tables.plane_tables(spec)
+    flag = _bulk.flag_array(spec)
+    cube = _bulk.pgl3_cubic_action(spec, flag)
 
-    encodings = _bulk.encode_forms(q, forms)
-    visited = np.zeros(q ** 10, dtype=bool)
-    found = []
-    for fi in np.flatnonzero(smooth):
-        if visited[encodings[fi]]:
+    # normal form k, counted in ascending order, has the encoding q^7 + k
+    n_forms = q ** 7
+    todo = np.ones(n_forms, dtype=bool)
+    label = np.empty(n_forms, dtype=np.int32)
+    firsts, sizes = [], []
+    cursor = 0
+    while cursor < n_forms:
+        cursor += int(todo[cursor:].argmax())
+        if not todo[cursor]:
+            break
+        row = np.array(_bulk.decode_form(q, n_forms + cursor), dtype=np.uint8)
+        orbit = _bulk.orbit_of(spec, row, cube) - n_forms
+        # the least unvisited form must start a new orbit of normal forms
+        if orbit[0] != cursor or orbit[-1] >= n_forms or not todo[orbit].all():
+            raise AssertionError("B-orbits do not partition the normal forms")
+        todo[orbit] = False
+        label[orbit] = len(firsts)
+        firsts.append(row)
+        sizes.append(len(orbit))
+
+    firsts = np.array(firsts)
+    smooth = np.flatnonzero(_bulk.smooth_mask(spec, firsts))
+    counts = _bulk.point_counts(spec, firsts[smooth])
+
+    # the B-orbits of a class are those of its normal forms at each of its
+    # rational points; its least form starts the first of them
+    pgl3_order = q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
+    merged, orbits = set(), []
+    for i, n in zip(smooth.tolist(), counts.tolist()):
+        if i in merged:
             continue
-        orbit = _bulk.orbit_of(spec, forms[fi])
-        visited[orbit] = True
-        # an orbit invariant, folded for one form per orbit
-        n_points = int(_bulk.point_counts(spec, forms[fi:fi + 1])[0])
-        found.append((int(orbit.min()), len(orbit), n_points))
+        f = firsts[i].tolist()
+        fns = [plane._normalize_idx(pt, f, pt.point(p))[1] for p in pt.zeros(f)]
+        members = set(label[_bulk.encode_forms(q, np.array(fns, dtype=np.uint8))
+                            - n_forms].tolist())
+        if i not in members or not members.isdisjoint(merged):
+            raise AssertionError("classes do not partition the smooth B-orbits")
+        merged |= members
+        aut, rem = divmod(n * len(flag), sum(sizes[j] for j in members))
+        if rem or pgl3_order % aut:
+            raise AssertionError("|Aut C| must be an integer dividing |PGL_3|")
+        orbits.append(OrbitEntry(TernaryCubic(spec, [pt.sf.decode(d) for d in f]),
+                                 pgl3_order // aut, n))
 
-    sizes = [size for _, size, _ in found]
-    smooth_count = q ** 4 * (q ** 3 - 1) * (q ** 2 - 1)
-    if not (np.array_equal(visited[encodings], smooth)
-            and int(visited.sum()) == sum(sizes) == smooth_count):
-        raise AssertionError("orbits do not partition the smooth forms")
-    group_order = _bulk.pgl3_array(spec).shape[0]
-    if any(group_order % size for size in sizes):
-        raise AssertionError("orbit size must divide |PGL_3|")
-
-    orbits = tuple(
-        OrbitEntry(TernaryCubic(spec, [sf.decode(d) for d in _bulk.decode_form(q, least)]),
-                   size, n_points)
-        for least, size, n_points in sorted(found))
+    if (len(merged) != len(smooth)
+            or sum(o.orbit_size for o in orbits) != q ** 4 * (q ** 3 - 1) * (q ** 2 - 1)):
+        raise AssertionError("classes do not partition the smooth forms")
     histogram = Counter(o.point_count for o in orbits)
-    return OrbitCensus(q=q, orbits=orbits, histogram=dict(histogram))
+    return OrbitCensus(q=q, orbits=tuple(orbits), histogram=dict(histogram))
 
 
 @dataclass(frozen=True)

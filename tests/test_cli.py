@@ -264,7 +264,12 @@ def test_classify_summary(capsys):
 
 
 def test_classify_too_large(capsys):
-    assert cli.main(["classify", "--q", "7"]) == 2
+    # 11 is past the census range, 6 no prime power: both exit 2 at once
+    for q in ("11", "6"):
+        start = time.perf_counter()
+        assert cli.main(["classify", "--q", q]) == 2
+        assert time.perf_counter() - start < 0.1
+        assert "out of range" in capsys.readouterr().err
 
 
 def test_field_command(capsys):
