@@ -660,7 +660,7 @@ def census_by_group_orbits(q: int) -> OrbitCensus:
 
     smooth_mask over the q^7 normal forms, then the orbit under all of
     PGL_3 of each smooth one not yet visited, in a q^10 visited array;
-    about 3 s and 150 MB at q = 5.
+    about 3.5 s and 130 MB at q = 5.
     """
     spec = _field_for(q)
     sf = _tables.scalar_field(spec)

@@ -35,7 +35,7 @@ def test_census_matches_the_full_sweep(q):
 
 @pytest.mark.slow
 def test_census_matches_the_group_orbits_at_q5():
-    # the full-group census that the walk replaced; about 3 s and 150 MB
+    # the full-group census that the walk replaced; about 4 s
     assert census(5).to_obj() == census_by_group_orbits(5).to_obj()
 
 
@@ -58,7 +58,7 @@ def _orbit_by_act(spec, transforms, F):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_flag_action_matches_act_over_b(q):
-    # all of B on three seeded normal forms each; about 0.5 s at q = 4
+    # all of B on three seeded normal forms each; under 0.5 s at q = 4
     spec = mk_field(2, 2) if q == 4 else mk_field(q, 1)
     sf = _tables.scalar_field(spec)
     flag = _bulk.flag_array(spec)
@@ -128,7 +128,7 @@ def _classify_in_fresh_process(q, out):
 
 @pytest.fixture(scope="module")
 def classify5(tmp_path_factory):
-    """classify --q 5 in a fresh process, about 0.6 s and 40 MB."""
+    """classify --q 5 in a fresh process, about 0.5 s and 31 MB."""
     return _classify_in_fresh_process(5, tmp_path_factory.mktemp("census5") / "census5.json")
 
 
