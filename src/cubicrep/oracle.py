@@ -18,6 +18,8 @@ its start form and no form seen before; the classes partition the smooth
 B-orbits; each |Aut C| divides |PGL_3|; the orbit sizes sum to
 q^4 (q^3 - 1)(q^2 - 1), the smooth forms up to scalar.  q = 2, 3, 4, 5, 7,
 8 and 9 are admitted (q = 9: about 3 s, 65 MB); any other q raises TooLarge.
+The four kernels run through the module, _bulk.smooth_mask and so on, for
+the benchmark's tracer; the _bulk docstring says why.
 """
 
 from __future__ import annotations
